@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Defaults: mode=single, initial=local, coin=hadamard, steps=3000, "
             "record-every=1, alpha=3*pi/4, beta=0, alpha-step=beta-step=0.1, "
             "truncation-radius=100, renormalize=false, fit window = last 2000 "
-            "steps, workers = CPU count, output-dir=results."
+            "steps, output-dir=results."
         ),
     )
     p.add_argument("--preset", choices=PRESET_NAMES, help="bundled experiment; fixes all physics flags")
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int, help="stride between recorded observable rows")
     p.add_argument("--fit-start", type=int, help="first time step of the dispersion fit window")
     p.add_argument("--fit-end", type=int, help="last time step of the dispersion fit window")
-    p.add_argument("--workers", type=int, help="parallel worker processes (output-invariant)")
+    p.add_argument("--workers", type=int, help="accepted but unused: every run uses one process")
     p.add_argument("--output-dir", type=Path)
     return p
 
@@ -227,6 +227,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError(
             f"fit window [{fit_start}, {fit_end}] must satisfy 0 <= start < end <= steps"
         )
+    try:  # the fit's own rule, applied to the record schedule before any compute
+        times = EvolutionPlan(coin, steps, record_every).record_times()
+        fit_dispersion_slope(times, times, (fit_start, fit_end))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at --record-every {record_every}") from exc
     if ns.workers is not None and ns.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {ns.workers}")
 

@@ -175,6 +175,14 @@ class InitialStateSpec:
             raise ValueError(
                 f"Gaussian shape requires truncation_radius >= 1, got {self.truncation_radius}"
             )
+        # sigma0 far from the lattice scale overflows the samples or underflows all to zero
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                norm_sq = float(np.sum(self.envelope() ** 2))
+        except FloatingPointError as exc:
+            raise ValueError(f"sigma0={self.sigma0} gives no finite envelope: {exc}") from None
+        if not norm_sq > 0.0:
+            raise ValueError(f"sigma0={self.sigma0} gives an envelope with zero norm")
 
     @classmethod
     def local(cls) -> "InitialStateSpec":
@@ -291,10 +299,6 @@ class WalkState:
         out.up[lo : lo + self.window.size] = self.up
         out.down[lo : lo + self.window.size] = self.down
         return out
-
-    def assert_finite(self) -> None:
-        if not (np.all(np.isfinite(self.up)) and np.all(np.isfinite(self.down))):
-            raise ValueError("state contains non-finite amplitudes")
 
 
 def build_initial_state(

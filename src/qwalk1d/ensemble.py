@@ -12,17 +12,15 @@ Every per-qubit observable used here (norm, position moments, reduced
 coin entries) is a quadratic form in the amplitudes, so it reduces to a
 handful of lattice sums over the basis walks combined with per-qubit
 coefficients.  The default "linear" method exploits this and costs two
-walks regardless of grid size; the "direct" method really runs one walk
-per qubit and exists as the independent cross-check and for workloads
-where per-qubit states are needed.  Both reduce in a fixed order, so
-results are bitwise reproducible and independent of the worker count.
+walks regardless of grid size; the "direct" method really evolves every
+qubit's state, in fixed-size batches, and exists as the independent
+cross-check.  Both run in one process and reduce in a fixed order, so
+results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ from .core import (
     WalkState,
     build_initial_state,
 )
-from .evolution import EvolutionPlan, evolve, prepared, step
+from .evolution import EvolutionPlan, _advance, evolve, prepared, reachable_window
 from .observables import (
     PositionDistribution,
     dispersion,
@@ -55,9 +53,9 @@ __all__ = [
     "moving_average",
 ]
 
-# Fixed block size for the direct method's reduction tree; independent of
-# the worker count so that sums associate identically however work is split.
-_BLOCK = 64
+# Qubits the direct method evolves as one batch, bounding its array sizes; of
+# 4 to 64, 16 ran fastest with the lowest peak memory on 128 qubits x 500 steps.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -174,9 +172,10 @@ def run_ensemble(
     """Run every qubit of ``grid`` and average the observables.
 
     ``method="linear"`` (default) evolves two basis walks and combines
-    them per qubit; ``method="direct"`` evolves each qubit separately,
-    optionally across ``workers`` processes.  Output is deterministic and
-    independent of ``workers`` for both methods.
+    them per qubit; ``method="direct"`` evolves every qubit's state, in
+    batches of a fixed size.  Both run in this process; ``workers`` is
+    accepted for callers that pass a worker count and has no effect.
+    Output is deterministic for both methods.
     """
     if len(grid) == 0:
         raise ValueError("qubit grid is empty")
@@ -185,7 +184,7 @@ def run_ensemble(
     if method == "linear":
         times, mean_sigma, mean_entropy, mean_dist = _run_linear(grid, init, plan)
     elif method == "direct":
-        times, mean_sigma, mean_entropy, mean_dist = _run_direct(grid, init, plan, workers)
+        times, mean_sigma, mean_entropy, mean_dist = _run_direct(grid, init, plan)
     else:
         raise ValueError(f"unknown ensemble method {method!r}")
     slope = fit_dispersion_slope(times, mean_sigma, fit_window)
@@ -201,23 +200,29 @@ def run_ensemble(
     )
 
 
-def _basis_pair(init: InitialStateSpec, plan: EvolutionPlan) -> tuple[WalkState, WalkState]:
-    lo, hi = init.support()
-    window = _shared_window((lo, hi), plan)
+def _product_states(
+    init: InitialStateSpec, window: LatticeWindow, c: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope."""
     f = init.envelope()
-    up_start = WalkState.zero(window)
-    up_start.up[window.index(lo) : window.index(lo) + f.size] = f
-    down_start = WalkState.zero(window)
-    down_start.down[window.index(lo) : window.index(lo) + f.size] = f
-    return up_start, down_start
+    lo = window.index(init.support()[0])
+    up = np.zeros((c.size, window.size), dtype=np.complex128)
+    down = np.zeros_like(up)
+    up[:, lo : lo + f.size] = c[:, None] * f
+    down[:, lo : lo + f.size] = s[:, None] * f
+    return up, down
 
 
-def _shared_window(support: tuple[int, int], plan: EvolutionPlan) -> LatticeWindow:
-    # Window big enough for both basis walks over the whole run; the
-    # defect clipping from reachable_window applies to both identically.
-    from .evolution import reachable_window
-
-    return reachable_window(support, plan.coin, plan.steps)
+def _recorded_steps(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow):
+    """Step ``(up, down)`` in two alternating buffer pairs, yielding at each record time."""
+    spare = np.empty_like(up), np.empty_like(down)
+    t = 0
+    for t_record in plan.record_times():
+        while t < t_record:
+            _advance(up, down, *spare, plan.coin, window, t)
+            (up, down), spare = spare, (up, down)
+            t += 1
+        yield up, down
 
 
 def _qubit_coefficients(grid: QubitGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -235,29 +240,30 @@ def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     w_ud = c * s.conj()          # cross weight (complex)
     cs = c * s
 
-    up_walk, down_walk = _basis_pair(init, plan)
-    sites = up_walk.window.sites().astype(np.float64)
+    window = reachable_window(init.support(), plan.coin, plan.steps)
+    sites = window.sites().astype(np.float64)
     sites_sq = sites * sites
 
     times = plan.record_times()
     mean_sigma = np.empty(times.size)
     mean_entropy = np.empty(times.size)
-    slot = 0
 
-    def record(t: int, pair: tuple[WalkState, WalkState]) -> None:
-        nonlocal slot
-        su, sd = pair
-        au, bu, ad, bd = su.up, su.down, sd.up, sd.down
-        k_uu = au.real**2 + au.imag**2 + bu.real**2 + bu.imag**2
-        k_dd = ad.real**2 + ad.imag**2 + bd.real**2 + bd.imag**2
-        k_ud = au * ad.conj() + bu * bd.conj()
+    def form(kern_uu, kern_dd, kern_ud) -> np.ndarray:
+        return w_uu * kern_uu + w_dd * kern_dd + 2.0 * (w_ud * kern_ud).real
 
-        def form(kern_uu, kern_dd, kern_ud) -> np.ndarray:
-            return (
-                w_uu * kern_uu
-                + w_dd * kern_dd
-                + 2.0 * (w_ud * kern_ud).real
-            )
+    # lattice-size work arrays, reused so the loop does not churn the allocator;
+    # filled in the order of the plain expressions, so sums are bitwise the same
+    k, k_tmp = np.empty((2, window.size)), np.empty((2, window.size))
+    k_ud, k_ud_tmp = np.empty(window.size, complex), np.empty(window.size, complex)
+
+    def record(slot: int, up: np.ndarray, down: np.ndarray) -> None:
+        (au, ad), (bu, bd) = up, down
+        np.square(up.real, out=k)  # row 0: |a_up|^2 + |b_up|^2, row 1: the down walk's
+        for part in (up.imag, down.real, down.imag):
+            np.add(k, np.square(part, out=k_tmp), out=k)
+        k_uu, k_dd = k
+        np.multiply(au, np.conjugate(ad, out=k_ud_tmp), out=k_ud)
+        np.add(k_ud, np.multiply(bu, np.conjugate(bd, out=k_ud_tmp), out=k_ud_tmp), out=k_ud)
 
         norm = form(np.sum(k_uu), np.sum(k_dd), np.sum(k_ud))
         m1 = form(np.dot(k_uu, sites), np.dot(k_dd, sites), np.dot(k_ud, sites)) / norm
@@ -277,29 +283,19 @@ def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
         coherence = w_uu * t_uu + w_ud * t_ud + cs * t_du + w_dd * t_dd
         coherence_sq = coherence.real**2 + coherence.imag**2
         mean_entropy[slot] = float(np.mean(entropy_bits_vec(up_weight, coherence_sq, norm)))
-        slot += 1
 
-    record(0, (up_walk, down_walk))
-    for k in range(1, plan.steps + 1):
-        up_walk = step(up_walk, plan.coin)
-        down_walk = step(down_walk, plan.coin)
-        if k % plan.record_every == 0 or k == plan.steps:
-            record(k, (up_walk, down_walk))
-    assert slot == times.size
-
-    mean_dist = _combined_distribution(grid, up_walk, down_walk, w_uu, w_dd, w_ud)
+    # the basis pair: row 0 starts spin-up, row 1 spin-down
+    basis = _product_states(init, window, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for slot, (up, down) in enumerate(_recorded_steps(*basis, plan, window)):
+        record(slot, up, down)
+    mean_dist = _combined_distribution(window, up, down, w_uu, w_dd, w_ud)
     return times, mean_sigma, mean_entropy, mean_dist
 
 
 def _combined_distribution(
-    grid: QubitGrid,
-    up_walk: WalkState,
-    down_walk: WalkState,
-    w_uu: np.ndarray,
-    w_dd: np.ndarray,
-    w_ud: np.ndarray,
+    window: LatticeWindow, up: np.ndarray, down: np.ndarray, w_uu, w_dd, w_ud
 ) -> PositionDistribution:
-    au, bu, ad, bd = up_walk.up, up_walk.down, down_walk.up, down_walk.down
+    (au, ad), (bu, bd) = up, down
     m_uu = float(np.mean(w_uu))
     m_dd = float(np.mean(w_dd))
     m_ud = complex(np.mean(w_ud))
@@ -313,37 +309,32 @@ def _combined_distribution(
         + m_dd * (bd.real**2 + bd.imag**2)
         + 2.0 * (m_ud * (bu * bd.conj())).real
     )
-    return PositionDistribution(up_walk.window, p_up, p_down, p_up + p_down)
+    return PositionDistribution(window, p_up, p_down, p_up + p_down)
 
 
-def _run_direct(
-    grid: QubitGrid,
-    init: InitialStateSpec,
-    plan: EvolutionPlan,
-    workers: int | None,
-):
-    blocks = [grid.qubits[i : i + _BLOCK] for i in range(0, len(grid), _BLOCK)]
-    args = [(block, init, plan) for block in blocks]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_direct_block, args))
-    else:
-        partials = [_direct_block(a) for a in args]
-
-    times = partials[0][0]
-    sum_sigma = np.zeros_like(partials[0][1])
-    sum_entropy = np.zeros_like(sum_sigma)
-    window = partials[0][3]
+def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
+    c, s = _qubit_coefficients(grid)
+    window = reachable_window(init.support(), plan.coin, plan.steps)
+    sites = window.sites().astype(np.float64)
+    times = plan.record_times()
+    sum_sigma = np.zeros(times.size)
+    sum_entropy = np.zeros(times.size)
     sum_up = np.zeros(window.size)
     sum_down = np.zeros(window.size)
-    # block order is the qubit order; summation stays associatively fixed
-    for _, sig, ent, _, p_up, p_down in partials:
-        sum_sigma += sig
-        sum_entropy += ent
-        sum_up += p_up
-        sum_down += p_down
+    for start in range(0, len(grid), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        sigma = np.empty((times.size, c[block].size))
+        entropy = np.empty_like(sigma)
+        states = _product_states(init, window, c[block], s[block])
+        for slot, (up, down) in enumerate(_recorded_steps(*states, plan, window)):
+            sigma[slot], entropy[slot] = _qubit_series(up, down, sites)
+        p_up = up.real**2 + up.imag**2
+        p_down = down.real**2 + down.imag**2
+        for i in range(p_up.shape[0]):  # sum in qubit order
+            sum_sigma += sigma[:, i]
+            sum_entropy += entropy[:, i]
+            sum_up += p_up[i]
+            sum_down += p_down[i]
     n = float(len(grid))
     p_up = sum_up / n
     p_down = sum_down / n
@@ -351,32 +342,16 @@ def _run_direct(
     return times, sum_sigma / n, sum_entropy / n, mean_dist
 
 
-def _direct_block(args):
-    block, init, plan = args
-    times = None
-    sum_sigma = None
-    sum_entropy = None
-    window = _shared_window(init.support(), plan)
-    sum_up = np.zeros(window.size)
-    sum_down = np.zeros(window.size)
-    for qubit in block:
-        try:
-            record = run_walk(qubit, init, plan)
-        except Exception as exc:  # identify the offending qubit before aborting
-            raise RuntimeError(
-                f"walk failed for qubit (alpha={qubit.alpha}, beta={qubit.beta}): {exc}"
-            ) from exc
-        if times is None:
-            times = record.times
-            sum_sigma = np.zeros_like(record.sigma)
-            sum_entropy = np.zeros_like(record.entropy)
-        sum_sigma += record.sigma
-        sum_entropy += record.entropy
-        dist = record.final_distribution()
-        lo = window.index(record.final_state.window.j_min)
-        sum_up[lo : lo + dist.p_up.size] += dist.p_up
-        sum_down[lo : lo + dist.p_down.size] += dist.p_down
-    return times, sum_sigma, sum_entropy, window, sum_up, sum_down
+def _qubit_series(up: np.ndarray, down: np.ndarray, sites: np.ndarray):
+    """Per-row dispersion (as :func:`dispersion` computes it) and coin entropy."""
+    p_up = up.real**2 + up.imag**2
+    p_total = p_up + (down.real**2 + down.imag**2)
+    norm = np.sum(p_total, axis=1)
+    centered = sites - (p_total @ sites / norm)[:, None]
+    sigma = np.sqrt(np.maximum(np.sum(p_total * (centered * centered), axis=1) / norm, 0.0))
+    coherence = np.sum(up * down.conj(), axis=1)  # sum a conj(b)
+    coherence_sq = coherence.real**2 + coherence.imag**2
+    return sigma, entropy_bits_vec(np.sum(p_up, axis=1), coherence_sq, norm)
 
 
 def fit_dispersion_slope(

@@ -113,33 +113,44 @@ def prepared(state: WalkState, plan: EvolutionPlan) -> WalkState:
 
 def step(state: WalkState, coin: CoinSpec) -> WalkState:
     """Advance one time step; returns a new state at ``t + 1``."""
-    up, down = state.up, state.down
+    up, down = np.empty_like(state.up), np.empty_like(state.down)
+    _advance(state.up, state.down, up, down, coin, state.window, state.t)
+    return WalkState(state.window, up, down, state.t + 1)
 
-    # Coin layer: Hadamard everywhere, then overwrite the defect site with
-    # the swapped amplitudes (the NOT gate touches exactly one site).
-    coined_up = (up + down) * SQRT1_2
-    coined_down = (up - down) * SQRT1_2
-    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT:
-        r = coin.defect_site
-        if state.window.contains(r):
-            i = r - state.window.j_min
-            coined_up[i] = down[i]
-            coined_down[i] = up[i]
 
-    if coined_up[-1] != 0.0 or coined_down[0] != 0.0:
+def _advance(up, down, new_up, new_down, coin: CoinSpec, window: LatticeWindow, t: int) -> None:
+    """Coin and shift ``(..., N)`` arrays from ``t`` into the distinct arrays ``new_*``.
+
+    The lattice runs along the last axis; leading axes are independent walks.
+    """
+    # Coin and shift in one pass, written straight into the t+1 arrays:
+    # new_up[j] = coined_up[j-1] and new_down[j] = coined_down[j+1].
+    new_up[..., 0] = 0.0
+    np.add(up[..., :-1], down[..., :-1], out=new_up[..., 1:])
+    new_up *= SQRT1_2
+    new_down[..., -1] = 0.0
+    np.subtract(up[..., 1:], down[..., 1:], out=new_down[..., :-1])
+    new_down *= SQRT1_2
+    # coined amplitude of the edge sites, which the shift would push out
+    leaving_up = (up[..., -1] + down[..., -1]) * SQRT1_2
+    leaving_down = (up[..., 0] - down[..., 0]) * SQRT1_2
+    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT and window.contains(coin.defect_site):
+        # the NOT gate at the defect swaps the spins instead of mixing them
+        i = coin.defect_site - window.j_min
+        if i + 1 < window.size:
+            new_up[..., i + 1] = down[..., i]
+        else:
+            leaving_up = down[..., i]
+        if i > 0:
+            new_down[..., i - 1] = up[..., i]
+        else:
+            leaving_down = up[..., i]
+
+    if np.count_nonzero(leaving_up) or np.count_nonzero(leaving_down):
         raise WindowOverflowError(
-            f"amplitude would leave window [{state.window.j_min}, "
-            f"{state.window.j_max}] at t={state.t + 1}; size the window for "
-            "the full run (see reachable_window)"
+            f"amplitude would leave window [{window.j_min}, {window.j_max}] "
+            f"at t={t + 1}; size the window for the full run (see reachable_window)"
         )
-
-    new_up = np.empty_like(up)
-    new_up[0] = 0.0
-    new_up[1:] = coined_up[:-1]
-    new_down = np.empty_like(down)
-    new_down[-1] = 0.0
-    new_down[:-1] = coined_down[1:]
-    return WalkState(state.window, new_up, new_down, state.t + 1)
 
 
 def evolve(

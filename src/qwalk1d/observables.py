@@ -29,8 +29,8 @@ __all__ = [
     "far_peak_weight",
 ]
 
-# Radicand this far below zero signals corrupted inputs, not float jitter.
-RADICAND_FLOOR = -1e-9
+# Valid inputs give a radicand (A - 1/2)^2 + |B|^2 <= 1/4; above this or NaN means corruption.
+RADICAND_CEILING = 0.25 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,17 @@ def entanglement_entropy(rc: ReducedCoinMatrix) -> EntropyValue:
 
     The matrix is normalized by its trace first, then the eigenvalues
     follow in closed form from the determinant:
-    ``lambda_pm = 1/2 +- sqrt(1/4 - A(1-A) + |B|^2)``.  The radicand is
-    non-negative for any valid state; values below ``RADICAND_FLOOR``
-    raise instead of being clamped.
+    ``lambda_pm = 1/2 +- sqrt(1/4 - A(1-A) + |B|^2)``.  The radicand equals
+    ``(A - 1/2)^2 + |B|^2``, so it is non-negative up to rounding (clamped
+    at zero) and at most 1/4 for a valid state; a radicand above
+    ``RADICAND_CEILING``, or NaN, raises.
     """
     a = rc.up_weight / rc.trace
     b2 = abs(rc.coherence) ** 2 / (rc.trace * rc.trace)
     radicand = 0.25 - a * (1.0 - a) + b2
-    if radicand < RADICAND_FLOOR:
+    if not radicand <= RADICAND_CEILING:
         raise ValueError(
-            f"eigenvalue radicand {radicand} below {RADICAND_FLOOR}; "
+            f"eigenvalue radicand {radicand} above {RADICAND_CEILING}; "
             "reduced matrix is not a valid coin state"
         )
     split = math.sqrt(max(radicand, 0.0))
@@ -173,14 +174,16 @@ def _xlog2(x: float) -> float:
 def entropy_bits_vec(up_weight, coherence_sq, trace):
     """Vectorized coin entropy from ``sum|a|^2``, ``|sum a b*|^2`` and norm.
 
-    Same closed form as :func:`entanglement_entropy`, broadcast over
-    arrays; used by the ensemble fast path where one pair of basis walks
-    yields per-qubit weights as plain arrays.
+    Same closed form and corrupted-input rule as :func:`entanglement_entropy`,
+    broadcast over arrays; used by the ensemble paths, which yield per-qubit
+    weights as plain arrays.
     """
     a = np.asarray(up_weight, dtype=np.float64) / trace
     b2 = np.asarray(coherence_sq, dtype=np.float64) / (trace * trace)
-    radicand = np.maximum(0.25 - a * (1.0 - a) + b2, 0.0)
-    split = np.sqrt(radicand)
+    radicand = 0.25 - a * (1.0 - a) + b2
+    if not radicand.max() <= RADICAND_CEILING:  # NaN propagates through max
+        raise ValueError(f"eigenvalue radicand above {RADICAND_CEILING}; not valid coin states")
+    split = np.sqrt(np.maximum(radicand, 0.0))
     lam_plus = np.minimum(0.5 + split, 1.0)
     lam_minus = np.maximum(0.5 - split, 0.0)
     return -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)

@@ -237,6 +237,20 @@ class TestMain:
         assert code == 1
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--steps 20 --record-every 20 --fit-start 5 --fit-end 20",  # one recorded time in the fit
+            "--initial gaussian --sigma0 1e-300",  # envelope divides by zero
+            "--initial gaussian --sigma0 1e300",  # envelope is all zeros
+        ],
+    )
+    def test_config_failing_before_compute_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "run"
+        assert main(args.split() + ["--output-dir", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_configs_give_identical_bytes(self, tmp_path):
         args = (
             "--mode ensemble --alpha-step 1.0 --beta-step 2.0 --steps 30 "

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ class TestInitialStateSpec:
             InitialStateSpec.gaussian(1.0, truncation_radius=0)
         with pytest.raises(ValueError):
             InitialStateSpec(InitialShape.LOCAL, sigma0=1.0)
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("sigma0", [1e-300, 1e300])
+    def test_envelope_must_be_finite_with_nonzero_norm(self, sigma0, renormalize):
+        # 1e-300 divides by zero when sampled; 1e300 samples to all zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma0"):
+                InitialStateSpec.gaussian(sigma0, renormalize=renormalize)
 
     def test_gaussian_envelope_values(self):
         f = gaussian_envelope(10.0, 100)

@@ -27,6 +27,7 @@ from qwalk1d import (
     reduced_coin,
     step,
 )
+from qwalk1d.observables import entropy_bits_vec
 
 # sigma(0) of the truncated discrete Gaussian, 40-digit arithmetic
 SIGMA0_10_R100 = 10.0
@@ -214,6 +215,47 @@ class TestEntropy:
         assert value.lambda_plus * value.lambda_minus == pytest.approx(
             a_n * (1 - a_n) - b2_n, abs=1e-12
         )
+
+    @given(
+        coins=st.lists(
+            st.tuples(
+                st.floats(0, 1),  # Bloch vector length
+                st.floats(0, math.pi),
+                st.floats(0, 2 * math.pi),
+                st.floats(1e-3, 1e3),  # trace
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        corrupt=st.integers(0, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vector_form_matches_scalar_form(self, coins, corrupt):
+        matrices = [
+            ReducedCoinMatrix(
+                tr * (1.0 + r * math.cos(theta)) / 2.0,
+                tr * r * math.sin(theta) * complex(math.cos(phi), -math.sin(phi)) / 2.0,
+                tr,
+            )
+            for r, theta, phi, tr in coins
+        ]
+        up_weight = np.array([m.up_weight for m in matrices])
+        coherence_sq = np.array([abs(m.coherence) ** 2 for m in matrices])
+        trace = np.array([m.trace for m in matrices])
+        scalar = np.array([entanglement_entropy(m).entropy for m in matrices])
+        assert np.abs(entropy_bits_vec(up_weight, coherence_sq, trace) - scalar).max() <= 1e-15
+
+        i = corrupt % len(matrices)
+        nan_weight = up_weight.copy()
+        nan_weight[i] = math.nan
+        with pytest.raises(ValueError):
+            entropy_bits_vec(nan_weight, coherence_sq, trace)
+        # |B|^2 beyond A(1 - A) breaks Cauchy-Schwarz
+        a = up_weight[i] / trace[i]
+        beyond = coherence_sq.copy()
+        beyond[i] = (a * (1.0 - a) + 1e-6) * trace[i] ** 2
+        with pytest.raises(ValueError):
+            entropy_bits_vec(up_weight, beyond, trace)
 
     def test_invariant_under_global_phase_and_translation(self):
         state = build_initial_state(QubitParams(1.1, 0.7), InitialStateSpec.gaussian(2.0, 8))
