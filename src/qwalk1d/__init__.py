@@ -39,6 +39,7 @@ from .evolution import (
     evolve,
     prepared,
     reachable_window,
+    recorded_steps,
     step,
 )
 from .observables import (
@@ -84,6 +85,7 @@ __all__ = [
     "reachable_window",
     "prepared",
     "step",
+    "recorded_steps",
     "evolve",
     "PositionDistribution",
     "ReducedCoinMatrix",

@@ -26,7 +26,7 @@ from .ensemble import (
     run_ensemble,
     run_walk,
 )
-from .evolution import EvolutionPlan
+from .evolution import EvolutionPlan, reachable_window
 
 __all__ = [
     "ConfigError",
@@ -47,6 +47,10 @@ DEFAULT_BETA = 0.0
 DEFAULT_GRID_STEP = 0.1
 PRESET_DEFECT_SITE = -101
 PRESET_NAMES = ("fig1", "fig2", "fig3")
+# Largest window a run may need; at its peak a linear ensemble holds about
+# _BYTES_PER_SITE bytes per site (tracemalloc), ~0.23 GB at the cap.
+MAX_SITES = 1_000_000
+_BYTES_PER_SITE = 225
 
 
 class ConfigError(ValueError):
@@ -159,15 +163,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         )
 
     mode = ns.mode or "single"
-    steps = ns.steps if ns.steps is not None else DEFAULT_STEPS
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    record_every = ns.record_every if ns.record_every is not None else 1
-    if record_every < 1:
-        raise ConfigError(f"record-every must be >= 1, got {record_every}")
-
-    initial_kind = ns.initial or "local"
-    if initial_kind == "local":
+    gaussian = ns.initial == "gaussian"
+    if not gaussian:
         for flag, value in (
             ("--sigma0", ns.sigma0),
             ("--truncation-radius", ns.truncation_radius),
@@ -175,65 +172,51 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         ):
             if value is not None:
                 raise ConfigError(f"{flag} applies only to --initial gaussian")
-        initial = InitialStateSpec.local()
-    else:
-        if ns.sigma0 is None:
-            raise ConfigError("--initial gaussian requires --sigma0")
-        radius = (
-            ns.truncation_radius
-            if ns.truncation_radius is not None
-            else DEFAULT_TRUNCATION_RADIUS
-        )
-        try:
-            initial = InitialStateSpec.gaussian(
-                ns.sigma0, radius, renormalize=(ns.renormalize == "true")
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    coin_kind = ns.coin or "hadamard"
-    if coin_kind == "hadamard":
-        if ns.defect_site is not None:
-            raise ConfigError("--defect-site applies only to --coin defect")
-        coin = CoinSpec.hadamard()
-    else:
-        if ns.defect_site is None:
-            raise ConfigError("--coin defect requires --defect-site")
-        coin = CoinSpec.not_defect(ns.defect_site)
-
-    qubit = None
-    alpha_step = beta_step = None
-    if mode == "single":
-        if ns.alpha_step is not None or ns.beta_step is not None:
-            raise ConfigError("--alpha-step/--beta-step apply only to --mode ensemble")
-        try:
-            qubit = QubitParams(
-                ns.alpha if ns.alpha is not None else DEFAULT_ALPHA,
-                ns.beta if ns.beta is not None else DEFAULT_BETA,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        if ns.alpha is not None or ns.beta is not None:
-            raise ConfigError("--alpha/--beta apply only to --mode single")
-        alpha_step = ns.alpha_step if ns.alpha_step is not None else DEFAULT_GRID_STEP
-        beta_step = ns.beta_step if ns.beta_step is not None else DEFAULT_GRID_STEP
-        if alpha_step <= 0 or beta_step <= 0:
-            raise ConfigError("grid steps must be positive")
-
-    fit_start = ns.fit_start if ns.fit_start is not None else max(0, steps - 2000)
-    fit_end = ns.fit_end if ns.fit_end is not None else steps
-    if not (0 <= fit_start < fit_end <= steps):
-        raise ConfigError(
-            f"fit window [{fit_start}, {fit_end}] must satisfy 0 <= start < end <= steps"
-        )
-    try:  # the fit's own rule, applied to the record schedule before any compute
-        times = EvolutionPlan(coin, steps, record_every).record_times()
-        fit_dispersion_slope(times, times, (fit_start, fit_end))
-    except ValueError as exc:
-        raise ConfigError(f"{exc} at --record-every {record_every}") from exc
+    elif ns.sigma0 is None:
+        raise ConfigError("--initial gaussian requires --sigma0")
+    defect = ns.coin == "defect"
+    if defect and ns.defect_site is None:
+        raise ConfigError("--coin defect requires --defect-site")
+    if not defect and ns.defect_site is not None:
+        raise ConfigError("--defect-site applies only to --coin defect")
+    if mode == "single" and (ns.alpha_step is not None or ns.beta_step is not None):
+        raise ConfigError("--alpha-step/--beta-step apply only to --mode ensemble")
+    if mode == "ensemble" and (ns.alpha is not None or ns.beta is not None):
+        raise ConfigError("--alpha/--beta apply only to --mode single")
     if ns.workers is not None and ns.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {ns.workers}")
+
+    steps = _or_default(ns.steps, DEFAULT_STEPS)
+    record_every = _or_default(ns.record_every, 1)
+    fit_window = (_or_default(ns.fit_start, max(0, steps - 2000)), _or_default(ns.fit_end, steps))
+    qubit = None
+    alpha_step = beta_step = None
+    try:  # every value is checked by the type that owns it, before any compute
+        if gaussian:
+            radius = _or_default(ns.truncation_radius, DEFAULT_TRUNCATION_RADIUS)
+            initial = InitialStateSpec.gaussian(ns.sigma0, radius, ns.renormalize == "true")
+        else:
+            initial = InitialStateSpec.local()
+        coin = CoinSpec.not_defect(ns.defect_site) if defect else CoinSpec.hadamard()
+        plan = EvolutionPlan(coin, steps, record_every)
+        window = reachable_window(initial.support(), coin, steps)
+        if window.size > MAX_SITES:
+            raise ValueError(
+                f"a {steps}-step walk reaches {window.size} sites, more than "
+                f"MAX_SITES={MAX_SITES}; an ensemble needs about {_BYTES_PER_SITE} "
+                f"bytes per site ({window.size * _BYTES_PER_SITE / 1e9:.3g} GB)"
+            )
+        times = plan.record_times()
+        fit_dispersion_slope(times, times, fit_window)  # the fit's own rule
+        if mode == "single":
+            alpha, beta = _or_default(ns.alpha, DEFAULT_ALPHA), _or_default(ns.beta, DEFAULT_BETA)
+            qubit = QubitParams(alpha, beta)
+        else:
+            alpha_step = _or_default(ns.alpha_step, DEFAULT_GRID_STEP)
+            beta_step = _or_default(ns.beta_step, DEFAULT_GRID_STEP)
+            make_qubit_grid(alpha_step, beta_step)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     return RunConfig(
         mode=mode,
@@ -241,7 +224,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         coin=coin,
         steps=steps,
         record_every=record_every,
-        fit_window=(fit_start, fit_end),
+        fit_window=fit_window,
         output_dir=output_dir,
         qubit=qubit,
         alpha_step=alpha_step,
@@ -249,6 +232,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         workers=ns.workers,
         preset=None,
     )
+
+
+def _or_default(value, default):
+    return default if value is None else value
 
 
 def canonical_argv(config: RunConfig) -> list[str]:

@@ -32,7 +32,7 @@ from .core import (
     WalkState,
     build_initial_state,
 )
-from .evolution import EvolutionPlan, _advance, evolve, prepared, reachable_window
+from .evolution import EvolutionPlan, prepared, reachable_window, recorded_steps
 from .observables import (
     PositionDistribution,
     dispersion,
@@ -51,50 +51,64 @@ __all__ = [
     "run_ensemble",
     "fit_dispersion_slope",
     "moving_average",
+    "MAX_QUBITS",
 ]
 
 # Qubits the direct method evolves as one batch, bounding its array sizes; of
 # 4 to 64, 16 ran fastest with the lowest peak memory on 128 qubits x 500 steps.
 _BLOCK = 16
 
+# Largest grid make_qubit_grid builds; at its peak the linear method holds
+# about _BYTES_PER_QUBIT bytes per qubit (tracemalloc), ~0.23 GB at the cap.
+MAX_QUBITS = 1_000_000
+_BYTES_PER_QUBIT = 225
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class QubitGrid:
     """Bloch-angle grid ``(i*alpha_step, k*beta_step)`` within range.
 
     Includes every multiple of the step that does not exceed pi
-    (resp. 2*pi), endpoint included when it lands exactly.  Ordering is
-    alpha-major and fixed; averaging and reduction follow it.
+    (resp. 2*pi), endpoint included when it lands exactly.  Qubit ``n`` is
+    ``(alphas[n], betas[n])``, alpha-major; averaging and reduction follow it.
     """
 
     alpha_step: float
     beta_step: float
-    qubits: tuple[QubitParams, ...]
+    alphas: np.ndarray
+    betas: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.qubits)
+        return self.alphas.size
 
 
 def make_qubit_grid(alpha_step: float, beta_step: float) -> QubitGrid:
-    """Grid of initial qubits; step 0.1 on both angles yields 2016 points."""
+    """Grid of initial qubits (2016 at step 0.1); at most :data:`MAX_QUBITS`."""
     if not (math.isfinite(alpha_step) and alpha_step > 0.0):
         raise ValueError(f"alpha_step must be positive, got {alpha_step}")
     if not (math.isfinite(beta_step) and beta_step > 0.0):
         raise ValueError(f"beta_step must be positive, got {beta_step}")
     alphas = _step_multiples(alpha_step, math.pi)
     betas = _step_multiples(beta_step, 2.0 * math.pi)
-    qubits = tuple(QubitParams(a, b) for a in alphas for b in betas)
-    return QubitGrid(alpha_step, beta_step, qubits)
+    if alphas.size * betas.size > MAX_QUBITS:
+        count = (math.pi / alpha_step + 1.0) * (2.0 * math.pi / beta_step + 1.0)
+        raise ValueError(
+            f"grid steps ({alpha_step}, {beta_step}) give about {count:.3g} qubits, more "
+            f"than MAX_QUBITS={MAX_QUBITS}; the linear method needs about {_BYTES_PER_QUBIT} "
+            f"bytes per qubit ({count * _BYTES_PER_QUBIT / 1e9:.3g} GB)"
+        )
+    return QubitGrid(
+        alpha_step, beta_step, np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
+    )
 
 
-def _step_multiples(step: float, bound: float) -> list[float]:
-    # i*step (not cumulative addition) so grid points are reproducible
-    values = []
-    i = 0
-    while i * step <= bound:
-        values.append(i * step)
-        i += 1
-    return values
+def _step_multiples(step: float, bound: float) -> np.ndarray:
+    """Every ``i * step <= bound`` (products, not sums, so points reproduce).
+
+    One spare multiple covers a rounded quotient; past the cap the axis is cut.
+    """
+    values = np.arange(math.floor(min(bound / step, MAX_QUBITS)) + 2) * step
+    return values[values <= bound]
 
 
 @dataclass
@@ -114,28 +128,17 @@ class WalkRecord:
 
 def run_walk(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) -> WalkRecord:
     """Evolve one walk, recording dispersion, entropy and norm over time."""
-    state = prepared(build_initial_state(qubit, init), plan)
-    times: list[int] = []
-    sigmas: list[float] = []
-    entropies: list[float] = []
-    norms: list[float] = []
-
-    def record(t: int, s: WalkState) -> None:
-        dist = distribution(s)
-        times.append(t)
-        sigmas.append(dispersion(dist))
-        entropies.append(entanglement_entropy(reduced_coin(s)).entropy)
-        norms.append(dist.total())
-
-    final = evolve(state, plan, observer=record)
-    return WalkRecord(
-        qubit=qubit,
-        times=np.asarray(times, dtype=np.int64),
-        sigma=np.asarray(sigmas),
-        entropy=np.asarray(entropies),
-        norm=np.asarray(norms),
-        final_state=final,
-    )
+    start = prepared(build_initial_state(qubit, init), plan)
+    times = plan.record_times()
+    sigma, entropy, norm = np.empty(times.size), np.empty(times.size), np.empty(times.size)
+    walk = recorded_steps(start.up, start.down, plan, start.window)
+    for slot, (up, down) in enumerate(walk):
+        state = WalkState(start.window, up, down, int(times[slot]))
+        dist = distribution(state)
+        sigma[slot] = dispersion(dist)
+        entropy[slot] = entanglement_entropy(reduced_coin(state)).entropy
+        norm[slot] = dist.total()
+    return WalkRecord(qubit, times, sigma, entropy, norm, final_state=state)
 
 
 @dataclass
@@ -213,23 +216,9 @@ def _product_states(
     return up, down
 
 
-def _recorded_steps(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow):
-    """Step ``(up, down)`` in two alternating buffer pairs, yielding at each record time."""
-    spare = np.empty_like(up), np.empty_like(down)
-    t = 0
-    for t_record in plan.record_times():
-        while t < t_record:
-            _advance(up, down, *spare, plan.coin, window, t)
-            (up, down), spare = spare, (up, down)
-            t += 1
-        yield up, down
-
-
 def _qubit_coefficients(grid: QubitGrid) -> tuple[np.ndarray, np.ndarray]:
-    alphas = np.array([q.alpha for q in grid.qubits])
-    betas = np.array([q.beta for q in grid.qubits])
-    c = np.cos(0.5 * alphas)
-    s = np.exp(1j * betas) * np.sin(0.5 * alphas)
+    c = np.cos(0.5 * grid.alphas)
+    s = np.exp(1j * grid.betas) * np.sin(0.5 * grid.alphas)
     return c, s
 
 
@@ -286,7 +275,7 @@ def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
 
     # the basis pair: row 0 starts spin-up, row 1 spin-down
     basis = _product_states(init, window, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    for slot, (up, down) in enumerate(_recorded_steps(*basis, plan, window)):
+    for slot, (up, down) in enumerate(recorded_steps(*basis, plan, window)):
         record(slot, up, down)
     mean_dist = _combined_distribution(window, up, down, w_uu, w_dd, w_ud)
     return times, mean_sigma, mean_entropy, mean_dist
@@ -326,8 +315,10 @@ def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
         sigma = np.empty((times.size, c[block].size))
         entropy = np.empty_like(sigma)
         states = _product_states(init, window, c[block], s[block])
-        for slot, (up, down) in enumerate(_recorded_steps(*states, plan, window)):
-            sigma[slot], entropy[slot] = _qubit_series(up, down, sites)
+        shape = states[0].shape
+        work = (*np.empty((3, *shape)), np.empty(shape, dtype=np.complex128))
+        for slot, (up, down) in enumerate(recorded_steps(*states, plan, window)):
+            sigma[slot], entropy[slot] = _qubit_series(up, down, sites, work)
         p_up = up.real**2 + up.imag**2
         p_down = down.real**2 + down.imag**2
         for i in range(p_up.shape[0]):  # sum in qubit order
@@ -342,15 +333,22 @@ def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     return times, sum_sigma / n, sum_entropy / n, mean_dist
 
 
-def _qubit_series(up: np.ndarray, down: np.ndarray, sites: np.ndarray):
-    """Per-row dispersion (as :func:`dispersion` computes it) and coin entropy."""
-    p_up = up.real**2 + up.imag**2
-    p_total = p_up + (down.real**2 + down.imag**2)
+def _qubit_series(up: np.ndarray, down: np.ndarray, sites: np.ndarray, work):
+    """Per-row dispersion (as :func:`dispersion` computes it) and coin entropy.
+
+    ``work``: three real and one complex array of ``up``'s shape, reused so
+    the loop does not churn the allocator, filled in the plain expressions' order.
+    """
+    p_up, p_total, tmp, cross = work
+    np.add(np.square(up.real, out=p_up), np.square(up.imag, out=tmp), out=p_up)
+    np.add(np.square(down.real, out=p_total), np.square(down.imag, out=tmp), out=p_total)
+    np.add(p_up, p_total, out=p_total)
     norm = np.sum(p_total, axis=1)
-    centered = sites - (p_total @ sites / norm)[:, None]
-    sigma = np.sqrt(np.maximum(np.sum(p_total * (centered * centered), axis=1) / norm, 0.0))
-    coherence = np.sum(up * down.conj(), axis=1)  # sum a conj(b)
-    coherence_sq = coherence.real**2 + coherence.imag**2
+    centered = np.subtract(sites, (p_total @ sites / norm)[:, None], out=tmp)
+    np.multiply(p_total, np.multiply(centered, centered, out=tmp), out=tmp)
+    sigma = np.sqrt(np.maximum(np.sum(tmp, axis=1) / norm, 0.0))
+    coherence = np.sum(np.multiply(up, np.conjugate(down, out=cross), out=cross), axis=1)
+    coherence_sq = coherence.real**2 + coherence.imag**2  # sum a conj(b), squared
     return sigma, entropy_bits_vec(np.sum(p_up, axis=1), coherence_sq, norm)
 
 

@@ -17,12 +17,16 @@ t+1 arrays are written, because each output site reads both neighbors.
 Amplitude that would cross the window edge raises
 :class:`WindowOverflowError` instead of being clipped; clipping would
 silently destroy norm conservation.
+
+:func:`recorded_steps` is the one loop that runs a plan, for single walks,
+ensembles and cross-checks alike: it steps ``(..., N)`` amplitude arrays
+and yields them at the plan's record times.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,10 +38,9 @@ __all__ = [
     "reachable_window",
     "prepared",
     "step",
+    "recorded_steps",
     "evolve",
 ]
-
-Observer = Callable[[int, WalkState], None]
 
 
 class WindowOverflowError(RuntimeError):
@@ -46,7 +49,7 @@ class WindowOverflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """How far to run a walk and how often to hand snapshots to observers."""
+    """How far to run a walk and how often to record it."""
 
     coin: CoinSpec
     steps: int
@@ -59,11 +62,11 @@ class EvolutionPlan:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     def record_times(self) -> np.ndarray:
-        """Times at which observers fire: 0, every stride, and the last step."""
-        times = list(range(0, self.steps + 1, self.record_every))
+        """Record times: 0, every ``record_every`` steps, and the last step."""
+        times = np.arange(0, self.steps + 1, self.record_every, dtype=np.int64)
         if times[-1] != self.steps:
-            times.append(self.steps)
-        return np.asarray(times, dtype=np.int64)
+            times = np.append(times, self.steps)
+        return times
 
 
 def reachable_window(
@@ -153,18 +156,30 @@ def _advance(up, down, new_up, new_down, coin: CoinSpec, window: LatticeWindow, 
         )
 
 
-def evolve(
-    state: WalkState,
-    plan: EvolutionPlan,
-    observer: Observer | None = None,
-) -> WalkState:
-    """Apply :func:`step` ``plan.steps`` times.
+def recorded_steps(
+    up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Step ``(..., N)`` amplitudes over ``window``, yielding ``(up, down)`` at each record time.
 
-    The observer receives ``(t, state)`` at t=0, at every
-    ``plan.record_every`` steps, and at the final step.  The state passed
-    to the observer is a live view and must not be mutated.  The window
-    must already be sized for the full run (see :func:`prepared`);
-    otherwise the walk fails fast instead of dying mid-run.
+    The arrays passed in are one of two alternating buffer pairs, so they
+    are overwritten; a yielded pair is valid until the generator resumes.
+    """
+    spare = np.empty_like(up), np.empty_like(down)
+    t = 0
+    for t_record in plan.record_times():
+        while t < t_record:
+            _advance(up, down, *spare, plan.coin, window, t)
+            (up, down), spare = spare, (up, down)
+            t += 1
+        yield up, down
+
+
+def evolve(state: WalkState, plan: EvolutionPlan) -> WalkState:
+    """Advance ``state`` by ``plan.steps`` steps; the input is left untouched.
+
+    The window must already be sized for the full run (see
+    :func:`prepared`); otherwise the walk fails fast instead of dying
+    mid-run.
     """
     support = state.support()
     if support is not None:
@@ -175,12 +190,7 @@ def evolve(
                 f"the light cone [{needed.j_min}, {needed.j_max}] of a "
                 f"{plan.steps}-step run"
             )
-    if observer is not None:
-        observer(state.t, state)
-    base_t = state.t
-    for k in range(1, plan.steps + 1):
-        state = step(state, plan.coin)
-        if observer is not None and (k % plan.record_every == 0 or k == plan.steps):
-            assert state.t == base_t + k
-            observer(state.t, state)
-    return state
+    up, down = state.up.copy(), state.down.copy()
+    for up, down in recorded_steps(up, down, plan, state.window):
+        pass
+    return WalkState(state.window, up, down, state.t + plan.steps)

@@ -30,6 +30,7 @@ from qwalk1d import (
     moving_average,
     outer_peak_distance,
     prepared,
+    recorded_steps,
     reduced_coin,
     run_ensemble,
     state_to_vector,
@@ -60,19 +61,18 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 def _reference_walk(init: InitialStateSpec, coin: CoinSpec, snapshots=(1000, 2000, 3000)):
     plan = EvolutionPlan(coin, STEPS)
-    state = prepared(build_initial_state(REFERENCE_QUBIT, init), plan)
+    start = prepared(build_initial_state(REFERENCE_QUBIT, init), plan)
     entropies: list[float] = []
     norms: list[float] = []
     dists: dict[int, object] = {}
-
-    def record(t: int, s: WalkState) -> None:
+    walk = recorded_steps(start.up, start.down, plan, start.window)
+    for t, (up, down) in zip(plan.record_times().tolist(), walk):
+        s = WalkState(start.window, up, down, t)
         d = distribution(s)
         entropies.append(entanglement_entropy(reduced_coin(s)).entropy)
         norms.append(d.total())
         if t in snapshots:
             dists[t] = d
-
-    evolve(state, plan, observer=record)
     return SimpleNamespace(
         entropy=np.asarray(entropies), norm=np.asarray(norms), dists=dists
     )
@@ -158,7 +158,7 @@ def test_criterion3_far_peak_probabilities(reference_walks):
 
 
 def _final_hadamard_distribution(qubit: QubitParams, init: InitialStateSpec):
-    """Position distribution after a bare ``STEPS``-step Hadamard walk, no observer."""
+    """Position distribution after a bare ``STEPS``-step Hadamard walk."""
     plan = EvolutionPlan(COINS["hadamard"], STEPS)
     return distribution(evolve(prepared(build_initial_state(qubit, init), plan), plan))
 
@@ -296,15 +296,13 @@ def test_criterion7_reflection_support():
     for ilabel, init in INITIAL_STATES.items():
         plan = EvolutionPlan(COINS["defect"], STEPS)
         state = build_initial_state(REFERENCE_QUBIT, init, window)
-
-        leaked = []
-
-        def check(t, s):
-            cut = s.window.index(DEFECT_SITE)
-            if np.any(s.up[:cut] != 0.0) or np.any(s.down[:cut] != 0.0):
-                leaked.append(t)
-
-        evolve(state, plan, observer=check)
+        cut = window.index(DEFECT_SITE)
+        walk = recorded_steps(state.up, state.down, plan, window)
+        leaked = [
+            t
+            for t, (up, down) in zip(plan.record_times(), walk)
+            if np.any(up[:cut] != 0.0) or np.any(down[:cut] != 0.0)
+        ]
         ok = ok and not leaked
     _report(
         "criterion 7 (reflection support)",

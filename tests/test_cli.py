@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -243,11 +244,15 @@ class TestMain:
             "--steps 20 --record-every 20 --fit-start 5 --fit-end 20",  # one recorded time in the fit
             "--initial gaussian --sigma0 1e-300",  # envelope divides by zero
             "--initial gaussian --sigma0 1e300",  # envelope is all zeros
+            "--mode ensemble --alpha-step 1e-4 --beta-step 1e-4",  # ~2e9 qubits
+            "--steps 2000000000",  # a 4e9-site window
         ],
     )
     def test_config_failing_before_compute_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "run"
+        start = time.perf_counter()
         assert main(args.split() + ["--output-dir", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 

@@ -10,11 +10,18 @@ from qwalk1d import (
     EvolutionPlan,
     InitialStateSpec,
     QubitParams,
+    build_initial_state,
+    dispersion,
+    distribution,
+    entanglement_entropy,
     fit_dispersion_slope,
     make_qubit_grid,
     moving_average,
+    prepared,
+    reduced_coin,
     run_ensemble,
     run_walk,
+    step,
 )
 
 
@@ -22,13 +29,13 @@ class TestQubitGrid:
     def test_tenth_step_grid_has_2016_qubits(self):
         grid = make_qubit_grid(0.1, 0.1)
         assert len(grid) == 2016
-        alphas = sorted({q.alpha for q in grid.qubits})
-        betas = sorted({q.beta for q in grid.qubits})
+        alphas = sorted(set(grid.alphas.tolist()))
+        betas = sorted(set(grid.betas.tolist()))
         assert len(alphas) == 32 and len(betas) == 63
 
     def test_corner_grid(self):
         grid = make_qubit_grid(math.pi, 2 * math.pi)
-        got = [(q.alpha, q.beta) for q in grid.qubits]
+        got = list(zip(grid.alphas.tolist(), grid.betas.tolist()))
         assert got == [(0.0, 0.0), (0.0, 2 * math.pi), (math.pi, 0.0), (math.pi, 2 * math.pi)]
 
     def test_half_step_grid(self):
@@ -36,7 +43,7 @@ class TestQubitGrid:
 
     def test_alpha_major_ordering(self):
         grid = make_qubit_grid(1.0, 2.0)
-        alphas = [q.alpha for q in grid.qubits]
+        alphas = grid.alphas.tolist()
         assert alphas == sorted(alphas)
 
     def test_nonpositive_step_rejected(self):
@@ -45,6 +52,11 @@ class TestQubitGrid:
         with pytest.raises(ValueError):
             make_qubit_grid(0.1, -1.0)
 
+    @pytest.mark.parametrize("steps", [(1e-4, 1e-4), (1e-300, 0.1), (0.1, 5e-324)])
+    def test_grid_above_cap_rejected_before_it_is_built(self, steps):
+        with pytest.raises(ValueError, match="MAX_QUBITS"):
+            make_qubit_grid(*steps)
+
     @given(
         alpha_step=st.floats(0.05, 4.0, allow_nan=False),
         beta_step=st.floats(0.05, 7.0, allow_nan=False),
@@ -52,12 +64,13 @@ class TestQubitGrid:
     @settings(max_examples=60)
     def test_grid_points_are_step_multiples_within_range(self, alpha_step, beta_step):
         grid = make_qubit_grid(alpha_step, beta_step)
-        n_alpha = len({q.alpha for q in grid.qubits})
-        n_beta = len({q.beta for q in grid.qubits})
+        n_alpha = len(set(grid.alphas.tolist()))
+        n_beta = len(set(grid.betas.tolist()))
         assert len(grid) == n_alpha * n_beta
-        for q in grid.qubits[:: max(1, len(grid) // 16)]:
-            assert 0.0 <= q.alpha <= math.pi
-            assert 0.0 <= q.beta <= 2.0 * math.pi
+        stride = max(1, len(grid) // 16)
+        for alpha, beta in zip(grid.alphas[::stride], grid.betas[::stride]):
+            assert 0.0 <= alpha <= math.pi
+            assert 0.0 <= beta <= 2.0 * math.pi
         # the next multiple is excluded
         assert n_alpha * alpha_step > math.pi
         assert n_beta * beta_step > 2.0 * math.pi
@@ -73,6 +86,36 @@ class TestRunWalk:
         assert rec.sigma[0] == 0.0
         assert np.abs(rec.norm - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_series_match_repeated_step(self, record_every):
+        """The recorded series and final state are those of ``step`` applied t times."""
+        qubit = QubitParams(1.1, 0.4)
+        init = InitialStateSpec.gaussian(2.0, 6)
+        plan = EvolutionPlan(CoinSpec.not_defect(-3), 50, record_every=record_every)
+        rec = run_walk(qubit, init, plan)
+
+        times = list(range(0, 51, record_every))
+        if times[-1] != 50:
+            times.append(50)  # off-stride last record at record_every 7
+        state = prepared(build_initial_state(qubit, init), plan)
+        sigma, entropy, norm = [], [], []
+        for t in range(51):
+            if t in times:
+                dist = distribution(state)
+                sigma.append(dispersion(dist))
+                entropy.append(entanglement_entropy(reduced_coin(state)).entropy)
+                norm.append(dist.total())
+            if t < 50:
+                state = step(state, plan.coin)
+        assert rec.times.tolist() == times
+        assert np.array_equal(rec.sigma, sigma)
+        assert np.array_equal(rec.entropy, entropy)
+        assert np.array_equal(rec.norm, norm)
+        assert rec.final_state.t == state.t == 50
+        assert rec.final_state.window == state.window
+        assert np.array_equal(rec.final_state.up, state.up)
+        assert np.array_equal(rec.final_state.down, state.down)
+
     def test_initial_entropy_zero_for_product_state(self):
         plan = EvolutionPlan(CoinSpec.hadamard(), 2)
         rec = run_walk(QubitParams(2.0, 1.0), InitialStateSpec.gaussian(2.0, 10), plan)
@@ -85,7 +128,7 @@ class TestRunEnsemble:
         assert len(grid) == 1
         plan = EvolutionPlan(CoinSpec.hadamard(), 30)
         res = run_ensemble(grid, InitialStateSpec.local(), plan, fit_window=(0, 30))
-        rec = run_walk(grid.qubits[0], InitialStateSpec.local(), plan)
+        rec = run_walk(QubitParams(grid.alphas[0], grid.betas[0]), InitialStateSpec.local(), plan)
         assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
         assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
 
@@ -98,8 +141,8 @@ class TestRunEnsemble:
 
         entropy_sum = np.zeros(101)
         sigma_sum = np.zeros(101)
-        for qubit in grid.qubits:
-            rec = run_walk(qubit, init, plan)
+        for alpha, beta in zip(grid.alphas, grid.betas):
+            rec = run_walk(QubitParams(alpha, beta), init, plan)
             entropy_sum += rec.entropy
             sigma_sum += rec.sigma
         n = len(grid)
@@ -151,10 +194,9 @@ class TestRunEnsemble:
         init = InitialStateSpec.local()
         plan = EvolutionPlan(CoinSpec.hadamard(), 30)
         full = make_qubit_grid(1.0, 1.5)
-        qubits = full.qubits
-        half = len(qubits) // 2
-        first = type(full)(full.alpha_step, full.beta_step, qubits[:half])
-        second = type(full)(full.alpha_step, full.beta_step, qubits[half:])
+        half = len(full) // 2
+        first = type(full)(full.alpha_step, full.beta_step, full.alphas[:half], full.betas[:half])
+        second = type(full)(full.alpha_step, full.beta_step, full.alphas[half:], full.betas[half:])
         res_full = run_ensemble(full, init, plan)
         res_a = run_ensemble(first, init, plan)
         res_b = run_ensemble(second, init, plan)
@@ -175,7 +217,7 @@ class TestRunEnsemble:
 
     def test_empty_grid_rejected(self):
         grid = make_qubit_grid(0.5, 0.5)
-        empty = type(grid)(0.5, 0.5, ())
+        empty = type(grid)(0.5, 0.5, grid.alphas[:0], grid.betas[:0])
         plan = EvolutionPlan(CoinSpec.hadamard(), 5)
         with pytest.raises(ValueError):
             run_ensemble(empty, InitialStateSpec.local(), plan)

@@ -17,6 +17,7 @@ from qwalk1d import (
     evolve,
     prepared,
     reachable_window,
+    recorded_steps,
     step,
 )
 
@@ -135,14 +136,43 @@ def test_evolve_requires_presized_window():
         evolve(state, plan)
 
 
-def test_evolve_observer_schedule():
+def test_recorded_steps_schedule():
     plan = EvolutionPlan(CoinSpec.hadamard(), 7, record_every=3)
     state = prepared(spin_up_local(LatticeWindow(0, 0)), plan)
-    seen = []
-    final = evolve(state, plan, observer=lambda t, s: seen.append(t))
+    stepped = [state]
+    for _ in range(plan.steps):
+        stepped.append(step(stepped[-1], plan.coin))
+    seen = []  # the time of each yield, found among the stepped states
+    for up, down in recorded_steps(state.up.copy(), state.down.copy(), plan, state.window):
+        seen += [
+            t
+            for t, s in enumerate(stepped)
+            if np.array_equal(s.up, up) and np.array_equal(s.down, down)
+        ]
+    final = evolve(state, plan)
     assert seen == [0, 3, 6, 7]
     assert final.t == 7
     assert list(plan.record_times()) == [0, 3, 6, 7]
+
+
+def test_evolve_leaves_input_and_counts_from_its_time():
+    """The generator steps in its input arrays, so evolve must work on copies."""
+    plan = EvolutionPlan(CoinSpec.not_defect(-2), 9, record_every=4)
+    ready = prepared(
+        build_initial_state(QubitParams(0.7, 0.2), InitialStateSpec.gaussian(1.5, 4)), plan
+    )
+    start = WalkState(ready.window, ready.up, ready.down, t=5)
+    up, down = start.up.copy(), start.down.copy()
+    final = evolve(start, plan)
+    assert np.array_equal(start.up, up) and np.array_equal(start.down, down)
+    assert start.t == 5
+    assert final.t == 14
+    expected = start
+    for _ in range(plan.steps):
+        expected = step(expected, plan.coin)
+    assert expected.t == 14
+    assert np.array_equal(final.up, expected.up)
+    assert np.array_equal(final.down, expected.down)
 
 
 def test_evolve_single_step_matches_step():
@@ -211,10 +241,7 @@ def test_reflection_never_crosses_defect(sigma0, seed):
     init = InitialStateSpec.gaussian(sigma0, 10)
     plan = EvolutionPlan(CoinSpec.not_defect(defect), 40)
     state = build_initial_state(qubit, init).embedded(LatticeWindow(-60, 60))
-
-    def never_left_of_defect(t, s):
-        cut = s.window.index(defect)
-        assert np.all(s.up[:cut] == 0.0)
-        assert np.all(s.down[:cut] == 0.0)
-
-    evolve(state, plan, observer=never_left_of_defect)
+    cut = state.window.index(defect)
+    for up, down in recorded_steps(state.up, state.down, plan, state.window):
+        assert np.all(up[:cut] == 0.0)
+        assert np.all(down[:cut] == 0.0)
