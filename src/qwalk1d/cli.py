@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CoinSpec, InitialShape, InitialStateSpec, QubitParams
+from .core import CoinSpec, InitialShape, InitialStateSpec, QubitParams, check_site_count
 from .ensemble import (
     EnsembleResult,
     WalkRecord,
@@ -47,10 +47,6 @@ DEFAULT_BETA = 0.0
 DEFAULT_GRID_STEP = 0.1
 PRESET_DEFECT_SITE = -101
 PRESET_NAMES = ("fig1", "fig2", "fig3")
-# Largest window a run may need; at its peak a linear ensemble holds about
-# _BYTES_PER_SITE bytes per site (tracemalloc), ~0.23 GB at the cap.
-MAX_SITES = 1_000_000
-_BYTES_PER_SITE = 225
 
 
 class ConfigError(ValueError):
@@ -118,23 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_PHYSICS_FLAGS = (
-    "mode",
-    "initial",
-    "sigma0",
-    "truncation_radius",
-    "renormalize",
-    "alpha",
-    "beta",
-    "alpha_step",
-    "beta_step",
-    "coin",
-    "defect_site",
-    "steps",
-    "record_every",
-    "fit_start",
-    "fit_end",
-)
+# flags a preset leaves open; every other flag sets physics the preset fixes
+_OPERATIONAL_FLAGS = ("preset", "workers", "output_dir")
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -143,7 +124,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     output_dir = ns.output_dir if ns.output_dir is not None else Path("results")
 
     if ns.preset is not None:
-        given = [name for name in _PHYSICS_FLAGS if getattr(ns, name) is not None]
+        given = [
+            name for name, value in vars(ns).items()
+            if name not in _OPERATIONAL_FLAGS and value is not None
+        ]
         if given:
             flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ConfigError(
@@ -200,12 +184,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         coin = CoinSpec.not_defect(ns.defect_site) if defect else CoinSpec.hadamard()
         plan = EvolutionPlan(coin, steps, record_every)
         window = reachable_window(initial.support(), coin, steps)
-        if window.size > MAX_SITES:
-            raise ValueError(
-                f"a {steps}-step walk reaches {window.size} sites, more than "
-                f"MAX_SITES={MAX_SITES}; an ensemble needs about {_BYTES_PER_SITE} "
-                f"bytes per site ({window.size * _BYTES_PER_SITE / 1e9:.3g} GB)"
-            )
+        check_site_count(window.size, f"a {steps}-step walk reaches")
         times = plan.record_times()
         fit_dispersion_slope(times, times, fit_window)  # the fit's own rule
         if mode == "single":

@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "SQRT1_2",
+    "MAX_SITES",
     "HADAMARD_MATRIX",
     "NOT_MATRIX",
     "QubitParams",
@@ -30,12 +31,32 @@ __all__ = [
     "coin_matrix",
     "gaussian_envelope",
     "build_initial_state",
+    "check_site_count",
 ]
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQRT1_2
 NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+
+# Largest window a run may need; at its peak a linear ensemble holds about
+# _BYTES_PER_SITE bytes per site (tracemalloc), ~0.23 GB at the cap.
+MAX_SITES = 1_000_000
+_BYTES_PER_SITE = 225
+
+# An unrenormalized envelope may exceed unit squared norm by lattice aliasing,
+# about 2 exp(-2 pi^2 sigma0^2): 5.4e-9 at sigma0 = 1, past this near sigma0 = 0.86.
+_NORM_EXCESS_LIMIT = 1e-6
+
+
+def check_site_count(sites: int, what: str) -> None:
+    """Raise ValueError when ``what`` spans more than :data:`MAX_SITES` sites."""
+    if sites > MAX_SITES:
+        raise ValueError(
+            f"{what} {sites} sites, more than MAX_SITES={MAX_SITES}; an ensemble "
+            f"needs about {_BYTES_PER_SITE} bytes per site "
+            f"({sites * _BYTES_PER_SITE / 1e9:.3g} GB)"
+        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +177,9 @@ class InitialStateSpec:
     sites with ``|j| <= truncation_radius`` and zero outside.  With
     ``renormalize=False`` (the default) the envelope keeps the continuum
     normalization constant; the squared-norm deficit from truncating is
-    reported by :meth:`norm_deficit` instead of being corrected.
+    reported by :meth:`norm_deficit` instead of being corrected, and an
+    envelope too narrow for the lattice (squared norm above 1 + 1e-6) is
+    rejected.  The radius is capped by :data:`MAX_SITES` before sampling.
     """
 
     shape: InitialShape
@@ -175,6 +198,7 @@ class InitialStateSpec:
             raise ValueError(
                 f"Gaussian shape requires truncation_radius >= 1, got {self.truncation_radius}"
             )
+        check_site_count(2 * self.truncation_radius + 1, "the Gaussian envelope spans")
         # sigma0 far from the lattice scale overflows the samples or underflows all to zero
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -183,6 +207,11 @@ class InitialStateSpec:
             raise ValueError(f"sigma0={self.sigma0} gives no finite envelope: {exc}") from None
         if not norm_sq > 0.0:
             raise ValueError(f"sigma0={self.sigma0} gives an envelope with zero norm")
+        if norm_sq > 1.0 + _NORM_EXCESS_LIMIT:
+            raise ValueError(
+                f"sigma0={self.sigma0} samples to squared norm {norm_sq:.6g}, not a state; "
+                "renormalize the envelope (--renormalize true)"
+            )
 
     @classmethod
     def local(cls) -> "InitialStateSpec":

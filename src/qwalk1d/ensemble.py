@@ -37,9 +37,7 @@ from .observables import (
     PositionDistribution,
     dispersion,
     distribution,
-    entanglement_entropy,
     entropy_bits_vec,
-    reduced_coin,
 )
 
 __all__ = [
@@ -130,15 +128,19 @@ def run_walk(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) ->
     """Evolve one walk, recording dispersion, entropy and norm over time."""
     start = prepared(build_initial_state(qubit, init), plan)
     times = plan.record_times()
-    sigma, entropy, norm = np.empty(times.size), np.empty(times.size), np.empty(times.size)
+    sigma, norm = np.empty(times.size), np.empty(times.size)
+    up_weight, down_weight, coherence_sq = (np.empty(times.size) for _ in range(3))
     walk = recorded_steps(start.up, start.down, plan, start.window)
     for slot, (up, down) in enumerate(walk):
-        state = WalkState(start.window, up, down, int(times[slot]))
-        dist = distribution(state)
+        dist = distribution(WalkState(start.window, up, down, int(times[slot])))
         sigma[slot] = dispersion(dist)
-        entropy[slot] = entanglement_entropy(reduced_coin(state)).entropy
         norm[slot] = dist.total()
-    return WalkRecord(qubit, times, sigma, entropy, norm, final_state=state)
+        up_weight[slot] = np.vdot(up, up).real
+        down_weight[slot] = np.vdot(down, down).real
+        coherence_sq[slot] = abs(complex(np.vdot(down, up))) ** 2  # |sum_j a(j) conj(b(j))|^2
+    entropy = entropy_bits_vec(up_weight, coherence_sq, up_weight + down_weight)
+    final_state = WalkState(start.window, up, down, int(times[-1]))
+    return WalkRecord(qubit, times, sigma, entropy, norm, final_state=final_state)
 
 
 @dataclass

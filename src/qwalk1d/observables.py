@@ -105,16 +105,8 @@ class ReducedCoinMatrix:
             raise ValueError("reduced coin matrix entries must be finite")
         if self.trace <= 0.0:
             raise ValueError(f"trace must be positive, got {self.trace}")
-        # positivity and Cauchy-Schwarz, with slack well above float jitter
-        slack = 1e-9 * self.trace * self.trace
-        if not -slack <= self.up_weight * self.trace <= self.trace * self.trace + slack:
-            raise ValueError(
-                f"up_weight {self.up_weight} outside [0, trace={self.trace}]"
-            )
-        if abs(self.coherence) ** 2 > self.up_weight * (self.trace - self.up_weight) + slack:
-            raise ValueError(
-                "coherence exceeds the Cauchy-Schwarz bound; inputs are corrupted"
-            )
+        # |B|^2 <= A(1 - A) + 1e-9: Cauchy-Schwarz, and A in [0, 1], within the slack
+        _coin_eigenvalues(self.up_weight, abs(self.coherence) ** 2, self.trace)
 
     def matrix(self) -> np.ndarray:
         """The 2x2 matrix itself (unnormalized)."""
@@ -142,51 +134,38 @@ def reduced_coin(state: WalkState) -> ReducedCoinMatrix:
 
 
 def entanglement_entropy(rc: ReducedCoinMatrix) -> EntropyValue:
-    """Von Neumann entropy of the coin, in bits.
+    """Von Neumann entropy of the coin, in bits (:func:`entropy_bits_vec` on one matrix)."""
+    lam_plus, lam_minus = _coin_eigenvalues(rc.up_weight, abs(rc.coherence) ** 2, rc.trace)
+    entropy = -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
+    return EntropyValue(float(lam_plus), float(lam_minus), float(entropy))
 
-    The matrix is normalized by its trace first, then the eigenvalues
+
+def entropy_bits_vec(up_weight, coherence_sq, trace):
+    """Coin entropy in bits from ``sum|a|^2``, ``|sum a b*|^2`` and norm, over arrays."""
+    lam_plus, lam_minus = _coin_eigenvalues(up_weight, coherence_sq, trace)
+    return -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
+
+
+def _coin_eigenvalues(up_weight, coherence_sq, trace):
+    """Eigenvalues ``(lambda_plus, lambda_minus)`` of the trace-normalized coin matrix.
+
+    With ``A = up_weight / trace`` and ``|B|^2 = coherence_sq / trace^2`` they
     follow in closed form from the determinant:
     ``lambda_pm = 1/2 +- sqrt(1/4 - A(1-A) + |B|^2)``.  The radicand equals
     ``(A - 1/2)^2 + |B|^2``, so it is non-negative up to rounding (clamped
     at zero) and at most 1/4 for a valid state; a radicand above
-    ``RADICAND_CEILING``, or NaN, raises.
-    """
-    a = rc.up_weight / rc.trace
-    b2 = abs(rc.coherence) ** 2 / (rc.trace * rc.trace)
-    radicand = 0.25 - a * (1.0 - a) + b2
-    if not radicand <= RADICAND_CEILING:
-        raise ValueError(
-            f"eigenvalue radicand {radicand} above {RADICAND_CEILING}; "
-            "reduced matrix is not a valid coin state"
-        )
-    split = math.sqrt(max(radicand, 0.0))
-    lam_plus = min(0.5 + split, 1.0)
-    lam_minus = max(0.5 - split, 0.0)
-    entropy = -_xlog2(lam_plus) - _xlog2(lam_minus)
-    return EntropyValue(lam_plus, lam_minus, entropy)
-
-
-def _xlog2(x: float) -> float:
-    # 0*log2(0) == 0 by continuity
-    return x * math.log2(x) if x > 0.0 else 0.0
-
-
-def entropy_bits_vec(up_weight, coherence_sq, trace):
-    """Vectorized coin entropy from ``sum|a|^2``, ``|sum a b*|^2`` and norm.
-
-    Same closed form and corrupted-input rule as :func:`entanglement_entropy`,
-    broadcast over arrays; used by the ensemble paths, which yield per-qubit
-    weights as plain arrays.
+    ``RADICAND_CEILING``, or NaN, raises.  This is the only corrupted-input rule.
     """
     a = np.asarray(up_weight, dtype=np.float64) / trace
     b2 = np.asarray(coherence_sq, dtype=np.float64) / (trace * trace)
     radicand = 0.25 - a * (1.0 - a) + b2
     if not radicand.max() <= RADICAND_CEILING:  # NaN propagates through max
-        raise ValueError(f"eigenvalue radicand above {RADICAND_CEILING}; not valid coin states")
+        raise ValueError(
+            f"eigenvalue radicand above {RADICAND_CEILING}; not valid coin states "
+            "(coherence beyond the Cauchy-Schwarz bound, weight outside [0, trace], or NaN)"
+        )
     split = np.sqrt(np.maximum(radicand, 0.0))
-    lam_plus = np.minimum(0.5 + split, 1.0)
-    lam_minus = np.maximum(0.5 - split, 0.0)
-    return -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
+    return np.minimum(0.5 + split, 1.0), np.maximum(0.5 - split, 0.0)
 
 
 def _xlog2_vec(x: np.ndarray) -> np.ndarray:

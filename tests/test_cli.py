@@ -7,6 +7,7 @@ import pytest
 
 from qwalk1d.cli import (
     ConfigError,
+    _build_parser,
     canonical_argv,
     emit_results,
     execute,
@@ -15,6 +16,26 @@ from qwalk1d.cli import (
     parse_config,
 )
 from qwalk1d.core import CoinKind, InitialShape
+
+
+# one value for every flag a preset fixes, in the parser's order
+PHYSICS_FLAG_VALUES = [
+    ("--mode", "ensemble"),
+    ("--initial", "gaussian"),
+    ("--sigma0", "2"),
+    ("--truncation-radius", "50"),
+    ("--renormalize", "true"),
+    ("--alpha", "1"),
+    ("--beta", "1"),
+    ("--alpha-step", "0.5"),
+    ("--beta-step", "0.5"),
+    ("--coin", "defect"),
+    ("--defect-site", "3"),
+    ("--steps", "100"),
+    ("--record-every", "2"),
+    ("--fit-start", "10"),
+    ("--fit-end", "90"),
+]
 
 
 def parse(args: str):
@@ -79,6 +100,16 @@ class TestParseConfig:
     def test_rejected_configs(self, args):
         with pytest.raises(ConfigError):
             parse(args)
+
+    @pytest.mark.parametrize("flag, value", PHYSICS_FLAG_VALUES)
+    def test_preset_rejects_every_physics_flag(self, flag, value):
+        with pytest.raises(ConfigError, match=f"remove {flag}$"):
+            parse(f"--preset fig1 {flag} {value}")
+
+    def test_physics_flag_values_cover_the_parser(self):
+        operational = {"help", "preset", "workers", "output_dir"}
+        dests = [a.dest for a in _build_parser()._actions if a.dest not in operational]
+        assert dests == [flag[2:].replace("-", "_") for flag, _ in PHYSICS_FLAG_VALUES]
 
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
@@ -246,6 +277,8 @@ class TestMain:
             "--initial gaussian --sigma0 1e300",  # envelope is all zeros
             "--mode ensemble --alpha-step 1e-4 --beta-step 1e-4",  # ~2e9 qubits
             "--steps 2000000000",  # a 4e9-site window
+            "--initial gaussian --sigma0 1 --truncation-radius 2000000000",  # a 4e9-site envelope
+            "--initial gaussian --sigma0 0.001",  # samples to squared norm 398.9
         ],
     )
     def test_config_failing_before_compute_writes_nothing(self, tmp_path, capsys, args):

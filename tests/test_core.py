@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,24 @@ class TestInitialStateSpec:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma0"):
                 InitialStateSpec.gaussian(sigma0, renormalize=renormalize)
+
+    def test_radius_capped_before_sampling(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_SITES"):
+                InitialStateSpec.gaussian(1.0, 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("sigma0", [0.001, 0.5, 0.8])
+    def test_unrenormalized_envelope_above_unit_norm_rejected(self, sigma0):
+        # aliasing lifts sum f^2 above 1 by ~2 exp(-2 pi^2 sigma0^2): 6.5e-6 at 0.8
+        with pytest.raises(ValueError, match="renormalize"):
+            InitialStateSpec.gaussian(sigma0)
+        init = InitialStateSpec.gaussian(sigma0, renormalize=True)
+        assert abs(init.norm_deficit()) <= 1e-12
 
     def test_gaussian_envelope_values(self):
         f = gaussian_envelope(10.0, 100)

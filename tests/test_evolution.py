@@ -238,7 +238,7 @@ def test_reflection_never_crosses_defect(sigma0, seed):
     rng = np.random.default_rng(seed)
     qubit = QubitParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
     defect = -11
-    init = InitialStateSpec.gaussian(sigma0, 10)
+    init = InitialStateSpec.gaussian(sigma0, 10, renormalize=True)
     plan = EvolutionPlan(CoinSpec.not_defect(defect), 40)
     state = build_initial_state(qubit, init).embedded(LatticeWindow(-60, 60))
     cut = state.window.index(defect)

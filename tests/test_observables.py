@@ -243,7 +243,7 @@ class TestEntropy:
         coherence_sq = np.array([abs(m.coherence) ** 2 for m in matrices])
         trace = np.array([m.trace for m in matrices])
         scalar = np.array([entanglement_entropy(m).entropy for m in matrices])
-        assert np.abs(entropy_bits_vec(up_weight, coherence_sq, trace) - scalar).max() <= 1e-15
+        assert np.array_equal(entropy_bits_vec(up_weight, coherence_sq, trace), scalar)
 
         i = corrupt % len(matrices)
         nan_weight = up_weight.copy()
@@ -256,6 +256,31 @@ class TestEntropy:
         beyond[i] = (a * (1.0 - a) + 1e-6) * trace[i] ** 2
         with pytest.raises(ValueError):
             entropy_bits_vec(up_weight, beyond, trace)
+
+    @given(
+        a=st.floats(0, 1),
+        fraction=st.floats(0, 2).filter(lambda f: abs(f - 1.0) > 1e-3),
+        trace=st.floats(1e-3, 1e3),
+        phase=st.floats(0, 2 * math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_and_vector_form_reject_the_same_inputs(self, a, fraction, trace, phase):
+        # |B|^2 = fraction * A(1 - A) + offset: offset 1e-6 sits far past the
+        # 1e-9 slack, so fraction below 1 is valid and above 1 is not
+        offset = 1e-6 if fraction > 1.0 else 0.0
+        b2 = fraction * a * (1.0 - a) + offset
+        coherence = math.sqrt(b2) * trace * complex(math.cos(phase), math.sin(phase))
+        up_weight = a * trace
+        vector_rejects = matrix_rejects = False
+        try:
+            entropy_bits_vec(np.array([up_weight]), np.array([abs(coherence) ** 2]), trace)
+        except ValueError:
+            vector_rejects = True
+        try:
+            ReducedCoinMatrix(up_weight, coherence, trace)
+        except ValueError:
+            matrix_rejects = True
+        assert vector_rejects == matrix_rejects == (fraction > 1.0)
 
     def test_invariant_under_global_phase_and_translation(self):
         state = build_initial_state(QubitParams(1.1, 0.7), InitialStateSpec.gaussian(2.0, 8))
