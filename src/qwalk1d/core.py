@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,7 @@ class CoinSpec:
 
     @classmethod
     def not_defect(cls, site: int) -> "CoinSpec":
-        return cls(CoinKind.HADAMARD_WITH_NOT_DEFECT, int(site))
+        return cls(CoinKind.HADAMARD_WITH_NOT_DEFECT, operator.index(site))
 
 
 def coin_matrix(spec: CoinSpec, j: int) -> np.ndarray:
@@ -194,9 +195,10 @@ class InitialStateSpec:
             return
         if self.sigma0 is None or not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")
-        if self.truncation_radius is None or self.truncation_radius < 1:
+        if not isinstance(self.truncation_radius, (int, np.integer)) or self.truncation_radius < 1:
             raise ValueError(
-                f"Gaussian shape requires truncation_radius >= 1, got {self.truncation_radius}"
+                "Gaussian shape requires an integer truncation_radius >= 1, "
+                f"got {self.truncation_radius}"
             )
         check_site_count(2 * self.truncation_radius + 1, "the Gaussian envelope spans")
         # sigma0 far from the lattice scale overflows the samples or underflows all to zero
@@ -224,7 +226,8 @@ class InitialStateSpec:
         truncation_radius: int = 100,
         renormalize: bool = False,
     ) -> "InitialStateSpec":
-        return cls(InitialShape.GAUSSIAN, float(sigma0), int(truncation_radius), renormalize)
+        radius = operator.index(truncation_radius)  # an integer, not a rounded float
+        return cls(InitialShape.GAUSSIAN, float(sigma0), radius, renormalize)
 
     def support(self) -> tuple[int, int]:
         """Smallest site range carrying nonzero envelope weight."""
@@ -295,13 +298,6 @@ class WalkState:
 
     def sites(self) -> np.ndarray:
         return self.window.sites()
-
-    def norm_squared(self) -> float:
-        """Total probability ``sum_j |a|^2 + |b|^2``."""
-        return float(
-            np.sum(self.up.real**2 + self.up.imag**2)
-            + np.sum(self.down.real**2 + self.down.imag**2)
-        )
 
     def support(self) -> tuple[int, int] | None:
         """Site range of nonzero amplitude, or None for the zero state."""

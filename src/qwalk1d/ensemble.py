@@ -12,10 +12,10 @@ Every per-qubit observable used here (norm, position moments, reduced
 coin entries) is a quadratic form in the amplitudes, so it reduces to a
 handful of lattice sums over the basis walks combined with per-qubit
 coefficients.  The default "linear" method exploits this and costs two
-walks regardless of grid size; the "direct" method really evolves every
-qubit's state, in fixed-size batches, and exists as the independent
-cross-check.  Both run in one process and reduce in a fixed order, so
-results are bitwise reproducible.
+walks regardless of grid size; the "direct" method, the independent
+cross-check, evolves every qubit in fixed-size batches through the
+per-qubit path whose one-row case is :func:`run_walk`.  Both run in one
+process and reduce in a fixed order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .core import (
 from .evolution import EvolutionPlan, prepared, reachable_window, recorded_steps
 from .observables import (
     PositionDistribution,
-    dispersion,
+    _abs_sq,
+    _row_observables,
     distribution,
     entropy_bits_vec,
 )
@@ -125,22 +126,28 @@ class WalkRecord:
 
 
 def run_walk(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) -> WalkRecord:
-    """Evolve one walk, recording dispersion, entropy and norm over time."""
+    """One walk's sigma, entropy and norm series: one row of ``direct``, on its own window."""
     start = prepared(build_initial_state(qubit, init), plan)
-    times = plan.record_times()
-    sigma, norm = np.empty(times.size), np.empty(times.size)
-    up_weight, down_weight, coherence_sq = (np.empty(times.size) for _ in range(3))
-    walk = recorded_steps(start.up, start.down, plan, start.window)
-    for slot, (up, down) in enumerate(walk):
-        dist = distribution(WalkState(start.window, up, down, int(times[slot])))
-        sigma[slot] = dispersion(dist)
-        norm[slot] = dist.total()
-        up_weight[slot] = np.vdot(up, up).real
-        down_weight[slot] = np.vdot(down, down).real
-        coherence_sq[slot] = abs(complex(np.vdot(down, up))) ** 2  # |sum_j a(j) conj(b(j))|^2
-    entropy = entropy_bits_vec(up_weight, coherence_sq, up_weight + down_weight)
-    final_state = WalkState(start.window, up, down, int(times[-1]))
-    return WalkRecord(qubit, times, sigma, entropy, norm, final_state=final_state)
+    sigma, entropy, norm, up, down = _walk_series(start.up, start.down, plan, start.window)
+    final = WalkState(start.window, up, down, plan.steps)
+    return WalkRecord(qubit, plan.record_times(), sigma, entropy, norm, final)
+
+
+def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow):
+    """Step ``(..., N)`` amplitudes (overwritten) through ``plan``.
+
+    Returns the ``sigma``, ``entropy`` and ``norm`` series, one row per
+    record time, then the final ``up`` and ``down``.
+    """
+    sites = window.sites().astype(np.float64)
+    work = (*np.empty((3, *up.shape)), np.empty(up.shape, dtype=np.complex128))
+    # the five row sums per record time; all but the last, the coherence, are real
+    sums = np.empty((5, plan.record_times().size, *up.shape[:-1]), dtype=np.complex128)
+    for slot, (up, down) in enumerate(recorded_steps(up, down, plan, window)):
+        sums[:, slot] = _row_observables(up, down, sites, work)
+    norm, sigma, up_weight, down_weight = sums[:4].real
+    entropy = entropy_bits_vec(up_weight, _abs_sq(sums[4]), up_weight + down_weight)
+    return sigma, entropy, norm, up, down
 
 
 @dataclass
@@ -306,52 +313,20 @@ def _combined_distribution(
 def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     c, s = _qubit_coefficients(grid)
     window = reachable_window(init.support(), plan.coin, plan.steps)
-    sites = window.sites().astype(np.float64)
     times = plan.record_times()
-    sum_sigma = np.zeros(times.size)
-    sum_entropy = np.zeros(times.size)
-    sum_up = np.zeros(window.size)
-    sum_down = np.zeros(window.size)
-    for start in range(0, len(grid), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        sigma = np.empty((times.size, c[block].size))
-        entropy = np.empty_like(sigma)
-        states = _product_states(init, window, c[block], s[block])
-        shape = states[0].shape
-        work = (*np.empty((3, *shape)), np.empty(shape, dtype=np.complex128))
-        for slot, (up, down) in enumerate(recorded_steps(*states, plan, window)):
-            sigma[slot], entropy[slot] = _qubit_series(up, down, sites, work)
-        p_up = up.real**2 + up.imag**2
-        p_down = down.real**2 + down.imag**2
-        for i in range(p_up.shape[0]):  # sum in qubit order
-            sum_sigma += sigma[:, i]
-            sum_entropy += entropy[:, i]
-            sum_up += p_up[i]
-            sum_down += p_down[i]
+    series_sum = np.zeros((2, times.size))  # sigma, entropy
+    p_sum = np.zeros((2, window.size))  # p_up, p_down
+    for lo in range(0, len(grid), _BLOCK):
+        states = _product_states(init, window, c[lo : lo + _BLOCK], s[lo : lo + _BLOCK])
+        sigma, entropy, _, up, down = _walk_series(*states, plan, window)
+        for i in range(up.shape[0]):  # sum in qubit order
+            series_sum += (sigma[:, i], entropy[:, i])
+            p_sum += (up[i].real ** 2 + up[i].imag ** 2, down[i].real ** 2 + down[i].imag ** 2)
     n = float(len(grid))
-    p_up = sum_up / n
-    p_down = sum_down / n
+    mean_sigma, mean_entropy = series_sum / n
+    p_up, p_down = p_sum / n
     mean_dist = PositionDistribution(window, p_up, p_down, p_up + p_down)
-    return times, sum_sigma / n, sum_entropy / n, mean_dist
-
-
-def _qubit_series(up: np.ndarray, down: np.ndarray, sites: np.ndarray, work):
-    """Per-row dispersion (as :func:`dispersion` computes it) and coin entropy.
-
-    ``work``: three real and one complex array of ``up``'s shape, reused so
-    the loop does not churn the allocator, filled in the plain expressions' order.
-    """
-    p_up, p_total, tmp, cross = work
-    np.add(np.square(up.real, out=p_up), np.square(up.imag, out=tmp), out=p_up)
-    np.add(np.square(down.real, out=p_total), np.square(down.imag, out=tmp), out=p_total)
-    np.add(p_up, p_total, out=p_total)
-    norm = np.sum(p_total, axis=1)
-    centered = np.subtract(sites, (p_total @ sites / norm)[:, None], out=tmp)
-    np.multiply(p_total, np.multiply(centered, centered, out=tmp), out=tmp)
-    sigma = np.sqrt(np.maximum(np.sum(tmp, axis=1) / norm, 0.0))
-    coherence = np.sum(np.multiply(up, np.conjugate(down, out=cross), out=cross), axis=1)
-    coherence_sq = coherence.real**2 + coherence.imag**2  # sum a conj(b), squared
-    return sigma, entropy_bits_vec(np.sum(p_up, axis=1), coherence_sq, norm)
+    return times, mean_sigma, mean_entropy, mean_dist
 
 
 def fit_dispersion_slope(

@@ -78,7 +78,7 @@ def reachable_window(
 
     The light cone grows one site per step on each side.  A NOT defect is a
     perfect chiral mirror, so amplitude starting strictly on one side of it
-    never crosses: the window is clipped at the defect site accordingly.
+    never crosses: the window is clipped at a defect outside the support.
     """
     lo, hi = support
     if lo > hi:
@@ -88,9 +88,9 @@ def reachable_window(
     if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT:
         r = coin.defect_site
         assert r is not None
-        if r <= lo:
+        if r < lo:
             j_min = max(j_min, r)
-        if r >= hi:
+        if r > hi:
             j_max = min(j_max, r)
     return LatticeWindow(j_min, j_max)
 

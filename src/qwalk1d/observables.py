@@ -58,11 +58,9 @@ def distribution(state: WalkState) -> PositionDistribution:
 
 def mean_position(dist: PositionDistribution) -> float:
     """Probability-weighted mean site ``<j>``."""
-    total = dist.total()
-    if total <= 0.0:
+    if dist.total() <= 0.0:
         raise ValueError("mean position undefined for zero total probability")
-    sites = dist.window.sites().astype(np.float64)
-    return float(np.dot(dist.p_total, sites)) / total
+    return float(_position_moments(dist.p_total, dist.sites().astype(np.float64))[1])
 
 
 def dispersion(dist: PositionDistribution) -> float:
@@ -72,14 +70,9 @@ def dispersion(dist: PositionDistribution) -> float:
     by cancellation; any tiny negative radicand from rounding is clamped
     to zero.
     """
-    total = dist.total()
-    if total <= 0.0:
+    if dist.total() <= 0.0:
         raise ValueError("dispersion undefined for zero total probability")
-    sites = dist.window.sites().astype(np.float64)
-    mean = float(np.dot(dist.p_total, sites)) / total
-    centered = sites - mean
-    radicand = float(np.dot(dist.p_total, centered * centered)) / total
-    return math.sqrt(max(radicand, 0.0))
+    return float(_position_moments(dist.p_total, dist.sites().astype(np.float64))[2])
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class ReducedCoinMatrix:
         if self.trace <= 0.0:
             raise ValueError(f"trace must be positive, got {self.trace}")
         # |B|^2 <= A(1 - A) + 1e-9: Cauchy-Schwarz, and A in [0, 1], within the slack
-        _coin_eigenvalues(self.up_weight, abs(self.coherence) ** 2, self.trace)
+        _coin_eigenvalues(self.up_weight, _abs_sq(self.coherence), self.trace)
 
     def matrix(self) -> np.ndarray:
         """The 2x2 matrix itself (unnormalized)."""
@@ -127,15 +120,14 @@ class EntropyValue:
 
 
 def reduced_coin(state: WalkState) -> ReducedCoinMatrix:
-    up_weight = float(np.vdot(state.up, state.up).real)
-    down_weight = float(np.vdot(state.down, state.down).real)
-    coherence = complex(np.vdot(state.down, state.up))  # sum_j a(j) conj(b(j))
-    return ReducedCoinMatrix(up_weight, coherence, up_weight + down_weight)
+    with np.errstate(invalid="ignore"):  # zero state: 0/0 moments; the trace check raises
+        *_, up_w, down_w, coherence = _row_observables(state.up, state.down, state.sites())
+    return ReducedCoinMatrix(float(up_w), complex(coherence), float(up_w + down_w))
 
 
 def entanglement_entropy(rc: ReducedCoinMatrix) -> EntropyValue:
     """Von Neumann entropy of the coin, in bits (:func:`entropy_bits_vec` on one matrix)."""
-    lam_plus, lam_minus = _coin_eigenvalues(rc.up_weight, abs(rc.coherence) ** 2, rc.trace)
+    lam_plus, lam_minus = _coin_eigenvalues(rc.up_weight, _abs_sq(rc.coherence), rc.trace)
     entropy = -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
     return EntropyValue(float(lam_plus), float(lam_minus), float(entropy))
 
@@ -172,6 +164,42 @@ def _xlog2_vec(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     np.multiply(x, np.log2(x, out=np.zeros_like(x), where=x > 0.0), out=out, where=x > 0.0)
     return out
+
+
+def _row_observables(up, down, sites, work=(None,) * 4):
+    """Norm, dispersion, ``sum|a|^2``, ``sum|b|^2`` and ``sum a conj(b)`` of each row.
+
+    The one set of formulas for single walks, ``direct`` batches and scalar observables;
+    a row's numbers come from that row alone, bit for bit.  A stepping loop passes
+    ``work``, three real and one complex array of the amplitudes' shape, to reuse.
+    """
+    p_total, p_down, tmp, conj = work
+    p_total = np.add(np.square(up.real, out=p_total), np.square(up.imag, out=tmp), out=p_total)
+    p_down = np.add(np.square(down.real, out=p_down), np.square(down.imag, out=tmp), out=p_down)
+    norm, _, sigma = _position_moments(np.add(p_total, p_down, out=p_total), sites, tmp)
+    conj = np.conjugate(down, out=conj)
+    coherence, down_weight = _row_dot(conj, up), _row_dot(conj, down).real
+    up_weight = _row_dot(np.conjugate(up, out=conj), up).real
+    return norm, sigma, up_weight, down_weight, coherence
+
+
+def _position_moments(p_total, sites, tmp=None):
+    """Norm, mean and dispersion about the mean of each row of site probabilities."""
+    norm = np.sum(p_total, axis=-1)
+    mean = _row_dot(p_total, sites) / norm
+    centered = np.subtract(sites, mean[..., None], out=tmp)
+    radicand = _row_dot(p_total, np.multiply(centered, centered, out=centered)) / norm
+    return norm, mean, np.sqrt(np.maximum(radicand, 0.0))
+
+
+def _row_dot(x, y):
+    """``np.dot(x[i], y[i])`` per row, bit for bit (the same BLAS dot; a gemv sums otherwise)."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _abs_sq(z):
+    """``abs(z) ** 2`` as Python gives it for one complex (libm hypot and pow), over arrays."""
+    return np.float_power(np.hypot(np.real(z), np.imag(z)), 2.0)
 
 
 def peak_sites(dist: PositionDistribution) -> tuple[int, int]:

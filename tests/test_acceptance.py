@@ -129,6 +129,7 @@ def test_criterion1_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion2_unitarity(reference_walks):
     """All three initial states x both coins conserve norm to 1e-10 over 3000 steps."""
     worst = 0.0
@@ -142,6 +143,7 @@ def test_criterion2_unitarity(reference_walks):
     )
 
 
+@pytest.mark.slow
 def test_criterion3_far_peak_probabilities(reference_walks):
     targets = {"local": (0.06, 0.02), "gaussian_sigma1": (0.15, 0.03), "gaussian_sigma10": (0.50, 0.05)}
     measured = {}
@@ -163,6 +165,7 @@ def _final_hadamard_distribution(qubit: QubitParams, init: InitialStateSpec):
     return distribution(evolve(prepared(build_initial_state(qubit, init), plan), plan))
 
 
+@pytest.mark.slow
 def test_criterion3_distribution_symmetry(reference_walks):
     """Exact mirror symmetry of the Hadamard walk, at 1e-10 and t=3000.
 
@@ -207,6 +210,7 @@ def test_criterion3_distribution_symmetry(reference_walks):
     )
 
 
+@pytest.mark.slow
 def test_criterion4_peak_separation(reference_walks):
     ok = True
     details = []
@@ -221,6 +225,7 @@ def test_criterion4_peak_separation(reference_walks):
     _report("criterion 4 (peak separation ~ sqrt(2)t)", ok, "; ".join(details[-3:]))
 
 
+@pytest.mark.slow
 def test_criterion5_full_scale_averages(full_ensembles):
     """The nine values of the 2016-qubit runs, each within +-0.03."""
     checks = [
@@ -245,6 +250,7 @@ def test_criterion5_full_scale_averages(full_ensembles):
     _report("criterion 5 (ensemble entanglement values)", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion5_ci_scale_reference():
     """91-qubit variant reproduces the committed reference values to 1e-9."""
     with open(DATA_DIR / "ci_ensemble_reference.json") as fh:
@@ -270,6 +276,7 @@ def test_criterion5_ci_scale_reference():
     )
 
 
+@pytest.mark.slow
 def test_criterion6_trojan_regime(full_ensembles):
     trojan = full_ensembles[("gaussian_sigma10", "defect")]
     spreading = full_ensembles[("gaussian_sigma10", "hadamard")]
@@ -289,6 +296,7 @@ def test_criterion6_trojan_regime(full_ensembles):
     )
 
 
+@pytest.mark.slow
 def test_criterion7_reflection_support():
     """No probability ever appears left of the defect, exactly."""
     window = LatticeWindow(DEFECT_SITE - 10, 100 + STEPS)
@@ -311,6 +319,7 @@ def test_criterion7_reflection_support():
     )
 
 
+@pytest.mark.slow
 def test_criterion8_maximal_entanglement_qubit(reference_walks):
     walk = reference_walks[("local", "hadamard")]
     final = float(walk.entropy[-1])

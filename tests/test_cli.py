@@ -301,6 +301,7 @@ class TestMain:
         for name in ("distribution_t30.csv", "timeseries.csv", "summary.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.slow
     def test_preset_fig1_writes_subruns(self, tmp_path):
         out = tmp_path / "fig1"
         assert main(["--preset", "fig1", "--output-dir", str(out)]) == 0

@@ -16,6 +16,7 @@ from qwalk1d import (
     WalkState,
     build_initial_state,
     coin_matrix,
+    distribution,
     gaussian_envelope,
 )
 
@@ -88,6 +89,14 @@ class TestCoin:
         with pytest.raises(ValueError):
             CoinSpec(CoinSpec.not_defect(0).kind, defect_site=None)
 
+    def test_factory_takes_only_integer_sites(self):
+        with pytest.raises(TypeError):
+            CoinSpec.not_defect(-101.7)
+        with pytest.raises(ValueError):
+            CoinSpec(CoinSpec.not_defect(0).kind, defect_site=-101.7)
+        site = CoinSpec.not_defect(np.int32(-101)).defect_site
+        assert site == -101 and type(site) is int
+
     @given(j=st.integers(-10**6, 10**6), r=st.integers(-10**6, 10**6))
     def test_coin_always_unitary(self, j, r):
         for spec in (CoinSpec.hadamard(), CoinSpec.not_defect(r)):
@@ -111,6 +120,15 @@ class TestInitialStateSpec:
             InitialStateSpec.gaussian(1.0, truncation_radius=0)
         with pytest.raises(ValueError):
             InitialStateSpec(InitialShape.LOCAL, sigma0=1.0)
+
+    def test_truncation_radius_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            InitialStateSpec.gaussian(2.0, 6.9)
+        with pytest.raises(ValueError, match="integer truncation_radius"):
+            InitialStateSpec(InitialShape.GAUSSIAN, 2.0, 6.9)
+        radius = InitialStateSpec.gaussian(2.0, np.int64(7)).truncation_radius
+        assert radius == 7 and type(radius) is int
+        assert InitialStateSpec(InitialShape.GAUSSIAN, 2.0, np.int64(7)).support() == (-7, 7)
 
     @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("sigma0", [1e-300, 1e300])
@@ -179,7 +197,7 @@ class TestBuildInitialState:
     def test_local_norm_exactly_one(self):
         for alpha, beta in [(0.3, 1.1), (math.pi, 2 * math.pi), (2.2, 4.0)]:
             state = build_initial_state(QubitParams(alpha, beta), InitialStateSpec.local())
-            assert state.norm_squared() == pytest.approx(1.0, abs=1e-15)
+            assert distribution(state).total() == pytest.approx(1.0, abs=1e-15)
 
     def test_gaussian_amplitude_at_origin(self):
         state = build_initial_state(
@@ -227,7 +245,8 @@ class TestWalkState:
         big = state.embedded(LatticeWindow(-10, 10))
         assert big.window == LatticeWindow(-10, 10)
         assert big.support() == (-3, 3)
-        assert big.norm_squared() == pytest.approx(state.norm_squared(), abs=1e-15)
+        norm = distribution(state).total()
+        assert distribution(big).total() == pytest.approx(norm, abs=1e-15)
         with pytest.raises(ValueError):
             state.embedded(LatticeWindow(0, 2))
 

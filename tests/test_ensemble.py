@@ -123,14 +123,30 @@ class TestRunWalk:
 
 
 class TestRunEnsemble:
-    def test_single_qubit_grid_equals_walk(self):
+    # sigma0=10 keeps its whole radius-100 envelope, so run_walk's window is the ensemble's
+    @pytest.mark.parametrize(
+        "init, coin",
+        [
+            (InitialStateSpec.local(), CoinSpec.hadamard()),
+            (InitialStateSpec.gaussian(10.0), CoinSpec.not_defect(-101)),
+        ],
+        ids=["local_hadamard", "sigma10_defect"],
+    )
+    @pytest.mark.parametrize("method", ["linear", "direct"])
+    def test_single_qubit_grid_equals_walk(self, method, init, coin):
         grid = make_qubit_grid(math.pi * 2, math.pi * 4)  # only (0, 0)
         assert len(grid) == 1
-        plan = EvolutionPlan(CoinSpec.hadamard(), 30)
-        res = run_ensemble(grid, InitialStateSpec.local(), plan, fit_window=(0, 30))
-        rec = run_walk(QubitParams(grid.alphas[0], grid.betas[0]), InitialStateSpec.local(), plan)
-        assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
-        assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
+        plan = EvolutionPlan(coin, 30)
+        res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
+        rec = run_walk(QubitParams(grid.alphas[0], grid.betas[0]), init, plan)
+        p_total = rec.final_distribution().p_total
+        if method == "direct":  # a single walk is the one-row case of the direct path
+            assert np.array_equal(res.mean_entropy, rec.entropy)
+            assert np.array_equal(res.mean_dispersion, rec.sigma)
+            assert np.array_equal(res.mean_distribution.p_total, p_total)
+        else:
+            assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
+            assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
 
     def test_linear_matches_brute_force_average(self):
         """Independent re-computation oracle for the two-basis-walk path."""

@@ -14,10 +14,12 @@ from qwalk1d import (
     WalkState,
     WindowOverflowError,
     build_initial_state,
+    distribution,
     evolve,
     prepared,
     reachable_window,
     recorded_steps,
+    run_walk,
     step,
 )
 
@@ -60,7 +62,7 @@ def test_defect_flips_and_moves_right():
     state.down[state.window.index(r)] = 1.0
     out = step(state, CoinSpec.not_defect(r))
     assert out.up[out.window.index(r + 1)] == 1.0 + 0.0j
-    assert out.norm_squared() == pytest.approx(1.0, abs=1e-15)
+    assert distribution(out).total() == pytest.approx(1.0, abs=1e-15)
     occupied = np.flatnonzero((out.up != 0) | (out.down != 0))
     assert list(occupied) == [out.window.index(r + 1)]
 
@@ -89,10 +91,10 @@ def test_norm_conserved_per_step():
     state = build_initial_state(QubitParams(1.2, 3.4), InitialStateSpec.gaussian(2.0, 8))
     state = state.embedded(LatticeWindow(-60, 60))
     coin = CoinSpec.not_defect(-9)
-    norm0 = state.norm_squared()
+    norm0 = distribution(state).total()
     for _ in range(50):
         state = step(state, coin)
-        assert abs(state.norm_squared() - norm0) <= 50 * 1e-14
+        assert abs(distribution(state).total() - norm0) <= 50 * 1e-14
 
 
 def test_overflow_is_fatal_not_clipped():
@@ -118,6 +120,21 @@ def test_reachable_window_clips_at_defect():
     assert reachable_window((0, 0), CoinSpec.not_defect(7), 100) == LatticeWindow(-100, 7)
     # defect inside the support clips nothing
     assert reachable_window((-5, 5), CoinSpec.not_defect(0), 10) == LatticeWindow(-15, 15)
+    # nor does a defect on the edge of the support: the NOT gate sends its amplitude past it
+    assert reachable_window((0, 0), CoinSpec.not_defect(0), 10) == LatticeWindow(-10, 10)
+    coin = CoinSpec.not_defect(-100)
+    assert reachable_window((-100, 100), coin, 3000) == LatticeWindow(-3100, 3100)
+
+
+def test_walk_from_a_defect_on_the_support_edge():
+    plan = EvolutionPlan(CoinSpec.not_defect(0), 10)
+    qubit = QubitParams(0.75 * math.pi, 0.0)
+    record = run_walk(qubit, InitialStateSpec.local(), plan)
+    padded = build_initial_state(qubit, InitialStateSpec.local(), LatticeWindow(-10, 10))
+    reference = evolve(padded, plan)
+    assert record.final_state.window == reference.window
+    assert np.array_equal(record.final_state.up, reference.up)
+    assert np.array_equal(record.final_state.down, reference.down)
 
 
 def test_prepared_embeds_only_when_needed():

@@ -27,7 +27,7 @@ from qwalk1d import (
     reduced_coin,
     step,
 )
-from qwalk1d.observables import entropy_bits_vec
+from qwalk1d.observables import _row_observables, entropy_bits_vec
 
 # sigma(0) of the truncated discrete Gaussian, 40-digit arithmetic
 SIGMA0_10_R100 = 10.0
@@ -155,6 +155,11 @@ class TestReducedCoin:
     def test_nonpositive_trace_rejected(self):
         with pytest.raises(ValueError):
             ReducedCoinMatrix(0.0, 0.0, 0.0)
+
+    def test_zero_state_rejected_without_a_warning(self):
+        # RuntimeWarnings are errors in this suite, so the 0/0 moments must stay quiet
+        with pytest.raises(ValueError, match="trace must be positive"):
+            reduced_coin(WalkState.zero(LatticeWindow(-2, 2)))
 
 
 class TestEntropy:
@@ -338,3 +343,27 @@ class TestPeaks:
         d = dist_from({-1: 0.5, 1: 0.5}, LatticeWindow(-2, 2))
         with pytest.raises(ValueError):
             far_peak_weight(d, "up")
+
+
+@pytest.mark.parametrize("rows, sites", [(1, 6201), (16, 702), (16, 2201)])
+def test_row_kernel_equals_scalar_observables_per_row(rows, sites):
+    """Each row of the kernel is bit for bit np.sum, np.vdot and dispersion of that row alone."""
+    rng = np.random.default_rng(rows * sites)
+    window = LatticeWindow(-(sites // 2), sites - 1 - sites // 2)
+    up, down = rng.normal(size=(2, rows, sites)) + 1j * rng.normal(size=(2, rows, sites))
+    up[:, : sites // 3] = 0.0  # a zero margin, as outside the light cone
+    work = (*np.empty((3, rows, sites)), np.empty((rows, sites), dtype=np.complex128))
+    norm, sigma, up_weight, down_weight, coherence = _row_observables(
+        up, down, window.sites().astype(np.float64), work
+    )
+    for i in range(rows):
+        state = WalkState(window, up[i], down[i])
+        dist = distribution(state)
+        assert norm[i] == dist.total()
+        assert sigma[i] == dispersion(dist)
+        assert up_weight[i] == np.vdot(up[i], up[i]).real
+        assert down_weight[i] == np.vdot(down[i], down[i]).real
+        assert coherence[i] == np.vdot(down[i], up[i])
+        # the plain one-row formula, written out with np.dot
+        centered = window.sites() - np.dot(dist.p_total, window.sites()) / dist.total()
+        assert sigma[i] == math.sqrt(np.dot(dist.p_total, centered * centered) / dist.total())
