@@ -4,8 +4,10 @@ A run is either a single walk or a qubit-grid ensemble.  Presets bundle
 the standard experiments (three reference initial states, with and
 without the reflecting defect, and the envelope-width sweep); a preset
 fixes every physics field, so combining it with physics flags is an
-error.  All numeric output is CSV with floats printed to 17 significant
-digits, which round-trips double precision exactly.
+error.  A preset is a table of flag lists (``PRESETS``): each sub-run is
+built and validated by ``parse_config`` like any command line.  All
+numeric output is CSV with floats printed to 17 significant digits,
+which round-trips double precision exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +48,32 @@ DEFAULT_ALPHA = 0.75 * math.pi
 DEFAULT_BETA = 0.0
 DEFAULT_GRID_STEP = 0.1
 PRESET_DEFECT_SITE = -101
-PRESET_NAMES = ("fig1", "fig2", "fig3")
+
+_INITIALS = (
+    ("local", ["--initial", "local"]),
+    ("gaussian_sigma1", ["--initial", "gaussian", "--sigma0", "1.0"]),
+    ("gaussian_sigma10", ["--initial", "gaussian", "--sigma0", "10.0"]),
+)
+_DEFECT = ["--coin", "defect", "--defect-site", str(PRESET_DEFECT_SITE)]
+_COINS = (("hadamard", ["--coin", "hadamard"]), ("defect", _DEFECT))
+# sigma0 = 0, 1, ..., 10, where 0 is the single-site state
+_SIGMA0_SWEEP = [["--initial", "local"]] + [
+    ["--initial", "gaussian", "--sigma0", str(float(s))] for s in range(1, 11)
+]
+# preset name -> its sub-runs as (label, physics flags), in run order;
+# every flag left out takes its parse_config default
+PRESETS = {
+    "fig1": [(label, ["--mode", "single", *init]) for label, init in _INITIALS],
+    "fig2": [
+        (f"{init_label}_{coin_label}", ["--mode", "ensemble", *init, *coin])
+        for init_label, init in _INITIALS
+        for coin_label, coin in _COINS
+    ],
+    "fig3": [
+        (f"sigma0_{s}", ["--mode", "ensemble", *init, *_DEFECT])
+        for s, init in enumerate(_SIGMA0_SWEEP)
+    ],
+}
 
 
 class ConfigError(ValueError):
@@ -75,7 +102,6 @@ class SingleRunOutput:
 
     record: WalkRecord
     slope: float
-    fit_window: tuple[int, int]
     norm_deficit: float
 
 
@@ -93,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "steps, output-dir=results."
         ),
     )
-    p.add_argument("--preset", choices=PRESET_NAMES, help="bundled experiment; fixes all physics flags")
+    p.add_argument("--preset", choices=PRESETS, help="bundled experiment; fixes all physics flags")
     p.add_argument("--mode", choices=("single", "ensemble"))
     p.add_argument("--initial", choices=("local", "gaussian"))
     p.add_argument("--sigma0", type=float, help="Gaussian envelope width (lattice units)")
@@ -122,6 +148,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Parse flags into a validated RunConfig (raises ConfigError)."""
     ns = _build_parser().parse_args(argv)
     output_dir = ns.output_dir if ns.output_dir is not None else Path("results")
+
+    if ns.workers is not None and ns.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {ns.workers}")
 
     if ns.preset is not None:
         given = [
@@ -167,8 +196,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError("--alpha-step/--beta-step apply only to --mode ensemble")
     if mode == "ensemble" and (ns.alpha is not None or ns.beta is not None):
         raise ConfigError("--alpha/--beta apply only to --mode single")
-    if ns.workers is not None and ns.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {ns.workers}")
 
     steps = _or_default(ns.steps, DEFAULT_STEPS)
     record_every = _or_default(ns.record_every, 1)
@@ -249,89 +276,19 @@ def canonical_argv(config: RunConfig) -> list[str]:
     return argv
 
 
-def _preset_fig1(config: RunConfig) -> list[tuple[str, RunConfig]]:
-    runs = []
-    for label, init in _reference_initials():
-        runs.append(
-            (
-                label,
-                RunConfig(
-                    mode="single",
-                    initial=init,
-                    coin=CoinSpec.hadamard(),
-                    steps=DEFAULT_STEPS,
-                    record_every=1,
-                    fit_window=(DEFAULT_STEPS - 2000, DEFAULT_STEPS),
-                    output_dir=config.output_dir / label,
-                    qubit=QubitParams(DEFAULT_ALPHA, DEFAULT_BETA),
-                    workers=config.workers,
-                ),
-            )
-        )
-    return runs
-
-
-def _preset_fig2(config: RunConfig) -> list[tuple[str, RunConfig]]:
-    runs = []
-    for init_label, init in _reference_initials():
-        for coin_label, coin in (
-            ("hadamard", CoinSpec.hadamard()),
-            ("defect", CoinSpec.not_defect(PRESET_DEFECT_SITE)),
-        ):
-            label = f"{init_label}_{coin_label}"
-            runs.append((label, _ensemble_config(config, label, init, coin)))
-    return runs
-
-
-def _preset_fig3(config: RunConfig) -> list[tuple[str, RunConfig]]:
-    runs = []
-    coin = CoinSpec.not_defect(PRESET_DEFECT_SITE)
-    for sigma0 in range(0, 11):
-        if sigma0 == 0:
-            init = InitialStateSpec.local()
-        else:
-            init = InitialStateSpec.gaussian(float(sigma0), DEFAULT_TRUNCATION_RADIUS)
-        label = f"sigma0_{sigma0}"
-        runs.append((label, _ensemble_config(config, label, init, coin)))
-    return runs
-
-
-def _reference_initials() -> list[tuple[str, InitialStateSpec]]:
-    return [
-        ("local", InitialStateSpec.local()),
-        ("gaussian_sigma1", InitialStateSpec.gaussian(1.0, DEFAULT_TRUNCATION_RADIUS)),
-        ("gaussian_sigma10", InitialStateSpec.gaussian(10.0, DEFAULT_TRUNCATION_RADIUS)),
-    ]
-
-
-def _ensemble_config(
-    config: RunConfig, label: str, init: InitialStateSpec, coin: CoinSpec
-) -> RunConfig:
-    return RunConfig(
-        mode="ensemble",
-        initial=init,
-        coin=coin,
-        steps=DEFAULT_STEPS,
-        record_every=1,
-        fit_window=(DEFAULT_STEPS - 2000, DEFAULT_STEPS),
-        output_dir=config.output_dir / label,
-        alpha_step=DEFAULT_GRID_STEP,
-        beta_step=DEFAULT_GRID_STEP,
-        workers=config.workers,
-    )
-
-
 def expand_runs(config: RunConfig) -> list[tuple[str, RunConfig]]:
-    """Concrete runs behind a config: itself, or the preset's sub-runs."""
+    """Concrete runs behind a config: itself, or the preset's sub-runs.
+
+    A sub-run is its preset's physics flags plus the parent's workers and
+    its own output directory, parsed and checked like any command line.
+    """
     if config.preset is None:
         return [("", config)]
-    if config.preset == "fig1":
-        return _preset_fig1(config)
-    if config.preset == "fig2":
-        return _preset_fig2(config)
-    if config.preset == "fig3":
-        return _preset_fig3(config)
-    raise ConfigError(f"unknown preset {config.preset!r}")
+    workers = [] if config.workers is None else ["--workers", str(config.workers)]
+    return [
+        (label, parse_config([*flags, *workers, "--output-dir", str(config.output_dir / label)]))
+        for label, flags in PRESETS[config.preset]
+    ]
 
 
 def execute(config: RunConfig) -> SingleRunOutput | EnsembleResult:
@@ -344,7 +301,6 @@ def execute(config: RunConfig) -> SingleRunOutput | EnsembleResult:
         return SingleRunOutput(
             record=record,
             slope=slope,
-            fit_window=config.fit_window,
             norm_deficit=config.initial.norm_deficit(),
         )
     grid = make_qubit_grid(config.alpha_step, config.beta_step)

@@ -100,6 +100,9 @@ class LatticeWindow:
     j_max: int
 
     def __post_init__(self) -> None:
+        for bound in (self.j_min, self.j_max):
+            if not isinstance(bound, (int, np.integer)):
+                raise ValueError(f"window bounds must be integer sites, got {bound}")
         if self.j_min > self.j_max:
             raise ValueError(f"empty window: j_min={self.j_min} > j_max={self.j_max}")
 

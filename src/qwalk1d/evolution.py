@@ -56,10 +56,9 @@ class EvolutionPlan:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        for name, value in (("steps", self.steps), ("record_every", self.record_every)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
     def record_times(self) -> np.ndarray:
         """Record times: 0, every ``record_every`` steps, and the last step."""

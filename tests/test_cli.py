@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -36,6 +39,14 @@ PHYSICS_FLAG_VALUES = [
     ("--fit-start", "10"),
     ("--fit-end", "90"),
 ]
+
+
+INITIAL_LABELS = ["local", "gaussian_sigma1", "gaussian_sigma10"]
+PRESET_LABELS = {
+    "fig1": INITIAL_LABELS,
+    "fig2": [f"{i}_{c}" for i in INITIAL_LABELS for c in ("hadamard", "defect")],
+    "fig3": [f"sigma0_{s}" for s in range(0, 11)],
+}
 
 
 def parse(args: str):
@@ -93,6 +104,7 @@ class TestParseConfig:
             "--fit-start 200 --fit-end 100",
             "--fit-end 5000",
             "--workers 0",
+            "--preset fig1 --workers 0",
             "--preset fig1 --steps 100",
             "--preset fig2 --coin hadamard",
         ],
@@ -138,19 +150,22 @@ class TestRoundTrip:
         cfg = parse_config(args.split() if args else [])
         assert parse_config(canonical_argv(cfg)) == cfg
 
-    def test_expanded_preset_configs_round_trip(self):
-        cfg = parse("--preset fig3 --output-dir sweeps")
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["default", "workers2"])
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
+    def test_expanded_preset_configs_round_trip(self, preset, workers):
+        cfg = parse_config(["--preset", preset, *workers, "--output-dir", "sweeps"])
         runs = expand_runs(cfg)
-        assert len(runs) == 11
+        assert [label for label, _ in runs] == PRESET_LABELS[preset]
         for label, sub in runs:
             assert sub.output_dir == Path("sweeps") / label
+            assert sub.workers == cfg.workers
             assert parse_config(canonical_argv(sub)) == sub
 
 
 class TestPresetExpansion:
     def test_fig1_is_three_single_runs(self):
         runs = expand_runs(parse("--preset fig1"))
-        assert [label for label, _ in runs] == ["local", "gaussian_sigma1", "gaussian_sigma10"]
+        assert [label for label, _ in runs] == INITIAL_LABELS
         for _, sub in runs:
             assert sub.mode == "single"
             assert sub.steps == 3000
@@ -301,11 +316,25 @@ class TestMain:
         for name in ("distribution_t30.csv", "timeseries.csv", "summary.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_module_entry_point(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run_module(args: str) -> int:
+            cmd = [sys.executable, "-m", "qwalk1d", *args.split()]
+            proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, timeout=60)
+            return proc.returncode
+
+        assert run_module("--steps 8 --record-every 4 --fit-start 0 --fit-end 8 --output-dir ok") == 0
+        written = {"distribution_t8.csv", "timeseries.csv", "summary.csv", "manifest.json"}
+        assert {p.name for p in (tmp_path / "ok").iterdir()} == written
+        assert run_module("--steps 0 --output-dir bad") == 1
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.slow
     def test_preset_fig1_writes_subruns(self, tmp_path):
         out = tmp_path / "fig1"
         assert main(["--preset", "fig1", "--output-dir", str(out)]) == 0
-        for label in ("local", "gaussian_sigma1", "gaussian_sigma10"):
+        for label in INITIAL_LABELS:
             run_dir = out / label
             assert (run_dir / "distribution_t3000.csv").exists()
             assert (run_dir / "timeseries.csv").exists()
@@ -319,12 +348,7 @@ class TestMain:
     def test_preset_fig2_writes_six_ensembles(self, tmp_path):
         out = tmp_path / "fig2"
         assert main(["--preset", "fig2", "--output-dir", str(out)]) == 0
-        labels = [
-            f"{i}_{c}"
-            for i in ("local", "gaussian_sigma1", "gaussian_sigma10")
-            for c in ("hadamard", "defect")
-        ]
-        for label in labels:
+        for label in PRESET_LABELS["fig2"]:
             header, rows = read_csv(out / label / "timeseries.csv")
             assert header == ["t", "mean_sigma", "mean_entropy"]
             assert len(rows) == 3001

@@ -210,6 +210,26 @@ def test_plan_validation():
         EvolutionPlan(CoinSpec.hadamard(), 5, record_every=0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EvolutionPlan(CoinSpec.hadamard(), 2.5),
+        lambda: EvolutionPlan(CoinSpec.hadamard(), 6, record_every=2.5),
+        lambda: LatticeWindow(0.5, 3),
+    ],
+    ids=["steps", "record_every", "window_bound"],
+)
+def test_plan_and_window_take_only_integers(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_plan_and_window_accept_numpy_integers():
+    plan = EvolutionPlan(CoinSpec.hadamard(), np.int64(5), record_every=np.int32(2))
+    assert plan.record_times().tolist() == [0, 2, 4, 5]
+    assert LatticeWindow(np.int64(-2), np.int64(3)).size == 6
+
+
 @st.composite
 def random_states(draw):
     j_min = draw(st.integers(-8, -2))
