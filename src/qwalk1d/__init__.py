@@ -4,7 +4,7 @@ The package covers the full pipeline: initial states (local or truncated
 Gaussian envelopes under any Bloch qubit), fast recurrence-based
 evolution, observables (position statistics and spin-position
 entanglement entropy), qubit-grid ensembles with averaged series and
-dispersion-slope fits, a dense-matrix reference implementation for
+dispersion-slope fits, a per-site ring walk as the reference for
 cross-checking, and a CSV-emitting command line.
 """
 
@@ -55,14 +55,7 @@ from .observables import (
     peak_sites,
     reduced_coin,
 )
-from .oracle import (
-    Boundary,
-    DenseWalkOperator,
-    build_dense_operator,
-    dense_evolve,
-    state_to_vector,
-    vector_to_state,
-)
+from .oracle import ring_evolve, ring_matrix
 
 __version__ = "0.1.0"
 
@@ -106,11 +99,7 @@ __all__ = [
     "run_ensemble",
     "fit_dispersion_slope",
     "moving_average",
-    "Boundary",
-    "DenseWalkOperator",
-    "build_dense_operator",
-    "dense_evolve",
-    "state_to_vector",
-    "vector_to_state",
+    "ring_evolve",
+    "ring_matrix",
     "__version__",
 ]

@@ -23,6 +23,7 @@ from .core import CoinSpec, InitialShape, InitialStateSpec, QubitParams, check_s
 from .ensemble import (
     EnsembleResult,
     WalkRecord,
+    default_fit_window,
     fit_dispersion_slope,
     make_qubit_grid,
     run_ensemble,
@@ -140,13 +141,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()  # parse_args leaves it unchanged, so every call shares it
+
+
 # flags a preset leaves open; every other flag sets physics the preset fixes
 _OPERATIONAL_FLAGS = ("preset", "workers", "output_dir")
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Parse flags into a validated RunConfig (raises ConfigError)."""
-    ns = _build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     output_dir = ns.output_dir if ns.output_dir is not None else Path("results")
 
     if ns.workers is not None and ns.workers < 1:
@@ -162,14 +166,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError(
                 f"preset '{ns.preset}' fixes all physics fields; remove {flags}"
             )
-        steps = DEFAULT_STEPS
         return RunConfig(
             mode="preset",
             initial=InitialStateSpec.local(),
             coin=CoinSpec.hadamard(),
-            steps=steps,
+            steps=DEFAULT_STEPS,
             record_every=1,
-            fit_window=(steps - 2000, steps),
+            fit_window=default_fit_window(DEFAULT_STEPS),
             output_dir=output_dir,
             workers=ns.workers,
             preset=ns.preset,
@@ -199,7 +202,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
     steps = _or_default(ns.steps, DEFAULT_STEPS)
     record_every = _or_default(ns.record_every, 1)
-    fit_window = (_or_default(ns.fit_start, max(0, steps - 2000)), _or_default(ns.fit_end, steps))
+    fit_start, fit_end = default_fit_window(steps)
+    fit_window = (_or_default(ns.fit_start, fit_start), _or_default(ns.fit_end, fit_end))
     qubit = None
     alpha_step = beta_step = None
     try:  # every value is checked by the type that owns it, before any compute

@@ -49,6 +49,7 @@ __all__ = [
     "run_walk",
     "run_ensemble",
     "fit_dispersion_slope",
+    "default_fit_window",
     "moving_average",
     "MAX_QUBITS",
 ]
@@ -192,7 +193,7 @@ def run_ensemble(
     if len(grid) == 0:
         raise ValueError("qubit grid is empty")
     if fit_window is None:
-        fit_window = (max(0, plan.steps - 2000), plan.steps)
+        fit_window = default_fit_window(plan.steps)
     if method == "linear":
         times, mean_sigma, mean_entropy, mean_dist = _run_linear(grid, init, plan)
     elif method == "direct":
@@ -327,6 +328,11 @@ def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     p_up, p_down = p_sum / n
     mean_dist = PositionDistribution(window, p_up, p_down, p_up + p_down)
     return times, mean_sigma, mean_entropy, mean_dist
+
+
+def default_fit_window(steps: int) -> tuple[int, int]:
+    """The fit window a run uses unless told otherwise: the last 2000 steps."""
+    return (max(0, steps - 2000), steps)
 
 
 def fit_dispersion_slope(

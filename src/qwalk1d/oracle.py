@@ -1,119 +1,66 @@
-"""Dense-matrix reference walk for small lattices.
+"""Per-site reference walk on a ring.
 
-Builds the one-step operator as an explicit ``2M x 2M`` unitary acting on
-``|spin> (x) |site>`` (spin-major: up block first) and evolves by repeated
-matrix-vector products.  This is the correctness oracle for the recurrence
-engine; it is deliberately simple and capped at 256 sites.
+One step applies each site's 2x2 coin (:func:`core.coin_matrix`: the
+Hadamard, or the NOT gate at the defect) and then shifts spin-up
+amplitude one site right and spin-down amplitude one site left, wrapping
+around the ends of the window (Nayak and Vishwanath, quant-ph/0010117).
+This is the walk the recurrence engine computes, written out literally:
+it imports nothing from :mod:`evolution`, so it is the correctness oracle
+for the engine's hand-written slices.  Sites are lattice sites, so the
+engine and the oracle take the same :class:`CoinSpec` and
+:class:`WalkState`; on a ring wider than the light cone the two agree to
+rounding, at any scale.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CoinKind, CoinSpec, LatticeWindow, WalkState, coin_matrix
 
-__all__ = [
-    "Boundary",
-    "DenseWalkOperator",
-    "build_dense_operator",
-    "dense_evolve",
-    "state_to_vector",
-    "vector_to_state",
-]
+__all__ = ["ring_evolve", "ring_matrix"]
 
-MAX_SITES = 256
+# ring_matrix is the one O(M^2) object here
+MAX_MATRIX_SITES = 256
 
 
-class Boundary(enum.Enum):
-    RING = "ring"
-    BOUNDED = "bounded"
+def _ring_coins(window: LatticeWindow, coin: CoinSpec) -> np.ndarray:
+    """The ``(M, 2, 2)`` coin of every site of the ring ``window``."""
+    if window.size < 3:
+        raise ValueError(f"a ring needs at least 3 sites, got {window.size}")
+    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT and not window.contains(coin.defect_site):
+        raise ValueError(
+            f"defect site {coin.defect_site} outside ring [{window.j_min}, {window.j_max}]"
+        )
+    return np.stack([coin_matrix(coin, j) for j in range(window.j_min, window.j_max + 1)])
 
 
-@dataclass(frozen=True)
-class DenseWalkOperator:
-    """One-step walk operator on ``sites`` lattice points (indices 0..M-1)."""
-
-    sites: int
-    coin: CoinSpec
-    boundary: Boundary
-    matrix: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.sites
+def _ring_step(psi: np.ndarray, coins: np.ndarray) -> np.ndarray:
+    """One coin-then-shift step of ``(2, M, ...)`` amplitudes (spin, site, ...)."""
+    coined = np.einsum("jab,bj...->aj...", coins, psi)
+    return np.stack([np.roll(coined[0], 1, axis=0), np.roll(coined[1], -1, axis=0)])
 
 
-def build_dense_operator(
-    sites: int,
-    coin: CoinSpec,
-    boundary: Boundary = Boundary.RING,
-) -> DenseWalkOperator:
-    """Shift-after-coin operator; ring wraps shifts, bounded drops them.
-
-    With the ring boundary the operator is exactly unitary.  The bounded
-    variant loses amplitude at the edges and is only valid while the light
-    cone stays inside; it exists to cross-check windowed evolutions.
-    The defect site of a defect coin is a lattice index in ``0..sites-1``.
-    """
-    if sites < 3:
-        raise ValueError(f"need at least 3 sites, got {sites}")
-    if sites > MAX_SITES:
-        raise ValueError(f"dense oracle capped at {MAX_SITES} sites, got {sites}")
-    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT:
-        if not 0 <= coin.defect_site < sites:
-            raise ValueError(
-                f"defect site {coin.defect_site} outside lattice 0..{sites - 1}"
-            )
-    m = sites
-    u = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    for j in range(m):
-        c = coin_matrix(coin, j)
-        for spin_in in (0, 1):
-            col = spin_in * m + j
-            up_dest = (j + 1) % m
-            if boundary is Boundary.RING or j + 1 < m:
-                u[up_dest, col] += c[0, spin_in]
-            down_dest = (j - 1) % m
-            if boundary is Boundary.RING or j - 1 >= 0:
-                u[m + down_dest, col] += c[1, spin_in]
-    return DenseWalkOperator(sites=m, coin=coin, boundary=boundary, matrix=u)
-
-
-def dense_evolve(op: DenseWalkOperator, vector: np.ndarray, steps: int) -> np.ndarray:
-    """Apply the operator ``steps`` times (``steps=0`` returns a copy)."""
+def ring_evolve(state: WalkState, coin: CoinSpec, steps: int) -> WalkState:
+    """``state`` after ``steps`` steps on the ring ``state.window`` (a new state)."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    v = np.asarray(vector, dtype=np.complex128)
-    if v.shape != (op.dimension,):
-        raise ValueError(f"vector must have shape ({op.dimension},), got {v.shape}")
-    v = v.copy()
+    coins = _ring_coins(state.window, coin)
+    psi = np.stack([state.up, state.down])
     for _ in range(steps):
-        v = op.matrix @ v
-    return v
+        psi = _ring_step(psi, coins)
+    return WalkState(state.window, psi[0], psi[1], state.t + steps)
 
 
-def state_to_vector(state: WalkState, sites: int, offset: int) -> np.ndarray:
-    """Flatten a windowed state onto oracle indices ``j + offset``."""
-    lo = state.window.j_min + offset
-    hi = state.window.j_max + offset
-    if lo < 0 or hi >= sites:
-        raise ValueError(
-            f"window [{state.window.j_min}, {state.window.j_max}] with offset "
-            f"{offset} does not fit a {sites}-site lattice"
-        )
-    vec = np.zeros(2 * sites, dtype=np.complex128)
-    vec[lo : hi + 1] = state.up
-    vec[sites + lo : sites + hi + 1] = state.down
-    return vec
+def ring_matrix(window: LatticeWindow, coin: CoinSpec) -> np.ndarray:
+    """The ``2M x 2M`` one-step unitary on the ring ``window``.
 
-
-def vector_to_state(vector: np.ndarray, sites: int, offset: int, t: int = 0) -> WalkState:
-    """Inverse of :func:`state_to_vector` over the full lattice window."""
-    v = np.asarray(vector, dtype=np.complex128)
-    if v.shape != (2 * sites,):
-        raise ValueError(f"vector must have shape ({2 * sites},), got {v.shape}")
-    window = LatticeWindow(-offset, sites - 1 - offset)
-    return WalkState(window, v[:sites].copy(), v[sites:].copy(), t)
+    Spin-major: index ``s * M + i`` is spin ``s`` (0 up, 1 down) at site
+    ``window.j_min + i``.  Column ``k`` is one step applied to basis
+    vector ``k``.
+    """
+    if window.size > MAX_MATRIX_SITES:
+        raise ValueError(f"ring matrix capped at {MAX_MATRIX_SITES} sites, got {window.size}")
+    m = window.size
+    identity = np.eye(2 * m, dtype=np.complex128).reshape(2, m, 2 * m)
+    return _ring_step(identity, _ring_coins(window, coin)).reshape(2 * m, 2 * m)

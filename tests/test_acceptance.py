@@ -20,7 +20,6 @@ from qwalk1d import (
     LatticeWindow,
     QubitParams,
     WalkState,
-    build_dense_operator,
     build_initial_state,
     distribution,
     entanglement_entropy,
@@ -32,8 +31,8 @@ from qwalk1d import (
     prepared,
     recorded_steps,
     reduced_coin,
+    ring_evolve,
     run_ensemble,
-    state_to_vector,
     step,
 )
 from qwalk1d.cli import emit_results, main
@@ -101,32 +100,54 @@ def full_ensembles():
 
 
 def test_criterion1_oracle_equivalence():
-    """Recurrence engine vs dense unitary: M=64 ring, 30 steps, 20 qubits."""
-    m, offset, steps = 64, 32, 30
+    """Recurrence engine vs per-site ring oracle: M=64 ring, 30 steps, 20 qubits."""
+    ring, steps = LatticeWindow(-32, 31), 30
     rng = np.random.default_rng(20260809)
     worst = 0.0
-    for engine_coin, oracle_coin in [
-        (CoinSpec.hadamard(), CoinSpec.hadamard()),
-        (CoinSpec.not_defect(-5), CoinSpec.not_defect(-5 + offset)),
-    ]:
-        op = build_dense_operator(m, oracle_coin)
+    for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-5)):
         for _ in range(20):
             qubit = QubitParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             state = prepared(
                 build_initial_state(qubit, InitialStateSpec.local()),
-                EvolutionPlan(engine_coin, steps),
+                EvolutionPlan(coin, steps),
             )
-            vec = state_to_vector(state, m, offset)
+            oracle = state.embedded(ring)
             for _ in range(steps):
-                state = step(state, engine_coin)
-                vec = op.matrix @ vec
-                diff = np.abs(vec - state_to_vector(state, m, offset)).max()
-                worst = max(worst, diff)
+                state = step(state, coin)
+                oracle = ring_evolve(oracle, coin, 1)
+                worst = max(worst, _amplitude_difference(oracle, state.embedded(ring)))
     _report(
         "criterion 1 (oracle equivalence)",
         worst <= 1e-12,
         f"max sitewise amplitude difference {worst:.3e} (tolerance 1e-12)",
     )
+
+
+@pytest.mark.slow
+def test_criterion1_full_scale_oracle():
+    """Criterion 1 at full scale: the reference qubit, 3000 steps, every fig1 envelope x both coins.
+
+    The ring is the engine's own ``prepared`` window padded by one site on
+    each side, so the oracle holds the whole light cone without wrapping.
+    """
+    worst = 0.0
+    for init in INITIAL_STATES.values():
+        for coin in COINS.values():
+            plan = EvolutionPlan(coin, STEPS)
+            start = prepared(build_initial_state(REFERENCE_QUBIT, init), plan)
+            ring = LatticeWindow(start.window.j_min - 1, start.window.j_max + 1)
+            oracle = ring_evolve(start.embedded(ring), coin, STEPS)
+            engine = evolve(start, plan).embedded(ring)
+            worst = max(worst, _amplitude_difference(oracle, engine))
+    _report(
+        "criterion 1 (full-scale oracle equivalence)",
+        worst <= 1e-12,
+        f"max sitewise amplitude difference at t={STEPS} {worst:.3e} (tolerance 1e-12)",
+    )
+
+
+def _amplitude_difference(a: WalkState, b: WalkState) -> float:
+    return float(max(np.abs(a.up - b.up).max(), np.abs(a.down - b.down).max()))
 
 
 @pytest.mark.slow

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
 import warnings
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk1d
 from qwalk1d import (
     CoinSpec,
     InitialShape,
@@ -252,3 +255,20 @@ class TestWalkState:
 
     def test_support_of_zero_state(self):
         assert WalkState.zero(LatticeWindow(-2, 2)).support() is None
+
+
+# the package and every submodule but the `python -m` entry point, which exports nothing
+PUBLIC_MODULES = ["qwalk1d"] + [
+    f"qwalk1d.{info.name}"
+    for info in pkgutil.iter_modules(qwalk1d.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_public_exports_resolve(module_name):
+    module = importlib.import_module(module_name)
+    exported = module.__all__
+    assert len(set(exported)) == len(exported), "duplicate names in __all__"
+    missing = [name for name in exported if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"

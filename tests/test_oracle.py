@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from qwalk1d import (
-    Boundary,
     CoinSpec,
     EvolutionPlan,
     LatticeWindow,
     QubitParams,
     WalkState,
-    build_dense_operator,
     build_initial_state,
-    dense_evolve,
     prepared,
-    state_to_vector,
+    ring_evolve,
+    ring_matrix,
     step,
-    vector_to_state,
 )
 from qwalk1d.core import InitialStateSpec
 
@@ -23,118 +20,101 @@ SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 def test_ring_operator_is_unitary():
     for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(1)):
-        op = build_dense_operator(5, coin, Boundary.RING)
-        u = op.matrix
-        assert np.abs(u @ u.conj().T - np.eye(op.dimension)).max() <= 1e-12
+        u = ring_matrix(LatticeWindow(0, 4), coin)
+        assert np.abs(u @ u.conj().T - np.eye(10)).max() <= 1e-12
 
 
 def test_hadamard_columns_have_two_entries():
-    op = build_dense_operator(3, CoinSpec.hadamard(), Boundary.RING)
-    nonzero_per_col = (np.abs(op.matrix) > 0).sum(axis=0)
+    u = ring_matrix(LatticeWindow(0, 2), CoinSpec.hadamard())
+    nonzero_per_col = (np.abs(u) > 0).sum(axis=0)
     assert np.all(nonzero_per_col == 2)
-    magnitudes = np.abs(op.matrix[np.abs(op.matrix) > 0])
+    magnitudes = np.abs(u[np.abs(u) > 0])
     assert np.allclose(magnitudes, SQRT1_2, atol=1e-15)
 
 
 def test_defect_columns_are_permutation_like():
-    op = build_dense_operator(3, CoinSpec.not_defect(1), Boundary.RING)
+    u = ring_matrix(LatticeWindow(0, 2), CoinSpec.not_defect(1))
     for spin in (0, 1):
-        col = op.matrix[:, spin * 3 + 1]
+        col = u[:, spin * 3 + 1]
         nonzero = np.abs(col) > 0
         assert nonzero.sum() == 1
         assert np.abs(col[nonzero][0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_zero_steps_is_identity():
-    op = build_dense_operator(4, CoinSpec.hadamard())
     rng = np.random.default_rng(3)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    out = dense_evolve(op, v, 0)
-    assert np.array_equal(out, v)
-    assert out is not v
+    state = WalkState(
+        LatticeWindow(-2, 1),
+        rng.normal(size=4) + 1j * rng.normal(size=4),
+        rng.normal(size=4) + 1j * rng.normal(size=4),
+    )
+    out = ring_evolve(state, CoinSpec.hadamard(), 0)
+    assert np.array_equal(out.up, state.up) and np.array_equal(out.down, state.down)
+    assert out.up is not state.up and out.down is not state.down
 
 
 def test_two_step_distribution_on_ring():
-    m, offset = 64, 32
-    op = build_dense_operator(m, CoinSpec.hadamard())
-    v = np.zeros(2 * m, dtype=complex)
-    v[offset] = 1.0  # spin up at center
-    out = dense_evolve(op, v, 2)
-    state = vector_to_state(out, m, offset, t=2)
-    p = np.abs(state.up) ** 2 + np.abs(state.down) ** 2
-    idx = state.window.index
+    state = WalkState.zero(LatticeWindow(-32, 31))
+    state.up[state.window.index(0)] = 1.0  # spin up at the origin
+    out = ring_evolve(state, CoinSpec.hadamard(), 2)
+    assert out.t == 2
+    p = np.abs(out.up) ** 2 + np.abs(out.down) ** 2
+    idx = out.window.index
     assert p[idx(-2)] == pytest.approx(0.25, abs=1e-15)
     assert p[idx(0)] == pytest.approx(0.5, abs=1e-15)
     assert p[idx(2)] == pytest.approx(0.25, abs=1e-15)
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ring_matrix_columns_are_single_steps():
+    ring = LatticeWindow(-3, 4)
+    rng = np.random.default_rng(5)
+    for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-3)):
+        state = WalkState(ring, rng.normal(size=8) + 1j, rng.normal(size=8) - 1j)
+        out = ring_evolve(state, coin, 1)
+        vec = ring_matrix(ring, coin) @ np.concatenate([state.up, state.down])
+        assert np.abs(vec - np.concatenate([out.up, out.down])).max() <= 1e-15
 
 
 def test_uniform_equals_defect_outside_light_cone():
-    m = 16
-    plain = build_dense_operator(m, CoinSpec.hadamard())
+    ring = LatticeWindow(0, 15)
+    plain = ring_matrix(ring, CoinSpec.hadamard())
     # the defect changes only its own columns; everywhere else the
     # operators are identical
-    defected = build_dense_operator(m, CoinSpec.not_defect(0))
-    cols = [c for c in range(2 * m) if c % m != 0]
-    assert np.array_equal(plain.matrix[:, cols], defected.matrix[:, cols])
+    defected = ring_matrix(ring, CoinSpec.not_defect(0))
+    cols = [c for c in range(32) if c % 16 != 0]
+    assert np.array_equal(plain[:, cols], defected[:, cols])
 
 
 def test_engine_matches_oracle_small():
-    m, offset, steps = 32, 16, 12
+    ring, steps = LatticeWindow(-16, 15), 12
     rng = np.random.default_rng(11)
-    for engine_coin, oracle_coin in [
-        (CoinSpec.hadamard(), CoinSpec.hadamard()),
-        (CoinSpec.not_defect(-3), CoinSpec.not_defect(-3 + offset)),
-    ]:
-        op = build_dense_operator(m, oracle_coin)
+    for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-3)):
         for _ in range(4):
             qubit = QubitParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             state = prepared(
                 build_initial_state(qubit, InitialStateSpec.local()),
-                EvolutionPlan(engine_coin, steps),
+                EvolutionPlan(coin, steps),
             )
-            vec = state_to_vector(state, m, offset)
+            oracle = state.embedded(ring)
             for _ in range(steps):
-                state = step(state, engine_coin)
-                vec = op.matrix @ vec
-            assert np.abs(vec - state_to_vector(state, m, offset)).max() <= 1e-12
-
-
-def test_bounded_matches_ring_before_edge():
-    m = 12
-    ring = build_dense_operator(m, CoinSpec.hadamard(), Boundary.RING)
-    bounded = build_dense_operator(m, CoinSpec.hadamard(), Boundary.BOUNDED)
-    v = np.zeros(2 * m, dtype=complex)
-    v[6] = 0.6
-    v[m + 6] = 0.8j
-    steps = 5  # light cone stays inside
-    assert np.allclose(
-        dense_evolve(ring, v, steps), dense_evolve(bounded, v, steps), atol=1e-15
-    )
+                state = step(state, coin)
+                oracle = ring_evolve(oracle, coin, 1)
+                engine = state.embedded(ring)
+                assert np.abs(oracle.up - engine.up).max() <= 1e-12
+                assert np.abs(oracle.down - engine.down).max() <= 1e-12
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        build_dense_operator(2, CoinSpec.hadamard())
+        ring_matrix(LatticeWindow(0, 1), CoinSpec.hadamard())
     with pytest.raises(ValueError):
-        build_dense_operator(300, CoinSpec.hadamard())
+        ring_matrix(LatticeWindow(0, 299), CoinSpec.hadamard())
     with pytest.raises(ValueError):
-        build_dense_operator(8, CoinSpec.not_defect(8))
-    op = build_dense_operator(4, CoinSpec.hadamard())
+        ring_matrix(LatticeWindow(0, 7), CoinSpec.not_defect(8))
+    state = WalkState.zero(LatticeWindow(-4, 3))
     with pytest.raises(ValueError):
-        dense_evolve(op, np.zeros(7, dtype=complex), 1)
-    with pytest.raises(ValueError):
-        dense_evolve(op, np.zeros(8, dtype=complex), -1)
-
-
-def test_state_vector_round_trip():
-    state = WalkState.zero(LatticeWindow(-2, 3))
-    state.up[:] = np.arange(6) * (0.1 + 0.05j)
-    state.down[:] = np.arange(6) * 0.2j
-    vec = state_to_vector(state, 10, 4)
-    back = vector_to_state(vec, 10, 4)
-    lo = back.window.index(-2)
-    assert np.array_equal(back.up[lo : lo + 6], state.up)
-    assert np.array_equal(back.down[lo : lo + 6], state.down)
-    with pytest.raises(ValueError):
-        state_to_vector(state, 5, 4)
+        ring_evolve(state, CoinSpec.hadamard(), -1)
+    for outside in (-5, 4):
+        with pytest.raises(ValueError, match="outside ring"):
+            ring_evolve(state, CoinSpec.not_defect(outside), 1)
