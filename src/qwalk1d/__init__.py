@@ -12,9 +12,7 @@ from .core import (
     HADAMARD_MATRIX,
     NOT_MATRIX,
     SQRT1_2,
-    CoinKind,
     CoinSpec,
-    InitialShape,
     InitialStateSpec,
     LatticeWindow,
     QubitParams,
@@ -65,9 +63,7 @@ __all__ = [
     "NOT_MATRIX",
     "QubitParams",
     "LatticeWindow",
-    "CoinKind",
     "CoinSpec",
-    "InitialShape",
     "InitialStateSpec",
     "WalkState",
     "coin_matrix",

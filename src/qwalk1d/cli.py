@@ -19,7 +19,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CoinSpec, InitialShape, InitialStateSpec, QubitParams, check_site_count
+from .core import (
+    DEFAULT_TRUNCATION_RADIUS,
+    CoinSpec,
+    InitialStateSpec,
+    QubitParams,
+    check_site_count,
+)
 from .ensemble import (
     EnsembleResult,
     WalkRecord,
@@ -44,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 3000
-DEFAULT_TRUNCATION_RADIUS = 100
 DEFAULT_ALPHA = 0.75 * math.pi
 DEFAULT_BETA = 0.0
 DEFAULT_GRID_STEP = 0.1
@@ -116,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Defaults: mode=single, initial=local, coin=hadamard, steps=3000, "
             "record-every=1, alpha=3*pi/4, beta=0, alpha-step=beta-step=0.1, "
-            "truncation-radius=100, renormalize=false, fit window = last 2000 "
-            "steps, output-dir=results."
+            f"truncation-radius={DEFAULT_TRUNCATION_RADIUS}, renormalize=false, "
+            "fit window = last 2000 steps, output-dir=results."
         ),
     )
     p.add_argument("--preset", choices=PRESETS, help="bundled experiment; fixes all physics flags")
@@ -253,8 +258,9 @@ def canonical_argv(config: RunConfig) -> list[str]:
     if config.preset is not None:
         argv = ["--preset", config.preset]
     else:
-        argv = ["--mode", config.mode, "--initial", config.initial.shape.value]
-        if config.initial.shape is InitialShape.GAUSSIAN:
+        gaussian = config.initial.sigma0 is not None
+        argv = ["--mode", config.mode, "--initial", "gaussian" if gaussian else "local"]
+        if gaussian:
             argv += [
                 "--sigma0", repr(config.initial.sigma0),
                 "--truncation-radius", str(config.initial.truncation_radius),
@@ -265,8 +271,9 @@ def canonical_argv(config: RunConfig) -> list[str]:
             argv += ["--alpha", repr(config.qubit.alpha), "--beta", repr(config.qubit.beta)]
         else:
             argv += ["--alpha-step", repr(config.alpha_step), "--beta-step", repr(config.beta_step)]
-        argv += ["--coin", config.coin.kind.value]
-        if config.coin.defect_site is not None:
+        defect = config.coin.defect_site is not None
+        argv += ["--coin", "defect" if defect else "hadamard"]
+        if defect:
             argv += ["--defect-site", str(config.coin.defect_site)]
         argv += [
             "--steps", str(config.steps),
@@ -413,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
             if label:
                 _write_manifest(run, run_dir)
             if config.preset == "fig3" and isinstance(result, EnsembleResult):
-                sigma0 = 0 if run.initial.shape is InitialShape.LOCAL else int(run.initial.sigma0)
+                sigma0 = 0 if run.initial.sigma0 is None else int(run.initial.sigma0)
                 sigma_summary.append((sigma0, result))
             print(f"{label or 'run'}: wrote results to {run_dir}", flush=True)
         if sigma_summary:

@@ -3,14 +3,17 @@
 A walk state lives on a bounded integer window of the lattice and carries
 two complex amplitude fields, one per spin component.  The coin acting on
 the spin is a Hadamard everywhere, optionally replaced by a NOT gate
-(spin flip) at a single defect site.  Initial states place a qubit
+(spin flip) at a single defect site, so a coin is its optional defect
+site.  Initial states place a qubit
 ``cos(alpha/2)|up> + e^{i beta} sin(alpha/2)|down>`` over either a delta
-distribution at the origin or a truncated Gaussian envelope.
+distribution at the origin or a truncated Gaussian envelope, so an
+envelope is its optional width ``sigma0``.  One builder,
+:func:`_product_states`, lays any number of such qubits over an envelope;
+:func:`build_initial_state` is its one-row case.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from dataclasses import dataclass, field
@@ -20,13 +23,12 @@ import numpy as np
 __all__ = [
     "SQRT1_2",
     "MAX_SITES",
+    "DEFAULT_TRUNCATION_RADIUS",
     "HADAMARD_MATRIX",
     "NOT_MATRIX",
     "QubitParams",
     "LatticeWindow",
-    "CoinKind",
     "CoinSpec",
-    "InitialShape",
     "InitialStateSpec",
     "WalkState",
     "coin_matrix",
@@ -44,6 +46,9 @@ NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 # _BYTES_PER_SITE bytes per site (tracemalloc), ~0.23 GB at the cap.
 MAX_SITES = 1_000_000
 _BYTES_PER_SITE = 225
+
+# Gaussian support half-width, in sites, when none is given
+DEFAULT_TRUNCATION_RADIUS = 100
 
 # An unrenormalized envelope may exceed unit squared norm by lattice aliasing,
 # about 2 exp(-2 pi^2 sigma0^2): 5.4e-9 at sigma0 = 1, past this near sigma0 = 0.86.
@@ -81,16 +86,6 @@ class QubitParams:
         if not 0.0 <= self.beta <= 2.0 * math.pi:
             raise ValueError(f"beta must lie in [0, 2*pi], got {self.beta}")
 
-    @property
-    def up_amplitude(self) -> float:
-        """cos(alpha/2), the spin-up coefficient (always real)."""
-        return math.cos(0.5 * self.alpha)
-
-    @property
-    def down_amplitude(self) -> complex:
-        """e^{i beta} sin(alpha/2), the spin-down coefficient."""
-        return complex(math.cos(self.beta), math.sin(self.beta)) * math.sin(0.5 * self.alpha)
-
 
 @dataclass(frozen=True, order=True)
 class LatticeWindow:
@@ -126,57 +121,43 @@ class LatticeWindow:
         return self.j_min <= other <= self.j_max
 
 
-class CoinKind(enum.Enum):
-    UNIFORM_HADAMARD = "hadamard"
-    HADAMARD_WITH_NOT_DEFECT = "defect"
-
-
 @dataclass(frozen=True)
 class CoinSpec:
-    """Coin field: Hadamard at every site, or Hadamard plus a NOT defect.
+    """Coin field: Hadamard at every site but ``defect_site``, if one is given.
 
-    At the defect site the coin is exactly the spin-flip matrix
+    ``defect_site=None`` (the default) is the uniform Hadamard coin.  At an
+    integer defect site the coin is exactly the spin-flip matrix
     ``[[0, 1], [1, 0]]``, which reverses the walker instead of splitting it.
     """
 
-    kind: CoinKind
     defect_site: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is CoinKind.UNIFORM_HADAMARD and self.defect_site is not None:
-            raise ValueError("uniform Hadamard coin takes no defect site")
-        if self.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT:
-            if self.defect_site is None:
-                raise ValueError("defect coin requires a defect site")
-            if not isinstance(self.defect_site, (int, np.integer)):
-                raise ValueError("defect site must be an integer lattice site")
+        if self.defect_site is not None and not isinstance(self.defect_site, (int, np.integer)):
+            raise ValueError("defect site must be an integer lattice site")
 
     @classmethod
     def hadamard(cls) -> "CoinSpec":
-        return cls(CoinKind.UNIFORM_HADAMARD)
+        return cls()
 
     @classmethod
     def not_defect(cls, site: int) -> "CoinSpec":
-        return cls(CoinKind.HADAMARD_WITH_NOT_DEFECT, operator.index(site))
+        return cls(operator.index(site))
 
 
 def coin_matrix(spec: CoinSpec, j: int) -> np.ndarray:
     """2x2 unitary the coin applies at site ``j`` (a fresh array)."""
-    if spec.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT and j == spec.defect_site:
+    if spec.defect_site is not None and j == spec.defect_site:
         return NOT_MATRIX.copy()
     return HADAMARD_MATRIX.copy()
-
-
-class InitialShape(enum.Enum):
-    LOCAL = "local"
-    GAUSSIAN = "gaussian"
 
 
 @dataclass(frozen=True)
 class InitialStateSpec:
     """Position envelope of the initial state.
 
-    ``LOCAL`` puts all weight on site 0.  ``GAUSSIAN`` samples
+    ``sigma0=None`` (the default) is the local state: all weight on site 0,
+    and no truncation radius.  A width ``sigma0`` samples the Gaussian
     ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)`` on integer
     sites with ``|j| <= truncation_radius`` and zero outside.  With
     ``renormalize=False`` (the default) the envelope keeps the continuum
@@ -186,17 +167,16 @@ class InitialStateSpec:
     rejected.  The radius is capped by :data:`MAX_SITES` before sampling.
     """
 
-    shape: InitialShape
     sigma0: float | None = None
     truncation_radius: int | None = None
     renormalize: bool = False
 
     def __post_init__(self) -> None:
-        if self.shape is InitialShape.LOCAL:
-            if self.sigma0 is not None or self.truncation_radius is not None:
-                raise ValueError("local shape takes neither sigma0 nor truncation radius")
+        if self.sigma0 is None:
+            if self.truncation_radius is not None:
+                raise ValueError("a truncation radius applies only to a Gaussian (give sigma0)")
             return
-        if self.sigma0 is None or not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
+        if not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")
         if not isinstance(self.truncation_radius, (int, np.integer)) or self.truncation_radius < 1:
             raise ValueError(
@@ -220,28 +200,27 @@ class InitialStateSpec:
 
     @classmethod
     def local(cls) -> "InitialStateSpec":
-        return cls(InitialShape.LOCAL)
+        return cls()
 
     @classmethod
     def gaussian(
         cls,
         sigma0: float,
-        truncation_radius: int = 100,
+        truncation_radius: int = DEFAULT_TRUNCATION_RADIUS,
         renormalize: bool = False,
     ) -> "InitialStateSpec":
         radius = operator.index(truncation_radius)  # an integer, not a rounded float
-        return cls(InitialShape.GAUSSIAN, float(sigma0), radius, renormalize)
+        return cls(float(sigma0), radius, renormalize)
 
     def support(self) -> tuple[int, int]:
         """Smallest site range carrying nonzero envelope weight."""
-        if self.shape is InitialShape.LOCAL:
+        if self.sigma0 is None:
             return (0, 0)
-        assert self.truncation_radius is not None
         return (-self.truncation_radius, self.truncation_radius)
 
     def envelope(self) -> np.ndarray:
         """Envelope values ``f(j)`` over :meth:`support`, left to right."""
-        if self.shape is InitialShape.LOCAL:
+        if self.sigma0 is None:
             return np.ones(1)
         f = gaussian_envelope(self.sigma0, self.truncation_radius)
         if self.renormalize:
@@ -336,10 +315,9 @@ def build_initial_state(
 ) -> WalkState:
     """Product state of ``qubit`` over the envelope of ``init`` at t=0.
 
-    Spin-up amplitudes are ``f(j) cos(alpha/2)`` and spin-down amplitudes
-    ``f(j) e^{i beta} sin(alpha/2)``.  When ``window`` is omitted the state
-    occupies the minimal support window; pass a pre-sized window (or embed
-    later) before evolving.
+    The one-row case of :func:`_product_states`.  When ``window`` is
+    omitted the state occupies the minimal support window; pass a
+    pre-sized window (or embed later) before evolving.
     """
     lo, hi = init.support()
     if window is None:
@@ -349,9 +327,24 @@ def build_initial_state(
             f"window [{window.j_min}, {window.j_max}] does not cover "
             f"initial support [{lo}, {hi}]"
         )
+    c, s = _coefficients(np.array([qubit.alpha]), np.array([qubit.beta]))
+    up, down = _product_states(init, window, c, s)
+    return WalkState(window, up[0], down[0])
+
+
+def _coefficients(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spin coefficients ``cos(alpha/2)`` and ``e^{i beta} sin(alpha/2)`` of each qubit."""
+    return np.cos(0.5 * alphas), np.exp(1j * betas) * np.sin(0.5 * alphas)
+
+
+def _product_states(
+    init: InitialStateSpec, window: LatticeWindow, c: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope."""
     f = init.envelope()
-    state = WalkState.zero(window)
-    start = window.index(lo)
-    state.up[start : start + f.size] = f * qubit.up_amplitude
-    state.down[start : start + f.size] = f * qubit.down_amplitude
-    return state
+    lo = window.index(init.support()[0])
+    up = np.zeros((c.size, window.size), dtype=np.complex128)
+    down = np.zeros_like(up)
+    up[:, lo : lo + f.size] = c[:, None] * f
+    down[:, lo : lo + f.size] = s[:, None] * f
+    return up, down

@@ -30,6 +30,8 @@ from .core import (
     LatticeWindow,
     QubitParams,
     WalkState,
+    _coefficients,
+    _product_states,
     build_initial_state,
 )
 from .evolution import EvolutionPlan, prepared, reachable_window, recorded_steps
@@ -66,15 +68,11 @@ _BYTES_PER_QUBIT = 225
 
 @dataclass(frozen=True, eq=False)
 class QubitGrid:
-    """Bloch-angle grid ``(i*alpha_step, k*beta_step)`` within range.
+    """Initial qubits as Bloch angles: qubit ``n`` is ``(alphas[n], betas[n])``.
 
-    Includes every multiple of the step that does not exceed pi
-    (resp. 2*pi), endpoint included when it lands exactly.  Qubit ``n`` is
-    ``(alphas[n], betas[n])``, alpha-major; averaging and reduction follow it.
+    Averaging and reduction follow this order.
     """
 
-    alpha_step: float
-    beta_step: float
     alphas: np.ndarray
     betas: np.ndarray
 
@@ -83,7 +81,12 @@ class QubitGrid:
 
 
 def make_qubit_grid(alpha_step: float, beta_step: float) -> QubitGrid:
-    """Grid of initial qubits (2016 at step 0.1); at most :data:`MAX_QUBITS`."""
+    """Grid ``(i*alpha_step, k*beta_step)`` of initial qubits, alpha-major.
+
+    Includes every multiple of the step that does not exceed pi
+    (resp. 2*pi), endpoint included when it lands exactly: 2016 qubits at
+    step 0.1, and at most :data:`MAX_QUBITS`.
+    """
     if not (math.isfinite(alpha_step) and alpha_step > 0.0):
         raise ValueError(f"alpha_step must be positive, got {alpha_step}")
     if not (math.isfinite(beta_step) and beta_step > 0.0):
@@ -97,9 +100,7 @@ def make_qubit_grid(alpha_step: float, beta_step: float) -> QubitGrid:
             f"than MAX_QUBITS={MAX_QUBITS}; the linear method needs about {_BYTES_PER_QUBIT} "
             f"bytes per qubit ({count * _BYTES_PER_QUBIT / 1e9:.3g} GB)"
         )
-    return QubitGrid(
-        alpha_step, beta_step, np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
-    )
+    return QubitGrid(np.repeat(alphas, betas.size), np.tile(betas, alphas.size))
 
 
 def _step_multiples(step: float, bound: float) -> np.ndarray:
@@ -213,27 +214,8 @@ def run_ensemble(
     )
 
 
-def _product_states(
-    init: InitialStateSpec, window: LatticeWindow, c: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope."""
-    f = init.envelope()
-    lo = window.index(init.support()[0])
-    up = np.zeros((c.size, window.size), dtype=np.complex128)
-    down = np.zeros_like(up)
-    up[:, lo : lo + f.size] = c[:, None] * f
-    down[:, lo : lo + f.size] = s[:, None] * f
-    return up, down
-
-
-def _qubit_coefficients(grid: QubitGrid) -> tuple[np.ndarray, np.ndarray]:
-    c = np.cos(0.5 * grid.alphas)
-    s = np.exp(1j * grid.betas) * np.sin(0.5 * grid.alphas)
-    return c, s
-
-
 def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
-    c, s = _qubit_coefficients(grid)
+    c, s = _coefficients(grid.alphas, grid.betas)
     w_uu = c * c                 # weight of the up-basis walk
     w_dd = (s * s.conj()).real   # weight of the down-basis walk
     w_ud = c * s.conj()          # cross weight (complex)
@@ -308,11 +290,11 @@ def _combined_distribution(
         + m_dd * (bd.real**2 + bd.imag**2)
         + 2.0 * (m_ud * (bu * bd.conj())).real
     )
-    return PositionDistribution(window, p_up, p_down, p_up + p_down)
+    return PositionDistribution(window, p_up, p_down)
 
 
 def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
-    c, s = _qubit_coefficients(grid)
+    c, s = _coefficients(grid.alphas, grid.betas)
     window = reachable_window(init.support(), plan.coin, plan.steps)
     times = plan.record_times()
     series_sum = np.zeros((2, times.size))  # sigma, entropy
@@ -326,7 +308,7 @@ def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     n = float(len(grid))
     mean_sigma, mean_entropy = series_sum / n
     p_up, p_down = p_sum / n
-    mean_dist = PositionDistribution(window, p_up, p_down, p_up + p_down)
+    mean_dist = PositionDistribution(window, p_up, p_down)
     return times, mean_sigma, mean_entropy, mean_dist
 
 

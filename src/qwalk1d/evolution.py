@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT1_2, CoinKind, CoinSpec, LatticeWindow, WalkState
+from .core import SQRT1_2, CoinSpec, LatticeWindow, WalkState
 
 __all__ = [
     "WindowOverflowError",
@@ -84,9 +84,8 @@ def reachable_window(
         raise ValueError(f"invalid support [{lo}, {hi}]")
     j_min = lo - steps
     j_max = hi + steps
-    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT:
-        r = coin.defect_site
-        assert r is not None
+    r = coin.defect_site
+    if r is not None:
         if r < lo:
             j_min = max(j_min, r)
         if r > hi:
@@ -136,7 +135,7 @@ def _advance(up, down, new_up, new_down, coin: CoinSpec, window: LatticeWindow, 
     # coined amplitude of the edge sites, which the shift would push out
     leaving_up = (up[..., -1] + down[..., -1]) * SQRT1_2
     leaving_down = (up[..., 0] - down[..., 0]) * SQRT1_2
-    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT and window.contains(coin.defect_site):
+    if coin.defect_site is not None and window.contains(coin.defect_site):
         # the NOT gate at the defect swaps the spins instead of mixing them
         i = coin.defect_site - window.j_min
         if i + 1 < window.size:

@@ -40,7 +40,11 @@ class PositionDistribution:
     window: LatticeWindow
     p_up: np.ndarray
     p_down: np.ndarray
-    p_total: np.ndarray
+
+    @property
+    def p_total(self) -> np.ndarray:
+        """``p_up + p_down``, the position marginal."""
+        return self.p_up + self.p_down
 
     def sites(self) -> np.ndarray:
         return self.window.sites()
@@ -53,7 +57,7 @@ class PositionDistribution:
 def distribution(state: WalkState) -> PositionDistribution:
     p_up = state.up.real**2 + state.up.imag**2
     p_down = state.down.real**2 + state.down.imag**2
-    return PositionDistribution(state.window, p_up, p_down, p_up + p_down)
+    return PositionDistribution(state.window, p_up, p_down)
 
 
 def mean_position(dist: PositionDistribution) -> float:
@@ -120,8 +124,7 @@ class EntropyValue:
 
 
 def reduced_coin(state: WalkState) -> ReducedCoinMatrix:
-    with np.errstate(invalid="ignore"):  # zero state: 0/0 moments; the trace check raises
-        *_, up_w, down_w, coherence = _row_observables(state.up, state.down, state.sites())
+    up_w, down_w, coherence = _coin_sums(state.up, state.down)
     return ReducedCoinMatrix(float(up_w), complex(coherence), float(up_w + down_w))
 
 
@@ -177,10 +180,15 @@ def _row_observables(up, down, sites, work=(None,) * 4):
     p_total = np.add(np.square(up.real, out=p_total), np.square(up.imag, out=tmp), out=p_total)
     p_down = np.add(np.square(down.real, out=p_down), np.square(down.imag, out=tmp), out=p_down)
     norm, _, sigma = _position_moments(np.add(p_total, p_down, out=p_total), sites, tmp)
+    return (norm, sigma, *_coin_sums(up, down, conj))
+
+
+def _coin_sums(up, down, conj=None):
+    """``sum|a|^2``, ``sum|b|^2`` and ``sum a conj(b)`` of each row; ``conj`` is scratch."""
     conj = np.conjugate(down, out=conj)
     coherence, down_weight = _row_dot(conj, up), _row_dot(conj, down).real
     up_weight = _row_dot(np.conjugate(up, out=conj), up).real
-    return norm, sigma, up_weight, down_weight, coherence
+    return up_weight, down_weight, coherence
 
 
 def _position_moments(p_total, sites, tmp=None):

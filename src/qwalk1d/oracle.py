@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CoinKind, CoinSpec, LatticeWindow, WalkState, coin_matrix
+from .core import CoinSpec, LatticeWindow, WalkState, coin_matrix
 
 __all__ = ["ring_evolve", "ring_matrix"]
 
@@ -28,7 +28,7 @@ def _ring_coins(window: LatticeWindow, coin: CoinSpec) -> np.ndarray:
     """The ``(M, 2, 2)`` coin of every site of the ring ``window``."""
     if window.size < 3:
         raise ValueError(f"a ring needs at least 3 sites, got {window.size}")
-    if coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT and not window.contains(coin.defect_site):
+    if coin.defect_site is not None and not window.contains(coin.defect_site):
         raise ValueError(
             f"defect site {coin.defect_site} outside ring [{window.j_min}, {window.j_max}]"
         )

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qwalk1d import CoinSpec, InitialStateSpec
 from qwalk1d.cli import (
     ConfigError,
     _build_parser,
@@ -18,7 +19,6 @@ from qwalk1d.cli import (
     main,
     parse_config,
 )
-from qwalk1d.core import CoinKind, InitialShape
 
 
 # one value for every flag a preset fixes, in the parser's order
@@ -57,8 +57,8 @@ class TestParseConfig:
     def test_defaults_documented(self):
         cfg = parse("")
         assert cfg.mode == "single"
-        assert cfg.initial.shape is InitialShape.LOCAL
-        assert cfg.coin.kind is CoinKind.UNIFORM_HADAMARD
+        assert cfg.initial == InitialStateSpec.local()
+        assert cfg.coin == CoinSpec.hadamard()
         assert cfg.steps == 3000
         assert cfg.record_every == 1
         assert cfg.qubit.alpha == pytest.approx(0.75 * math.pi)
@@ -169,29 +169,25 @@ class TestPresetExpansion:
         for _, sub in runs:
             assert sub.mode == "single"
             assert sub.steps == 3000
-            assert sub.coin.kind is CoinKind.UNIFORM_HADAMARD
+            assert sub.coin == CoinSpec.hadamard()
             assert sub.qubit.alpha == pytest.approx(0.75 * math.pi)
 
     def test_fig2_is_six_ensembles(self):
         runs = expand_runs(parse("--preset fig2"))
         assert len(runs) == 6
-        kinds = {(sub.initial, sub.coin.kind) for _, sub in runs}
+        kinds = {(sub.initial, sub.coin) for _, sub in runs}
         assert len(kinds) == 6
         for _, sub in runs:
             assert sub.mode == "ensemble"
             assert sub.alpha_step == 0.1 and sub.beta_step == 0.1
-            if sub.coin.kind is CoinKind.HADAMARD_WITH_NOT_DEFECT:
-                assert sub.coin.defect_site == -101
+            assert sub.coin.defect_site in (None, -101)
 
     def test_fig3_sweeps_sigma0(self):
         runs = expand_runs(parse("--preset fig3"))
         sigmas = []
         for _, sub in runs:
             assert sub.coin.defect_site == -101
-            if sub.initial.shape is InitialShape.LOCAL:
-                sigmas.append(0)
-            else:
-                sigmas.append(int(sub.initial.sigma0))
+            sigmas.append(0 if sub.initial.sigma0 is None else int(sub.initial.sigma0))
         assert sigmas == list(range(0, 11))
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import qwalk1d
 from qwalk1d import (
     CoinSpec,
-    InitialShape,
     InitialStateSpec,
     LatticeWindow,
     QubitParams,
@@ -47,10 +46,10 @@ class TestQubitParams:
             QubitParams(alpha, beta)
 
     def test_amplitudes(self):
-        q = QubitParams(0.75 * math.pi, 0.5)
-        assert q.up_amplitude == pytest.approx(math.cos(0.375 * math.pi), abs=1e-15)
+        state = build_initial_state(QubitParams(0.75 * math.pi, 0.5), InitialStateSpec.local())
+        assert state.up[0] == pytest.approx(math.cos(0.375 * math.pi), abs=1e-15)
         expected = complex(math.cos(0.5), math.sin(0.5)) * math.sin(0.375 * math.pi)
-        assert q.down_amplitude == pytest.approx(expected, abs=1e-15)
+        assert state.down[0] == pytest.approx(expected, abs=1e-15)
 
 
 class TestLatticeWindow:
@@ -87,16 +86,14 @@ class TestCoin:
         assert np.allclose(coin_matrix(spec, -100), HADAMARD, atol=1e-16)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            CoinSpec(CoinSpec.hadamard().kind, defect_site=3)
-        with pytest.raises(ValueError):
-            CoinSpec(CoinSpec.not_defect(0).kind, defect_site=None)
+        assert CoinSpec() == CoinSpec.hadamard()
+        assert CoinSpec(3) == CoinSpec.not_defect(3)
 
     def test_factory_takes_only_integer_sites(self):
         with pytest.raises(TypeError):
             CoinSpec.not_defect(-101.7)
         with pytest.raises(ValueError):
-            CoinSpec(CoinSpec.not_defect(0).kind, defect_site=-101.7)
+            CoinSpec(defect_site=-101.7)
         site = CoinSpec.not_defect(np.int32(-101)).defect_site
         assert site == -101 and type(site) is int
 
@@ -110,6 +107,7 @@ class TestCoin:
 class TestInitialStateSpec:
     def test_local_support_and_envelope(self):
         init = InitialStateSpec.local()
+        assert init == InitialStateSpec()
         assert init.support() == (0, 0)
         assert np.array_equal(init.envelope(), [1.0])
         assert init.norm_deficit() == 0.0
@@ -121,17 +119,17 @@ class TestInitialStateSpec:
             InitialStateSpec.gaussian(-1.0)
         with pytest.raises(ValueError):
             InitialStateSpec.gaussian(1.0, truncation_radius=0)
-        with pytest.raises(ValueError):
-            InitialStateSpec(InitialShape.LOCAL, sigma0=1.0)
+        with pytest.raises(ValueError, match="truncation radius"):
+            InitialStateSpec(truncation_radius=5)
 
     def test_truncation_radius_must_be_an_integer(self):
         with pytest.raises(TypeError):
             InitialStateSpec.gaussian(2.0, 6.9)
         with pytest.raises(ValueError, match="integer truncation_radius"):
-            InitialStateSpec(InitialShape.GAUSSIAN, 2.0, 6.9)
+            InitialStateSpec(2.0, 6.9)
         radius = InitialStateSpec.gaussian(2.0, np.int64(7)).truncation_radius
         assert radius == 7 and type(radius) is int
-        assert InitialStateSpec(InitialShape.GAUSSIAN, 2.0, np.int64(7)).support() == (-7, 7)
+        assert InitialStateSpec(2.0, np.int64(7)).support() == (-7, 7)
 
     @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("sigma0", [1e-300, 1e300])

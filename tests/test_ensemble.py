@@ -9,6 +9,7 @@ from qwalk1d import (
     CoinSpec,
     EvolutionPlan,
     InitialStateSpec,
+    QubitGrid,
     QubitParams,
     build_initial_state,
     dispersion,
@@ -123,22 +124,30 @@ class TestRunWalk:
 
 
 class TestRunEnsemble:
-    # sigma0=10 keeps its whole radius-100 envelope, so run_walk's window is the ensemble's
+    # sigma0=10 keeps its whole radius-100 envelope, so run_walk's window is the ensemble's;
+    # qubit (0, 0) has c = 1 and s = 0, the other two mix both spins with a complex phase
     @pytest.mark.parametrize(
-        "init, coin",
+        "init, coin, alpha, beta",
         [
-            (InitialStateSpec.local(), CoinSpec.hadamard()),
-            (InitialStateSpec.gaussian(10.0), CoinSpec.not_defect(-101)),
+            pytest.param(init, coin, alpha, beta, id=init_id + qubit_id)
+            for init, coin, init_id in (
+                (InitialStateSpec.local(), CoinSpec.hadamard(), "local_hadamard"),
+                (InitialStateSpec.gaussian(10.0), CoinSpec.not_defect(-101), "sigma10_defect"),
+            )
+            for alpha, beta, qubit_id in (
+                (0.0, 0.0, ""),
+                (0.75 * math.pi, 0.0, "-qubit_3pi4_0"),
+                (math.pi / 3, 1.25 * math.pi, "-qubit_pi3_5pi4"),
+            )
         ],
-        ids=["local_hadamard", "sigma10_defect"],
     )
     @pytest.mark.parametrize("method", ["linear", "direct"])
-    def test_single_qubit_grid_equals_walk(self, method, init, coin):
-        grid = make_qubit_grid(math.pi * 2, math.pi * 4)  # only (0, 0)
+    def test_single_qubit_grid_equals_walk(self, method, init, coin, alpha, beta):
+        grid = QubitGrid(np.array([alpha]), np.array([beta]))
         assert len(grid) == 1
         plan = EvolutionPlan(coin, 30)
         res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
-        rec = run_walk(QubitParams(grid.alphas[0], grid.betas[0]), init, plan)
+        rec = run_walk(QubitParams(alpha, beta), init, plan)
         p_total = rec.final_distribution().p_total
         if method == "direct":  # a single walk is the one-row case of the direct path
             assert np.array_equal(res.mean_entropy, rec.entropy)
@@ -211,8 +220,8 @@ class TestRunEnsemble:
         plan = EvolutionPlan(CoinSpec.hadamard(), 30)
         full = make_qubit_grid(1.0, 1.5)
         half = len(full) // 2
-        first = type(full)(full.alpha_step, full.beta_step, full.alphas[:half], full.betas[:half])
-        second = type(full)(full.alpha_step, full.beta_step, full.alphas[half:], full.betas[half:])
+        first = QubitGrid(full.alphas[:half], full.betas[:half])
+        second = QubitGrid(full.alphas[half:], full.betas[half:])
         res_full = run_ensemble(full, init, plan)
         res_a = run_ensemble(first, init, plan)
         res_b = run_ensemble(second, init, plan)
@@ -232,8 +241,7 @@ class TestRunEnsemble:
         assert total == pytest.approx(float(np.sum(f * f)), abs=1e-12)
 
     def test_empty_grid_rejected(self):
-        grid = make_qubit_grid(0.5, 0.5)
-        empty = type(grid)(0.5, 0.5, grid.alphas[:0], grid.betas[:0])
+        empty = QubitGrid(np.empty(0), np.empty(0))
         plan = EvolutionPlan(CoinSpec.hadamard(), 5)
         with pytest.raises(ValueError):
             run_ensemble(empty, InitialStateSpec.local(), plan)

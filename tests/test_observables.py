@@ -38,14 +38,14 @@ def point_mass(j: int, window: LatticeWindow | None = None) -> PositionDistribut
     window = window or LatticeWindow(j - 2, j + 2)
     p = np.zeros(window.size)
     p[window.index(j)] = 1.0
-    return PositionDistribution(window, p, np.zeros_like(p), p.copy())
+    return PositionDistribution(window, p, np.zeros_like(p))
 
 
 def dist_from(values: dict[int, float], window: LatticeWindow) -> PositionDistribution:
     p = np.zeros(window.size)
     for j, v in values.items():
         p[window.index(j)] = v
-    return PositionDistribution(window, p, np.zeros_like(p), p.copy())
+    return PositionDistribution(window, p, np.zeros_like(p))
 
 
 def two_step_local_state() -> WalkState:
@@ -109,14 +109,12 @@ class TestMeanAndDispersion:
         window = LatticeWindow(-5, 5)
         rng = np.random.default_rng(7)
         p = rng.random(window.size)
-        d = PositionDistribution(window, p, np.zeros_like(p), p.copy())
-        mirrored = PositionDistribution(window, p[::-1], np.zeros_like(p), p[::-1].copy())
+        d = PositionDistribution(window, p, np.zeros_like(p))
+        mirrored = PositionDistribution(window, p[::-1], np.zeros_like(p))
         assert dispersion(d) == pytest.approx(dispersion(mirrored), abs=1e-12)
 
     def test_zero_probability_rejected(self):
-        empty = PositionDistribution(
-            LatticeWindow(0, 2), np.zeros(3), np.zeros(3), np.zeros(3)
-        )
+        empty = PositionDistribution(LatticeWindow(0, 2), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             mean_position(empty)
         with pytest.raises(ValueError):
