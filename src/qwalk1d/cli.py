@@ -88,7 +88,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str  # "single" | "ensemble"
     initial: InitialStateSpec
     coin: CoinSpec
     steps: int
@@ -100,6 +99,13 @@ class RunConfig:
     beta_step: float | None = None
     workers: int | None = None
     preset: str | None = None
+
+    @property
+    def mode(self) -> str:
+        """``"preset"`` for a preset, ``"single"`` when a qubit is set, else ``"ensemble"``."""
+        if self.preset is not None:
+            return "preset"
+        return "single" if self.qubit is not None else "ensemble"
 
 
 @dataclass
@@ -172,7 +178,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
                 f"preset '{ns.preset}' fixes all physics fields; remove {flags}"
             )
         return RunConfig(
-            mode="preset",
             initial=InitialStateSpec.local(),
             coin=CoinSpec.hadamard(),
             steps=DEFAULT_STEPS,
@@ -234,7 +239,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
-        mode=mode,
         initial=initial,
         coin=coin,
         steps=steps,

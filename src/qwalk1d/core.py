@@ -157,9 +157,9 @@ class InitialStateSpec:
     """Position envelope of the initial state.
 
     ``sigma0=None`` (the default) is the local state: all weight on site 0,
-    and no truncation radius.  A width ``sigma0`` samples the Gaussian
-    ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)`` on integer
-    sites with ``|j| <= truncation_radius`` and zero outside.  With
+    with no truncation radius and no renormalization.  A width ``sigma0``
+    samples the Gaussian ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)``
+    on integer sites with ``|j| <= truncation_radius`` and zero outside.  With
     ``renormalize=False`` (the default) the envelope keeps the continuum
     normalization constant; the squared-norm deficit from truncating is
     reported by :meth:`norm_deficit` instead of being corrected, and an
@@ -175,6 +175,8 @@ class InitialStateSpec:
         if self.sigma0 is None:
             if self.truncation_radius is not None:
                 raise ValueError("a truncation radius applies only to a Gaussian (give sigma0)")
+            if self.renormalize:
+                raise ValueError("renormalize applies only to a Gaussian (give sigma0)")
             return
         if not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")

@@ -12,9 +12,12 @@ Every per-qubit observable used here (norm, position moments, reduced
 coin entries) is a quadratic form in the amplitudes, so it reduces to a
 handful of lattice sums over the basis walks combined with per-qubit
 coefficients.  The default "linear" method exploits this and costs two
-walks regardless of grid size; the "direct" method, the independent
-cross-check, evolves every qubit in fixed-size batches through the
-per-qubit path whose one-row case is :func:`run_walk`.  Both run in one
+walks regardless of grid size: every per-qubit number it reports, and its
+mean distribution, is one Hermitian form (:func:`_form`) of the basis
+pair's lattice sums; only the reduced coin's off-diagonal entry, which is
+not Hermitian, is a four-term sum of its own.  The "direct" method, the
+independent cross-check, evolves every qubit in fixed-size batches through
+the per-qubit path whose one-row case is :func:`run_walk`.  Both run in one
 process and reduce in a fixed order, so results are bitwise reproducible.
 """
 
@@ -38,6 +41,7 @@ from .evolution import EvolutionPlan, prepared, reachable_window, recorded_steps
 from .observables import (
     PositionDistribution,
     _abs_sq,
+    _prob,
     _row_observables,
     distribution,
     entropy_bits_vec,
@@ -216,9 +220,8 @@ def run_ensemble(
 
 def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     c, s = _coefficients(grid.alphas, grid.betas)
-    w_uu = c * c                 # weight of the up-basis walk
-    w_dd = (s * s.conj()).real   # weight of the down-basis walk
-    w_ud = c * s.conj()          # cross weight (complex)
+    # weights of the up-basis walk, the down-basis walk and their cross term
+    w_uu, w_dd, w_ud = w = (c * c, (s * s.conj()).real, c * s.conj())
     cs = c * s
 
     window = reachable_window(init.support(), plan.coin, plan.steps)
@@ -229,68 +232,44 @@ def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
     mean_sigma = np.empty(times.size)
     mean_entropy = np.empty(times.size)
 
-    def form(kern_uu, kern_dd, kern_ud) -> np.ndarray:
-        return w_uu * kern_uu + w_dd * kern_dd + 2.0 * (w_ud * kern_ud).real
-
-    # lattice-size work arrays, reused so the loop does not churn the allocator;
-    # filled in the order of the plain expressions, so sums are bitwise the same
-    k, k_tmp = np.empty((2, window.size)), np.empty((2, window.size))
-    k_ud, k_ud_tmp = np.empty(window.size, complex), np.empty(window.size, complex)
-
-    def record(slot: int, up: np.ndarray, down: np.ndarray) -> None:
-        (au, ad), (bu, bd) = up, down
-        np.square(up.real, out=k)  # row 0: |a_up|^2 + |b_up|^2, row 1: the down walk's
-        for part in (up.imag, down.real, down.imag):
-            np.add(k, np.square(part, out=k_tmp), out=k)
-        k_uu, k_dd = k
-        np.multiply(au, np.conjugate(ad, out=k_ud_tmp), out=k_ud)
-        np.add(k_ud, np.multiply(bu, np.conjugate(bd, out=k_ud_tmp), out=k_ud_tmp), out=k_ud)
-
-        norm = form(np.sum(k_uu), np.sum(k_dd), np.sum(k_ud))
-        m1 = form(np.dot(k_uu, sites), np.dot(k_dd, sites), np.dot(k_ud, sites)) / norm
-        m2 = form(np.dot(k_uu, sites_sq), np.dot(k_dd, sites_sq), np.dot(k_ud, sites_sq)) / norm
-        mean_sigma[slot] = float(np.mean(np.sqrt(np.maximum(m2 - m1 * m1, 0.0))))
-
-        # reduced coin entries per qubit
-        a_uu = float(np.vdot(au, au).real)
-        a_dd = float(np.vdot(ad, ad).real)
-        a_ud = complex(np.vdot(ad, au))  # sum a_up conj(a_down)
-        up_weight = w_uu * a_uu + w_dd * a_dd + 2.0 * (w_ud * a_ud).real
-
-        t_uu = complex(np.vdot(bu, au))  # sum a_up conj(b_up)
-        t_ud = complex(np.vdot(bd, au))  # sum a_up conj(b_down)
-        t_du = complex(np.vdot(bu, ad))  # sum a_down conj(b_up)
-        t_dd = complex(np.vdot(bd, ad))  # sum a_down conj(b_down)
-        coherence = w_uu * t_uu + w_ud * t_ud + cs * t_du + w_dd * t_dd
-        coherence_sq = coherence.real**2 + coherence.imag**2
-        mean_entropy[slot] = float(np.mean(entropy_bits_vec(up_weight, coherence_sq, norm)))
-
     # the basis pair: row 0 starts spin-up, row 1 spin-down
     basis = _product_states(init, window, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     for slot, (up, down) in enumerate(recorded_steps(*basis, plan, window)):
-        record(slot, up, down)
-    mean_dist = _combined_distribution(window, up, down, w_uu, w_dd, w_ud)
-    return times, mean_sigma, mean_entropy, mean_dist
+        (au, ad), (bu, bd) = up, down
+        # per site: |a_up|^2 + |b_up|^2, the down walk's, and their cross term
+        k_uu, k_dd = up.real**2 + up.imag**2 + down.real**2 + down.imag**2
+        k_ud = au * ad.conj() + bu * bd.conj()
+        norm = _form(w, np.sum(k_uu), np.sum(k_dd), np.sum(k_ud))
+        m1 = _form(w, np.dot(k_uu, sites), np.dot(k_dd, sites), np.dot(k_ud, sites)) / norm
+        m2 = _form(w, np.dot(k_uu, sites_sq), np.dot(k_dd, sites_sq), np.dot(k_ud, sites_sq)) / norm
+        mean_sigma[slot] = float(np.mean(np.sqrt(np.maximum(m2 - m1 * m1, 0.0))))
+
+        # reduced coin entries per qubit; the coherence is not Hermitian, so not a _form
+        up_weight = _form(w, np.vdot(au, au).real, np.vdot(ad, ad).real, np.vdot(ad, au))
+        t_uu = np.vdot(bu, au)  # sum a_up conj(b_up)
+        t_ud = np.vdot(bd, au)  # sum a_up conj(b_down)
+        t_du = np.vdot(bu, ad)  # sum a_down conj(b_up)
+        t_dd = np.vdot(bd, ad)  # sum a_down conj(b_down)
+        coherence = w_uu * t_uu + w_ud * t_ud + cs * t_du + w_dd * t_dd
+        mean_entropy[slot] = float(np.mean(entropy_bits_vec(up_weight, _prob(coherence), norm)))
+
+    # the same form with the qubit-averaged weights, site by site, is the mean distribution
+    mean_w = [np.mean(weight) for weight in w]
+    p_up = _form(mean_w, _prob(au), _prob(ad), au * ad.conj())
+    p_down = _form(mean_w, _prob(bu), _prob(bd), bu * bd.conj())
+    return times, mean_sigma, mean_entropy, PositionDistribution(window, p_up, p_down)
 
 
-def _combined_distribution(
-    window: LatticeWindow, up: np.ndarray, down: np.ndarray, w_uu, w_dd, w_ud
-) -> PositionDistribution:
-    (au, ad), (bu, bd) = up, down
-    m_uu = float(np.mean(w_uu))
-    m_dd = float(np.mean(w_dd))
-    m_ud = complex(np.mean(w_ud))
-    p_up = (
-        m_uu * (au.real**2 + au.imag**2)
-        + m_dd * (ad.real**2 + ad.imag**2)
-        + 2.0 * (m_ud * (au * ad.conj())).real
-    )
-    p_down = (
-        m_uu * (bu.real**2 + bu.imag**2)
-        + m_dd * (bd.real**2 + bd.imag**2)
-        + 2.0 * (m_ud * (bu * bd.conj())).real
-    )
-    return PositionDistribution(window, p_up, p_down)
+def _form(w, uu, dd, ud):
+    """``w_uu*uu + w_dd*dd + 2 Re(w_ud*ud)``, the Hermitian form of ``v = (c, s)``.
+
+    With ``w = (c^2, |s|^2, c conj(s))`` and ``uu``, ``dd``, ``ud`` the basis pair's
+    sums of ``|x_up|^2``, ``|x_down|^2`` and ``x_up conj(x_down)``, it is the qubit's
+    ``sum |c x_up + s x_down|^2``.  Every per-qubit number of the linear path, and
+    its mean distribution, is one.
+    """
+    w_uu, w_dd, w_ud = w
+    return w_uu * uu + w_dd * dd + 2.0 * (w_ud * ud).real
 
 
 def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
@@ -304,7 +283,7 @@ def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
         sigma, entropy, _, up, down = _walk_series(*states, plan, window)
         for i in range(up.shape[0]):  # sum in qubit order
             series_sum += (sigma[:, i], entropy[:, i])
-            p_sum += (up[i].real ** 2 + up[i].imag ** 2, down[i].real ** 2 + down[i].imag ** 2)
+            p_sum += (_prob(up[i]), _prob(down[i]))
     n = float(len(grid))
     mean_sigma, mean_entropy = series_sum / n
     p_up, p_down = p_sum / n

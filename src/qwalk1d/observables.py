@@ -55,9 +55,7 @@ class PositionDistribution:
 
 
 def distribution(state: WalkState) -> PositionDistribution:
-    p_up = state.up.real**2 + state.up.imag**2
-    p_down = state.down.real**2 + state.down.imag**2
-    return PositionDistribution(state.window, p_up, p_down)
+    return PositionDistribution(state.window, _prob(state.up), _prob(state.down))
 
 
 def mean_position(dist: PositionDistribution) -> float:
@@ -203,6 +201,14 @@ def _position_moments(p_total, sites, tmp=None):
 def _row_dot(x, y):
     """``np.dot(x[i], y[i])`` per row, bit for bit (the same BLAS dot; a gemv sums otherwise)."""
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _prob(z):
+    """``|z|^2`` as ``z.real**2 + z.imag**2``, the form every distribution's bytes come from.
+
+    :func:`_abs_sq` is the other ``|z|^2``: it keeps the single-walk entropy bytes.
+    """
+    return z.real**2 + z.imag**2
 
 
 def _abs_sq(z):

@@ -121,6 +121,8 @@ class TestInitialStateSpec:
             InitialStateSpec.gaussian(1.0, truncation_radius=0)
         with pytest.raises(ValueError, match="truncation radius"):
             InitialStateSpec(truncation_radius=5)
+        with pytest.raises(ValueError, match="renormalize"):
+            InitialStateSpec(renormalize=True)
 
     def test_truncation_radius_must_be_an_integer(self):
         with pytest.raises(TypeError):

@@ -148,14 +148,16 @@ class TestRunEnsemble:
         plan = EvolutionPlan(coin, 30)
         res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
         rec = run_walk(QubitParams(alpha, beta), init, plan)
-        p_total = rec.final_distribution().p_total
+        final = rec.final_distribution()
         if method == "direct":  # a single walk is the one-row case of the direct path
             assert np.array_equal(res.mean_entropy, rec.entropy)
             assert np.array_equal(res.mean_dispersion, rec.sigma)
-            assert np.array_equal(res.mean_distribution.p_total, p_total)
+            assert np.array_equal(res.mean_distribution.p_total, final.p_total)
         else:
             assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
             assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
+            assert np.abs(res.mean_distribution.p_up - final.p_up).max() <= 1e-12
+            assert np.abs(res.mean_distribution.p_down - final.p_down).max() <= 1e-12
 
     def test_linear_matches_brute_force_average(self):
         """Independent re-computation oracle for the two-basis-walk path."""
@@ -187,10 +189,9 @@ class TestRunEnsemble:
         direct = run_ensemble(grid, init, plan, method="direct")
         assert np.abs(lin.mean_entropy - direct.mean_entropy).max() <= 1e-12
         assert np.abs(lin.mean_dispersion - direct.mean_dispersion).max() <= 1e-11
-        assert (
-            np.abs(lin.mean_distribution.p_total - direct.mean_distribution.p_total).max()
-            <= 1e-12
-        )
+        for part in ("p_up", "p_down", "p_total"):
+            lin_p = getattr(lin.mean_distribution, part)
+            assert np.abs(lin_p - getattr(direct.mean_distribution, part)).max() <= 1e-12
 
     def test_direct_invariant_to_worker_count(self):
         grid = make_qubit_grid(0.5, 1.0)
