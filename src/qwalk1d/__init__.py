@@ -27,7 +27,6 @@ from .ensemble import (
     WalkRecord,
     fit_dispersion_slope,
     make_qubit_grid,
-    moving_average,
     run_ensemble,
     run_walk,
 )
@@ -41,17 +40,13 @@ from .evolution import (
     step,
 )
 from .observables import (
-    EntropyValue,
     PositionDistribution,
-    ReducedCoinMatrix,
     distribution,
     dispersion,
     entanglement_entropy,
     far_peak_weight,
-    mean_position,
     outer_peak_distance,
     peak_sites,
-    reduced_coin,
 )
 from .oracle import ring_evolve, ring_matrix
 
@@ -77,12 +72,8 @@ __all__ = [
     "recorded_steps",
     "evolve",
     "PositionDistribution",
-    "ReducedCoinMatrix",
-    "EntropyValue",
     "distribution",
-    "mean_position",
     "dispersion",
-    "reduced_coin",
     "entanglement_entropy",
     "peak_sites",
     "outer_peak_distance",
@@ -94,7 +85,6 @@ __all__ = [
     "run_walk",
     "run_ensemble",
     "fit_dispersion_slope",
-    "moving_average",
     "ring_evolve",
     "ring_matrix",
     "__version__",

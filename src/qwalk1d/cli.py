@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .core import (
     DEFAULT_TRUNCATION_RADIUS,
@@ -40,6 +41,7 @@ from .evolution import EvolutionPlan, reachable_window
 __all__ = [
     "ConfigError",
     "RunConfig",
+    "PresetConfig",
     "SingleRunOutput",
     "parse_config",
     "canonical_argv",
@@ -88,6 +90,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One concrete walk or ensemble, every field checked by ``parse_config``."""
+
     initial: InitialStateSpec
     coin: CoinSpec
     steps: int
@@ -97,15 +101,22 @@ class RunConfig:
     qubit: QubitParams | None = None          # single mode
     alpha_step: float | None = None           # ensemble mode
     beta_step: float | None = None
-    workers: int | None = None
-    preset: str | None = None
+    # a class-level None, not a field: a concrete run has no preset, and callers
+    # (perfbench among them) read ``.preset`` on every config parse_config returns
+    preset: ClassVar[None] = None
 
     @property
     def mode(self) -> str:
-        """``"preset"`` for a preset, ``"single"`` when a qubit is set, else ``"ensemble"``."""
-        if self.preset is not None:
-            return "preset"
+        """``"single"`` when a qubit is set, else ``"ensemble"``."""
         return "single" if self.qubit is not None else "ensemble"
+
+
+@dataclass(frozen=True)
+class PresetConfig:
+    """A bundled experiment: its name in ``PRESETS`` and the directory of its sub-runs."""
+
+    preset: str
+    output_dir: Path
 
 
 @dataclass
@@ -159,8 +170,8 @@ _PARSER = _build_parser()  # parse_args leaves it unchanged, so every call share
 _OPERATIONAL_FLAGS = ("preset", "workers", "output_dir")
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    """Parse flags into a validated RunConfig (raises ConfigError)."""
+def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
+    """Parse flags into a validated RunConfig or PresetConfig (raises ConfigError)."""
     ns = _PARSER.parse_args(argv)
     output_dir = ns.output_dir if ns.output_dir is not None else Path("results")
 
@@ -177,16 +188,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ConfigError(
                 f"preset '{ns.preset}' fixes all physics fields; remove {flags}"
             )
-        return RunConfig(
-            initial=InitialStateSpec.local(),
-            coin=CoinSpec.hadamard(),
-            steps=DEFAULT_STEPS,
-            record_every=1,
-            fit_window=default_fit_window(DEFAULT_STEPS),
-            output_dir=output_dir,
-            workers=ns.workers,
-            preset=ns.preset,
-        )
+        return PresetConfig(ns.preset, output_dir)
 
     mode = ns.mode or "single"
     gaussian = ns.initial == "gaussian"
@@ -248,8 +250,6 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         qubit=qubit,
         alpha_step=alpha_step,
         beta_step=beta_step,
-        workers=ns.workers,
-        preset=None,
     )
 
 
@@ -257,7 +257,7 @@ def _or_default(value, default):
     return default if value is None else value
 
 
-def canonical_argv(config: RunConfig) -> list[str]:
+def canonical_argv(config: RunConfig | PresetConfig) -> list[str]:
     """Flag list that parses back to exactly this config."""
     if config.preset is not None:
         argv = ["--preset", config.preset]
@@ -285,23 +285,20 @@ def canonical_argv(config: RunConfig) -> list[str]:
             "--fit-start", str(config.fit_window[0]),
             "--fit-end", str(config.fit_window[1]),
         ]
-    if config.workers is not None:
-        argv += ["--workers", str(config.workers)]
     argv += ["--output-dir", str(config.output_dir)]
     return argv
 
 
-def expand_runs(config: RunConfig) -> list[tuple[str, RunConfig]]:
+def expand_runs(config: RunConfig | PresetConfig) -> list[tuple[str, RunConfig]]:
     """Concrete runs behind a config: itself, or the preset's sub-runs.
 
-    A sub-run is its preset's physics flags plus the parent's workers and
-    its own output directory, parsed and checked like any command line.
+    A sub-run is its preset's physics flags plus its own output directory,
+    parsed and checked like any command line.
     """
     if config.preset is None:
         return [("", config)]
-    workers = [] if config.workers is None else ["--workers", str(config.workers)]
     return [
-        (label, parse_config([*flags, *workers, "--output-dir", str(config.output_dir / label)]))
+        (label, parse_config([*flags, "--output-dir", str(config.output_dir / label)]))
         for label, flags in PRESETS[config.preset]
     ]
 
@@ -319,13 +316,7 @@ def execute(config: RunConfig) -> SingleRunOutput | EnsembleResult:
             norm_deficit=config.initial.norm_deficit(),
         )
     grid = make_qubit_grid(config.alpha_step, config.beta_step)
-    return run_ensemble(
-        grid,
-        config.initial,
-        plan,
-        fit_window=config.fit_window,
-        workers=config.workers,
-    )
+    return run_ensemble(grid, config.initial, plan, fit_window=config.fit_window)
 
 
 def _fmt(x: float) -> str:
@@ -398,7 +389,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(row + "\n")
 
 
-def _write_manifest(config: RunConfig, output_dir: Path) -> Path:
+def _write_manifest(config: RunConfig | PresetConfig, output_dir: Path) -> Path:
     path = Path(output_dir) / "manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:

@@ -172,6 +172,8 @@ class InitialStateSpec:
     renormalize: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.renormalize, (bool, np.bool_)):
+            raise ValueError(f"renormalize must be a bool, got {self.renormalize!r}")
         if self.sigma0 is None:
             if self.truncation_radius is not None:
                 raise ValueError("a truncation radius applies only to a Gaussian (give sigma0)")
@@ -272,8 +274,8 @@ class WalkState:
                 f"amplitude arrays must have shape ({self.window.size},), "
                 f"got {self.up.shape} and {self.down.shape}"
             )
-        if self.t < 0:
-            raise ValueError("time step must be non-negative")
+        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
+            raise ValueError(f"time step must be a non-negative integer, got {self.t}")
 
     @classmethod
     def zero(cls, window: LatticeWindow, t: int = 0) -> "WalkState":

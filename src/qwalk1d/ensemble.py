@@ -56,7 +56,6 @@ __all__ = [
     "run_ensemble",
     "fit_dispersion_slope",
     "default_fit_window",
-    "moving_average",
     "MAX_QUBITS",
 ]
 
@@ -120,7 +119,6 @@ def _step_multiples(step: float, bound: float) -> np.ndarray:
 class WalkRecord:
     """Per-step observables of one walk plus its final state."""
 
-    qubit: QubitParams
     times: np.ndarray
     sigma: np.ndarray
     entropy: np.ndarray
@@ -136,7 +134,7 @@ def run_walk(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) ->
     start = prepared(build_initial_state(qubit, init), plan)
     sigma, entropy, norm, up, down = _walk_series(start.up, start.down, plan, start.window)
     final = WalkState(start.window, up, down, plan.steps)
-    return WalkRecord(qubit, plan.record_times(), sigma, entropy, norm, final)
+    return WalkRecord(plan.record_times(), sigma, entropy, norm, final)
 
 
 def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow):
@@ -165,7 +163,7 @@ class EnsembleResult:
     dispersion of the averaged distribution).  ``mean_distribution`` is
     the averaged spin-resolved probability field at the final step.
     ``slope`` is the least-squares slope of ``mean_dispersion`` over
-    ``fit_window``.
+    the run's fit window.
     """
 
     times: np.ndarray
@@ -174,7 +172,6 @@ class EnsembleResult:
     mean_distribution: PositionDistribution
     slope: float
     qubit_count: int
-    fit_window: tuple[int, int]
     norm_deficit: float
 
 
@@ -213,7 +210,6 @@ def run_ensemble(
         mean_distribution=mean_dist,
         slope=slope,
         qubit_count=len(grid),
-        fit_window=fit_window,
         norm_deficit=init.norm_deficit(),
     )
 
@@ -326,10 +322,3 @@ def fit_dispersion_slope(
     t_centered = t - t.mean()
     return float(np.dot(t_centered, y) / np.dot(t_centered, t_centered))
 
-
-def moving_average(values: np.ndarray, width: int) -> np.ndarray:
-    """Simple moving average, ``len(values) - width + 1`` points."""
-    if width < 1 or width > len(values):
-        raise ValueError(f"window width {width} invalid for {len(values)} samples")
-    kernel = np.full(width, 1.0 / width)
-    return np.convolve(np.asarray(values, dtype=np.float64), kernel, mode="valid")

@@ -8,7 +8,6 @@ entropy stay well defined without touching the amplitudes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +16,8 @@ from .core import LatticeWindow, WalkState
 
 __all__ = [
     "PositionDistribution",
-    "ReducedCoinMatrix",
-    "EntropyValue",
     "distribution",
-    "mean_position",
     "dispersion",
-    "reduced_coin",
     "entanglement_entropy",
     "peak_sites",
     "outer_peak_distance",
@@ -58,13 +53,6 @@ def distribution(state: WalkState) -> PositionDistribution:
     return PositionDistribution(state.window, _prob(state.up), _prob(state.down))
 
 
-def mean_position(dist: PositionDistribution) -> float:
-    """Probability-weighted mean site ``<j>``."""
-    if dist.total() <= 0.0:
-        raise ValueError("mean position undefined for zero total probability")
-    return float(_position_moments(dist.p_total, dist.sites().astype(np.float64))[1])
-
-
 def dispersion(dist: PositionDistribution) -> float:
     """Standard deviation of the position marginal.
 
@@ -77,60 +65,18 @@ def dispersion(dist: PositionDistribution) -> float:
     return float(_position_moments(dist.p_total, dist.sites().astype(np.float64))[2])
 
 
-@dataclass(frozen=True)
-class ReducedCoinMatrix:
-    """Coin density matrix with the position degree of freedom traced out.
+def entanglement_entropy(state: WalkState) -> float:
+    """Spin-position entanglement: the coin's von Neumann entropy in bits.
 
-    ``up_weight`` is ``sum_j |a(j)|^2``, ``coherence`` is
-    ``sum_j a(j) conj(b(j))`` and ``trace`` the total probability, so the
-    (unnormalized) matrix is ``[[up_weight, coherence],
-    [conj(coherence), trace - up_weight]]``.
+    The position is traced out, leaving the coin matrix
+    ``[[sum|a|^2, sum a b*], [c.c., sum|b|^2]]``; this is
+    :func:`entropy_bits_vec` on that one matrix.
     """
-
-    up_weight: float
-    coherence: complex
-    trace: float
-
-    def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.up_weight)
-            and math.isfinite(self.trace)
-            and math.isfinite(abs(self.coherence))
-        ):
-            raise ValueError("reduced coin matrix entries must be finite")
-        if self.trace <= 0.0:
-            raise ValueError(f"trace must be positive, got {self.trace}")
-        # |B|^2 <= A(1 - A) + 1e-9: Cauchy-Schwarz, and A in [0, 1], within the slack
-        _coin_eigenvalues(self.up_weight, _abs_sq(self.coherence), self.trace)
-
-    def matrix(self) -> np.ndarray:
-        """The 2x2 matrix itself (unnormalized)."""
-        b = complex(self.coherence)
-        return np.array(
-            [[self.up_weight, b], [b.conjugate(), self.trace - self.up_weight]],
-            dtype=np.complex128,
-        )
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Eigenvalues of the normalized coin matrix and their entropy in bits."""
-
-    lambda_plus: float
-    lambda_minus: float
-    entropy: float
-
-
-def reduced_coin(state: WalkState) -> ReducedCoinMatrix:
-    up_w, down_w, coherence = _coin_sums(state.up, state.down)
-    return ReducedCoinMatrix(float(up_w), complex(coherence), float(up_w + down_w))
-
-
-def entanglement_entropy(rc: ReducedCoinMatrix) -> EntropyValue:
-    """Von Neumann entropy of the coin, in bits (:func:`entropy_bits_vec` on one matrix)."""
-    lam_plus, lam_minus = _coin_eigenvalues(rc.up_weight, _abs_sq(rc.coherence), rc.trace)
-    entropy = -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
-    return EntropyValue(float(lam_plus), float(lam_minus), float(entropy))
+    up_weight, down_weight, coherence = _coin_sums(state.up, state.down)
+    trace = up_weight + down_weight
+    if not trace > 0.0:
+        raise ValueError(f"trace must be positive, got {trace}")
+    return float(entropy_bits_vec(up_weight, _abs_sq(coherence), trace))
 
 
 def entropy_bits_vec(up_weight, coherence_sq, trace):
@@ -170,8 +116,9 @@ def _xlog2_vec(x: np.ndarray) -> np.ndarray:
 def _row_observables(up, down, sites, work=(None,) * 4):
     """Norm, dispersion, ``sum|a|^2``, ``sum|b|^2`` and ``sum a conj(b)`` of each row.
 
-    The one set of formulas for single walks, ``direct`` batches and scalar observables;
-    a row's numbers come from that row alone, bit for bit.  A stepping loop passes
+    The one set of formulas for single walks and ``direct`` batches; on one state its
+    halves are :func:`dispersion` and :func:`entanglement_entropy`.  A row's numbers
+    come from that row alone, bit for bit.  A stepping loop passes
     ``work``, three real and one complex array of the amplitudes' shape, to reuse.
     """
     p_total, p_down, tmp, conj = work

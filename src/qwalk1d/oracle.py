@@ -43,8 +43,8 @@ def _ring_step(psi: np.ndarray, coins: np.ndarray) -> np.ndarray:
 
 def ring_evolve(state: WalkState, coin: CoinSpec, steps: int) -> WalkState:
     """``state`` after ``steps`` steps on the ring ``state.window`` (a new state)."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps}")
     coins = _ring_coins(state.window, coin)
     psi = np.stack([state.up, state.down])
     for _ in range(steps):

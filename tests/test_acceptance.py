@@ -26,11 +26,9 @@ from qwalk1d import (
     evolve,
     far_peak_weight,
     make_qubit_grid,
-    moving_average,
     outer_peak_distance,
     prepared,
     recorded_steps,
-    reduced_coin,
     ring_evolve,
     run_ensemble,
     step,
@@ -68,7 +66,7 @@ def _reference_walk(init: InitialStateSpec, coin: CoinSpec, snapshots=(1000, 200
     for t, (up, down) in zip(plan.record_times().tolist(), walk):
         s = WalkState(start.window, up, down, t)
         d = distribution(s)
-        entropies.append(entanglement_entropy(reduced_coin(s)).entropy)
+        entropies.append(entanglement_entropy(s))
         norms.append(d.total())
         if t in snapshots:
             dists[t] = d
@@ -344,7 +342,7 @@ def test_criterion7_reflection_support():
 def test_criterion8_maximal_entanglement_qubit(reference_walks):
     walk = reference_walks[("local", "hadamard")]
     final = float(walk.entropy[-1])
-    ma = moving_average(walk.entropy, 100)
+    ma = np.convolve(walk.entropy, np.full(100, 1.0 / 100), mode="valid")  # 100-step mean
     diffs = np.diff(ma[500:])
     nondecreasing = bool((diffs >= -1e-12).all())
     ok = final >= 0.95 and nondecreasing
@@ -364,10 +362,13 @@ def test_criterion9_entropy_closed_form():
         up = rng.normal(size=n) + 1j * rng.normal(size=n)
         down = rng.normal(size=n) + 1j * rng.normal(size=n)
         norm = math.sqrt(float(np.sum(np.abs(up) ** 2 + np.abs(down) ** 2)))
-        state = WalkState(LatticeWindow(0, n - 1), up / norm, down / norm)
-        rc = reduced_coin(state)
-        closed = entanglement_entropy(rc).entropy
-        eigs = np.linalg.eigvalsh(rc.matrix() / rc.trace)
+        up, down = up / norm, down / norm
+        closed = entanglement_entropy(WalkState(LatticeWindow(0, n - 1), up, down))
+        # the reduced coin matrix from this test's own sums
+        up_weight, down_weight = np.vdot(up, up).real, np.vdot(down, down).real
+        coherence = np.vdot(down, up)  # sum a conj(b)
+        rho = np.array([[up_weight, coherence], [np.conj(coherence), down_weight]])
+        eigs = np.linalg.eigvalsh(rho / (up_weight + down_weight))
         direct = -sum(lam * math.log2(lam) for lam in eigs if lam > 1e-300)
         worst = max(worst, abs(closed - direct))
     _report(
@@ -383,7 +384,7 @@ def test_criterion9_separable_states():
     for _ in range(200):
         qubit = QubitParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         state = build_initial_state(qubit, InitialStateSpec.gaussian(2.0, 15))
-        worst = max(worst, entanglement_entropy(reduced_coin(state)).entropy)
+        worst = max(worst, entanglement_entropy(state))
     _report(
         "criterion 9 (separable states)",
         worst <= 1e-12,

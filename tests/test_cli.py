@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,8 @@ import pytest
 from qwalk1d import CoinSpec, InitialStateSpec
 from qwalk1d.cli import (
     ConfigError,
+    PresetConfig,
+    RunConfig,
     _build_parser,
     canonical_argv,
     emit_results,
@@ -130,9 +133,14 @@ class TestParseConfig:
 
     def test_preset_allows_operational_flags(self):
         cfg = parse("--preset fig1 --workers 2 --output-dir out")
-        assert cfg.preset == "fig1"
-        assert cfg.workers == 2
-        assert cfg.output_dir == Path("out")
+        assert cfg == PresetConfig("fig1", Path("out"))
+
+    def test_preset_config_is_its_name_and_output_dir(self):
+        cfg = parse("--preset fig1")
+        assert [f.name for f in dataclasses.fields(cfg)] == ["preset", "output_dir"]
+        # a concrete run reads as no preset, without storing one
+        assert parse("").preset is None
+        assert "preset" not in {f.name for f in dataclasses.fields(RunConfig)}
 
 
 class TestRoundTrip:
@@ -156,9 +164,10 @@ class TestRoundTrip:
         cfg = parse_config(["--preset", preset, *workers, "--output-dir", "sweeps"])
         runs = expand_runs(cfg)
         assert [label for label, _ in runs] == PRESET_LABELS[preset]
+        # the worker count reaches no sub-run
+        assert runs == expand_runs(parse_config(["--preset", preset, "--output-dir", "sweeps"]))
         for label, sub in runs:
             assert sub.output_dir == Path("sweeps") / label
-            assert sub.workers == cfg.workers
             assert parse_config(canonical_argv(sub)) == sub
 
 
@@ -311,6 +320,19 @@ class TestMain:
         assert main(args.split() + ["--output-dir", str(out_b), "--workers", "3"]) == 0
         for name in ("distribution_t30.csv", "timeseries.csv", "summary.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_workers_not_written_to_manifest(self, tmp_path, monkeypatch):
+        # the same relative --output-dir, so the manifests can match byte for byte
+        args = "--steps 8 --record-every 4 --fit-start 0 --fit-end 8 --output-dir run".split()
+        for cwd, workers in ((tmp_path / "w", ["--workers", "3"]), (tmp_path / "none", [])):
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert main([*args, *workers]) == 0
+        manifest = (tmp_path / "none" / "run" / "manifest.json").read_bytes()
+        assert (tmp_path / "w" / "run" / "manifest.json").read_bytes() == manifest
+        assert b"workers" not in manifest
+        preset = canonical_argv(parse("--preset fig1 --workers 3 --output-dir out"))
+        assert preset == canonical_argv(parse("--preset fig1 --output-dir out"))
 
     def test_module_entry_point(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -1,8 +1,12 @@
+import builtins
+import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,16 @@ class TestInitialStateSpec:
         assert radius == 7 and type(radius) is int
         assert InitialStateSpec(2.0, np.int64(7)).support() == (-7, 7)
 
+    def test_renormalize_must_be_a_bool(self):
+        # a string is truthy, so "false" would renormalize
+        with pytest.raises(ValueError, match="renormalize must be a bool"):
+            InitialStateSpec.gaussian(1.0, 100, "false")
+        with pytest.raises(ValueError, match="renormalize must be a bool"):
+            InitialStateSpec(renormalize=0)
+        assert InitialStateSpec.gaussian(1.0, 100, np.bool_(True)).norm_deficit() == pytest.approx(
+            0.0, abs=1e-15
+        )
+
     @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("sigma0", [1e-300, 1e300])
     def test_envelope_must_be_finite_with_nonzero_norm(self, sigma0, renormalize):
@@ -256,6 +270,13 @@ class TestWalkState:
     def test_support_of_zero_state(self):
         assert WalkState.zero(LatticeWindow(-2, 2)).support() is None
 
+    def test_time_must_be_a_non_negative_integer(self):
+        window = LatticeWindow(-2, 2)
+        for t in (1.5, 2.0, -1):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                WalkState.zero(window, t)
+        assert WalkState.zero(window, np.int64(3)).t == 3
+
 
 # the package and every submodule but the `python -m` entry point, which exports nothing
 PUBLIC_MODULES = ["qwalk1d"] + [
@@ -272,3 +293,47 @@ def test_public_exports_resolve(module_name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def _readme_library_names() -> set[str]:
+    """Every identifier README's Library section names: ``qw.`` uses and backticked names."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"\bqw\.([A-Za-z_][\w.]*)", section))
+    return names | set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
+
+
+def _package_names() -> set[str]:
+    """Names a reader can find in the package: module attributes and class members."""
+    names = set()
+    for module in map(importlib.import_module, PUBLIC_MODULES):
+        for name, value in vars(module).items():
+            names.add(name)
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                names |= set(dir(value))
+                if dataclasses.is_dataclass(value):
+                    names |= {f.name for f in dataclasses.fields(value)}
+    return names
+
+
+def _resolves(name: str, known: set[str]) -> bool:
+    """A plain name is known; a dotted one is an attribute path from the package."""
+    if "." not in name:
+        return name in known
+    missing = object()
+    value = qwalk1d
+    for part in name.split("."):
+        value = getattr(value, part, missing)
+        if value is missing:
+            return False
+    return True
+
+
+def test_readme_library_section_matches_exports():
+    """The Library section names every public name, and nothing the package lacks."""
+    named = _readme_library_names()
+    unnamed = [name for name in qwalk1d.__all__ if name not in named]
+    assert not unnamed, f"qwalk1d.__all__ names missing from README's Library section: {unnamed}"
+    known = _package_names() | set(dir(builtins))
+    stale = sorted(name for name in named if not _resolves(name, known))
+    assert not stale, f"README's Library section names what the package lacks: {stale}"

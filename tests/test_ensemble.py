@@ -17,9 +17,7 @@ from qwalk1d import (
     entanglement_entropy,
     fit_dispersion_slope,
     make_qubit_grid,
-    moving_average,
     prepared,
-    reduced_coin,
     run_ensemble,
     run_walk,
     step,
@@ -104,7 +102,7 @@ class TestRunWalk:
             if t in times:
                 dist = distribution(state)
                 sigma.append(dispersion(dist))
-                entropy.append(entanglement_entropy(reduced_coin(state)).entropy)
+                entropy.append(entanglement_entropy(state))
                 norm.append(dist.total())
             if t < 50:
                 state = step(state, plan.coin)
@@ -277,21 +275,3 @@ class TestFitSlope:
             fit_dispersion_slope(t, y, (60, 40))
         with pytest.raises(ValueError):
             fit_dispersion_slope(np.array([0, 10]), np.array([1.0, 2.0]), (1, 9))
-
-
-class TestMovingAverage:
-    def test_flat_series(self):
-        out = moving_average(np.ones(10), 3)
-        assert out.shape == (8,)
-        assert np.allclose(out, 1.0, atol=1e-15)
-
-    def test_linear_series(self):
-        out = moving_average(np.arange(10, dtype=float), 4)
-        assert out[0] == pytest.approx(1.5, abs=1e-12)
-        assert np.allclose(np.diff(out), 1.0, atol=1e-12)
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            moving_average(np.ones(5), 0)
-        with pytest.raises(ValueError):
-            moving_average(np.ones(5), 6)

@@ -228,6 +228,8 @@ def test_plan_and_window_accept_numpy_integers():
     plan = EvolutionPlan(CoinSpec.hadamard(), np.int64(5), record_every=np.int32(2))
     assert plan.record_times().tolist() == [0, 2, 4, 5]
     assert LatticeWindow(np.int64(-2), np.int64(3)).size == 6
+    state = WalkState.zero(LatticeWindow(-4, 4), np.int64(1))
+    assert evolve(state, EvolutionPlan(CoinSpec.hadamard(), 3)).t == 4
 
 
 @st.composite

@@ -12,7 +12,6 @@ from qwalk1d import (
     LatticeWindow,
     PositionDistribution,
     QubitParams,
-    ReducedCoinMatrix,
     WalkState,
     build_initial_state,
     dispersion,
@@ -20,14 +19,19 @@ from qwalk1d import (
     entanglement_entropy,
     evolve,
     far_peak_weight,
-    mean_position,
     outer_peak_distance,
     peak_sites,
     prepared,
-    reduced_coin,
     step,
 )
-from qwalk1d.observables import _row_observables, entropy_bits_vec
+from qwalk1d.core import SQRT1_2
+from qwalk1d.observables import (
+    _abs_sq,
+    _coin_eigenvalues,
+    _coin_sums,
+    _row_observables,
+    entropy_bits_vec,
+)
 
 # sigma(0) of the truncated discrete Gaussian, 40-digit arithmetic
 SIGMA0_10_R100 = 10.0
@@ -76,19 +80,12 @@ class TestDistribution:
         assert np.abs(d.p_total - (d.p_up + d.p_down)).max() <= 1e-15
 
 
+def state_from(up, down) -> WalkState:
+    """A state on sites ``0..len(up)-1`` with the given amplitudes."""
+    return WalkState(LatticeWindow(0, len(up) - 1), np.asarray(up), np.asarray(down))
+
+
 class TestMeanAndDispersion:
-    def test_symmetric_pair_mean_zero(self):
-        d = dist_from({-1: 0.5, 1: 0.5}, LatticeWindow(-2, 2))
-        assert mean_position(d) == pytest.approx(0.0, abs=1e-15)
-
-    def test_point_mass_mean(self):
-        assert mean_position(point_mass(2)) == pytest.approx(2.0, abs=1e-15)
-
-    def test_two_step_mean_zero(self):
-        assert mean_position(distribution(two_step_local_state())) == pytest.approx(
-            0.0, abs=1e-15
-        )
-
     def test_point_mass_dispersion_zero(self):
         assert dispersion(point_mass(7)) == 0.0
         assert dispersion(point_mass(-3000, LatticeWindow(-3001, -2999))) == 0.0
@@ -116,77 +113,80 @@ class TestMeanAndDispersion:
     def test_zero_probability_rejected(self):
         empty = PositionDistribution(LatticeWindow(0, 2), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
-            mean_position(empty)
-        with pytest.raises(ValueError):
             dispersion(empty)
 
 
 class TestReducedCoin:
+    """The reduced coin matrix's entries, as :func:`entanglement_entropy` sums them."""
+
     def test_spin_up_local(self):
         state = build_initial_state(QubitParams(0.0, 0.0), InitialStateSpec.local())
-        rc = reduced_coin(state)
-        assert rc.up_weight == pytest.approx(1.0, abs=1e-15)
-        assert rc.coherence == pytest.approx(0.0, abs=1e-15)
+        up_weight, _, coherence = _coin_sums(state.up, state.down)
+        assert up_weight == pytest.approx(1.0, abs=1e-15)
+        assert coherence == pytest.approx(0.0, abs=1e-15)
 
     def test_one_step_no_sitewise_overlap(self):
         state = WalkState.zero(LatticeWindow(-1, 1))
         state.up[state.window.index(0)] = 1.0
-        rc = reduced_coin(step(state, CoinSpec.hadamard()))
-        assert rc.up_weight == pytest.approx(0.5, abs=1e-15)
-        assert abs(rc.coherence) <= 1e-15
+        stepped = step(state, CoinSpec.hadamard())
+        up_weight, _, coherence = _coin_sums(stepped.up, stepped.down)
+        assert up_weight == pytest.approx(0.5, abs=1e-15)
+        assert abs(coherence) <= 1e-15
 
     def test_product_state_saturates_cauchy_schwarz(self):
         for alpha, beta in [(0.3, 0.9), (2.0, 5.5), (0.75 * math.pi, 0.0)]:
             state = build_initial_state(
                 QubitParams(alpha, beta), InitialStateSpec.gaussian(3.0, 20)
             )
-            rc = reduced_coin(state)
-            a, b = rc.up_weight, abs(rc.coherence) ** 2
-            assert b == pytest.approx(a * (rc.trace - a), abs=1e-14)
-
-    def test_matrix_layout(self):
-        rc = ReducedCoinMatrix(0.3, 0.1 + 0.2j, 1.0)
-        m = rc.matrix()
-        assert m[0, 0] == 0.3 and m[1, 1] == pytest.approx(0.7)
-        assert m[0, 1] == 0.1 + 0.2j and m[1, 0] == 0.1 - 0.2j
-
-    def test_nonpositive_trace_rejected(self):
-        with pytest.raises(ValueError):
-            ReducedCoinMatrix(0.0, 0.0, 0.0)
+            up_weight, down_weight, coherence = _coin_sums(state.up, state.down)
+            a, b = up_weight, abs(coherence) ** 2
+            assert b == pytest.approx(a * (up_weight + down_weight - a), abs=1e-14)
 
     def test_zero_state_rejected_without_a_warning(self):
         # RuntimeWarnings are errors in this suite, so the 0/0 moments must stay quiet
         with pytest.raises(ValueError, match="trace must be positive"):
-            reduced_coin(WalkState.zero(LatticeWindow(-2, 2)))
+            entanglement_entropy(WalkState.zero(LatticeWindow(-2, 2)))
 
 
 class TestEntropy:
     def test_separable(self):
-        v = entanglement_entropy(ReducedCoinMatrix(1.0, 0.0, 1.0))
-        assert (v.lambda_plus, v.lambda_minus) == (1.0, 0.0)
-        assert v.entropy == 0.0
+        assert _coin_eigenvalues(1.0, 0.0, 1.0) == (1.0, 0.0)
+        assert entanglement_entropy(state_from([1.0], [0.0])) == 0.0
 
     def test_maximally_mixed(self):
-        v = entanglement_entropy(ReducedCoinMatrix(0.5, 0.0, 1.0))
-        assert v.lambda_plus == pytest.approx(0.5, abs=1e-15)
-        assert v.entropy == pytest.approx(1.0, abs=1e-15)
+        lambda_plus, _ = _coin_eigenvalues(0.5, 0.0, 1.0)
+        assert lambda_plus == pytest.approx(0.5, abs=1e-15)
+        # spin up on one site, spin down on the other
+        state = state_from([SQRT1_2, 0.0], [0.0, SQRT1_2])
+        assert entanglement_entropy(state) == pytest.approx(1.0, abs=1e-15)
 
     def test_pure_superposition(self):
-        v = entanglement_entropy(ReducedCoinMatrix(0.5, 0.5, 1.0))
-        assert v.lambda_plus == pytest.approx(1.0, abs=1e-15)
-        assert v.entropy == pytest.approx(0.0, abs=1e-12)
+        lambda_plus, _ = _coin_eigenvalues(0.5, 0.5**2, 1.0)
+        assert lambda_plus == pytest.approx(1.0, abs=1e-15)
+        state = state_from([SQRT1_2], [SQRT1_2])
+        assert entanglement_entropy(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_unnormalized_input_normalized_internally(self):
-        reference = entanglement_entropy(ReducedCoinMatrix(0.3, 0.1j, 1.0))
-        scaled = entanglement_entropy(ReducedCoinMatrix(0.3 * 0.75, 0.075j, 0.75))
-        assert scaled.entropy == pytest.approx(reference.entropy, abs=1e-14)
-        assert scaled.lambda_plus + scaled.lambda_minus == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(3)
+        up, down = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        norm = math.sqrt(float(np.sum(np.abs(up) ** 2 + np.abs(down) ** 2)))
+        reference = state_from(up / norm, down / norm)
+        scale = math.sqrt(0.75)  # trace 0.75
+        scaled = state_from(reference.up * scale, reference.down * scale)
+        assert entanglement_entropy(scaled) == pytest.approx(
+            entanglement_entropy(reference), abs=1e-14
+        )
+        up_weight, down_weight, coherence = _coin_sums(scaled.up, scaled.down)
+        lambda_plus, lambda_minus = _coin_eigenvalues(
+            up_weight, abs(coherence) ** 2, up_weight + down_weight
+        )
+        assert lambda_plus + lambda_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_corrupted_input_rejected(self):
         with pytest.raises(ValueError):
-            ReducedCoinMatrix(1.2, 0.0, 1.0)  # weight above the trace
+            _coin_eigenvalues(1.2, 0.0, 1.0)  # weight above the trace
         with pytest.raises(ValueError):
-            ReducedCoinMatrix(0.5, 0.9, 1.0)  # coherence beyond Cauchy-Schwarz
+            _coin_eigenvalues(0.5, 0.9**2, 1.0)  # coherence beyond Cauchy-Schwarz
 
     @given(
         amps=st.lists(
@@ -205,19 +205,20 @@ class TestEntropy:
         norm = math.sqrt(float(np.sum(np.abs(up) ** 2 + np.abs(down) ** 2)))
         if norm < 1e-6:
             return
-        window = LatticeWindow(0, len(amps) - 1)
-        state = WalkState(window, up / norm, down / norm)
-        rc = reduced_coin(state)
-        value = entanglement_entropy(rc)
-        eigs = np.linalg.eigvalsh(rc.matrix() / rc.trace)
+        up, down = up / norm, down / norm
+        # the reduced coin matrix from this test's own sums
+        up_weight, down_weight = np.vdot(up, up).real, np.vdot(down, down).real
+        coherence = np.vdot(down, up)  # sum a conj(b)
+        trace = up_weight + down_weight
+        rho = np.array([[up_weight, coherence], [np.conj(coherence), down_weight]]) / trace
+        eigs = np.linalg.eigvalsh(rho)
         direct = -sum(lam * math.log2(lam) for lam in eigs if lam > 1e-300)
-        assert value.entropy == pytest.approx(direct, abs=1e-12)
-        assert value.lambda_plus + value.lambda_minus == pytest.approx(1.0, abs=1e-12)
-        a_n = rc.up_weight / rc.trace
-        b2_n = abs(rc.coherence) ** 2 / rc.trace**2
-        assert value.lambda_plus * value.lambda_minus == pytest.approx(
-            a_n * (1 - a_n) - b2_n, abs=1e-12
-        )
+        assert entanglement_entropy(state_from(up, down)) == pytest.approx(direct, abs=1e-12)
+        lambda_plus, lambda_minus = _coin_eigenvalues(up_weight, abs(coherence) ** 2, trace)
+        assert lambda_plus + lambda_minus == pytest.approx(1.0, abs=1e-12)
+        a_n = up_weight / trace
+        b2_n = abs(coherence) ** 2 / trace**2
+        assert lambda_plus * lambda_minus == pytest.approx(a_n * (1 - a_n) - b2_n, abs=1e-12)
 
     @given(
         coins=st.lists(
@@ -233,22 +234,24 @@ class TestEntropy:
         corrupt=st.integers(0, 7),
     )
     @settings(max_examples=200, deadline=None)
-    def test_vector_form_matches_scalar_form(self, coins, corrupt):
-        matrices = [
-            ReducedCoinMatrix(
-                tr * (1.0 + r * math.cos(theta)) / 2.0,
-                tr * r * math.sin(theta) * complex(math.cos(phi), -math.sin(phi)) / 2.0,
-                tr,
-            )
-            for r, theta, phi, tr in coins
-        ]
-        up_weight = np.array([m.up_weight for m in matrices])
-        coherence_sq = np.array([abs(m.coherence) ** 2 for m in matrices])
-        trace = np.array([m.trace for m in matrices])
-        scalar = np.array([entanglement_entropy(m).entropy for m in matrices])
-        assert np.array_equal(entropy_bits_vec(up_weight, coherence_sq, trace), scalar)
+    def test_vector_form_matches_state_form(self, coins, corrupt):
+        # a two-site state per coin matrix tr (1 + r n.sigma) / 2: its eigenvectors,
+        # weighted by the square roots of its eigenvalues, one per site
+        up = np.empty((len(coins), 2), dtype=np.complex128)
+        down = np.empty_like(up)
+        for i, (r, theta, phi, tr) in enumerate(coins):
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            phase = complex(math.cos(phi), math.sin(phi))
+            plus, minus = math.sqrt(tr * (1 + r) / 2), math.sqrt(tr * (1 - r) / 2)
+            up[i] = plus * c, -minus * s * phase.conjugate()
+            down[i] = plus * s * phase, minus * c
+        states = [state_from(u, d) for u, d in zip(up, down)]
+        up_weight, down_weight, coherence = _coin_sums(up, down)
+        coherence_sq, trace = _abs_sq(coherence), up_weight + down_weight
+        one_by_one = np.array([entanglement_entropy(state) for state in states])
+        assert np.array_equal(entropy_bits_vec(up_weight, coherence_sq, trace), one_by_one)
 
-        i = corrupt % len(matrices)
+        i = corrupt % len(coins)
         nan_weight = up_weight.copy()
         nan_weight[i] = math.nan
         with pytest.raises(ValueError):
@@ -264,43 +267,37 @@ class TestEntropy:
         a=st.floats(0, 1),
         fraction=st.floats(0, 2).filter(lambda f: abs(f - 1.0) > 1e-3),
         trace=st.floats(1e-3, 1e3),
-        phase=st.floats(0, 2 * math.pi),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matrix_and_vector_form_reject_the_same_inputs(self, a, fraction, trace, phase):
+    def test_rejects_exactly_beyond_cauchy_schwarz(self, a, fraction, trace):
         # |B|^2 = fraction * A(1 - A) + offset: offset 1e-6 sits far past the
         # 1e-9 slack, so fraction below 1 is valid and above 1 is not
         offset = 1e-6 if fraction > 1.0 else 0.0
-        b2 = fraction * a * (1.0 - a) + offset
-        coherence = math.sqrt(b2) * trace * complex(math.cos(phase), math.sin(phase))
-        up_weight = a * trace
-        vector_rejects = matrix_rejects = False
+        coherence_sq = (fraction * a * (1.0 - a) + offset) * trace**2
         try:
-            entropy_bits_vec(np.array([up_weight]), np.array([abs(coherence) ** 2]), trace)
+            entropy_bits_vec(np.array([a * trace]), np.array([coherence_sq]), trace)
         except ValueError:
-            vector_rejects = True
-        try:
-            ReducedCoinMatrix(up_weight, coherence, trace)
-        except ValueError:
-            matrix_rejects = True
-        assert vector_rejects == matrix_rejects == (fraction > 1.0)
+            rejects = True
+        else:
+            rejects = False
+        assert rejects == (fraction > 1.0)
 
     def test_invariant_under_global_phase_and_translation(self):
         state = build_initial_state(QubitParams(1.1, 0.7), InitialStateSpec.gaussian(2.0, 8))
         plan = EvolutionPlan(CoinSpec.hadamard(), 6)
         state = evolve(prepared(state, plan), plan)
-        base = entanglement_entropy(reduced_coin(state)).entropy
+        base = entanglement_entropy(state)
 
         phased = WalkState(
             state.window, state.up * np.exp(0.3j), state.down * np.exp(0.3j), state.t
         )
-        assert entanglement_entropy(reduced_coin(phased)).entropy == pytest.approx(
+        assert entanglement_entropy(phased) == pytest.approx(
             base, abs=1e-13
         )
 
         shifted_window = LatticeWindow(state.window.j_min + 17, state.window.j_max + 17)
         shifted = WalkState(shifted_window, state.up.copy(), state.down.copy(), state.t)
-        assert entanglement_entropy(reduced_coin(shifted)).entropy == pytest.approx(
+        assert entanglement_entropy(shifted) == pytest.approx(
             base, abs=1e-13
         )
 
@@ -311,7 +308,7 @@ class TestEntropy:
     @settings(max_examples=60, deadline=None)
     def test_separable_states_have_zero_entropy(self, alpha, beta):
         state = build_initial_state(QubitParams(alpha, beta), InitialStateSpec.gaussian(1.5, 9))
-        assert entanglement_entropy(reduced_coin(state)).entropy <= 1e-12
+        assert entanglement_entropy(state) <= 1e-12
 
 
 class TestPeaks:

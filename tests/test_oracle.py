@@ -115,6 +115,9 @@ def test_validation_errors():
     state = WalkState.zero(LatticeWindow(-4, 3))
     with pytest.raises(ValueError):
         ring_evolve(state, CoinSpec.hadamard(), -1)
+    with pytest.raises(ValueError, match="integer"):
+        ring_evolve(state, CoinSpec.hadamard(), 2.5)
+    assert ring_evolve(state, CoinSpec.hadamard(), np.int64(2)).t == 2
     for outside in (-5, 4):
         with pytest.raises(ValueError, match="outside ring"):
             ring_evolve(state, CoinSpec.not_defect(outside), 1)
