@@ -110,6 +110,17 @@ class TestMeanAndDispersion:
         mirrored = PositionDistribution(window, p[::-1], np.zeros_like(p))
         assert dispersion(d) == pytest.approx(dispersion(mirrored), abs=1e-12)
 
+    def test_symmetric_pair_dispersion(self):
+        d = dist_from({-1: 0.5, 1: 0.5}, LatticeWindow(-2, 2))
+        assert dispersion(d) == pytest.approx(1.0, abs=1e-15)
+
+    def test_translation_invariance(self):
+        rng = np.random.default_rng(11)
+        p = rng.random(11)
+        d = PositionDistribution(LatticeWindow(-5, 5), p, np.zeros_like(p))
+        far = PositionDistribution(LatticeWindow(2995, 3005), p, np.zeros_like(p))
+        assert dispersion(far) == pytest.approx(dispersion(d), abs=1e-12)
+
     def test_zero_probability_rejected(self):
         empty = PositionDistribution(LatticeWindow(0, 2), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
@@ -141,6 +152,21 @@ class TestReducedCoin:
             up_weight, down_weight, coherence = _coin_sums(state.up, state.down)
             a, b = up_weight, abs(coherence) ** 2
             assert b == pytest.approx(a * (up_weight + down_weight - a), abs=1e-14)
+
+    def test_matrix_layout(self):
+        # row 0 is spin up, and the off-diagonal entry is sum a conj(b), not its conjugate
+        up_weight, down_weight, coherence = _coin_sums(
+            np.array([[0.6, 0.0], [0.5, 0.5j]]), np.array([[0.8j, 0.0], [0.5, 0.5]])
+        )
+        assert np.allclose(up_weight, [0.36, 0.5], rtol=0, atol=1e-15)
+        assert np.allclose(down_weight, [0.64, 0.5], rtol=0, atol=1e-15)
+        assert np.allclose(coherence, [-0.48j, 0.25 + 0.25j], rtol=0, atol=1e-15)
+
+    def test_nonpositive_trace_rejected(self):
+        # a NaN amplitude gives a NaN trace, which is not positive either
+        for up, down in [([0.0], [0.0]), ([math.nan], [0.0]), ([0.6], [0.8 * math.nan])]:
+            with pytest.raises(ValueError, match="trace must be positive"):
+                entanglement_entropy(state_from(up, down))
 
     def test_zero_state_rejected_without_a_warning(self):
         # RuntimeWarnings are errors in this suite, so the 0/0 moments must stay quiet
@@ -234,7 +260,7 @@ class TestEntropy:
         corrupt=st.integers(0, 7),
     )
     @settings(max_examples=200, deadline=None)
-    def test_vector_form_matches_state_form(self, coins, corrupt):
+    def test_vector_form_matches_scalar_form(self, coins, corrupt):
         # a two-site state per coin matrix tr (1 + r n.sigma) / 2: its eigenvectors,
         # weighted by the square roots of its eigenvalues, one per site
         up = np.empty((len(coins), 2), dtype=np.complex128)
