@@ -6,7 +6,8 @@ without the reflecting defect, and the envelope-width sweep); a preset
 fixes every physics field, so combining it with physics flags is an
 error.  A preset is a table of flag lists (``PRESETS``): each sub-run is
 built and validated by ``parse_config`` like any command line.  All
-numeric output is CSV with floats printed to 17 significant digits,
+numeric output is CSV written by ``_write_csv``, the one place the number
+format lives: integers as they are, floats to 17 significant digits,
 which round-trips double precision exactly.
 """
 
@@ -20,13 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .core import (
-    DEFAULT_TRUNCATION_RADIUS,
-    CoinSpec,
-    InitialStateSpec,
-    QubitParams,
-    check_site_count,
-)
+import numpy as np
+
+from .core import DEFAULT_TRUNCATION_RADIUS, CoinSpec, InitialStateSpec, QubitParams
 from .ensemble import (
     EnsembleResult,
     WalkRecord,
@@ -226,8 +223,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
             initial = InitialStateSpec.local()
         coin = CoinSpec.not_defect(ns.defect_site) if defect else CoinSpec.hadamard()
         plan = EvolutionPlan(coin, steps, record_every)
-        window = reachable_window(initial.support(), coin, steps)
-        check_site_count(window.size, f"a {steps}-step walk reaches")
+        reachable_window(initial.support(), coin, steps)  # capped at MAX_SITES
         times = plan.record_times()
         fit_dispersion_slope(times, times, fit_window)  # the fit's own rule
         if mode == "single":
@@ -319,8 +315,7 @@ def execute(config: RunConfig) -> SingleRunOutput | EnsembleResult:
     return run_ensemble(grid, config.initial, plan, fit_window=config.fit_window)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_SUMMARY_HEADER = "slope,final_entropy,qubit_count,norm_deficit"
 
 
 def emit_results(
@@ -335,58 +330,43 @@ def emit_results(
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     if isinstance(result, SingleRunOutput):
         record = result.record
-        dist = record.final_distribution()
-        final_t = int(record.times[-1])
-        series_header = "t,sigma,entropy,norm"
-        series_rows = (
-            f"{t},{_fmt(s)},{_fmt(e)},{_fmt(n)}"
-            for t, s, e, n in zip(record.times, record.sigma, record.entropy, record.norm)
-        )
-        slope = result.slope
-        final_entropy = float(record.entropy[-1])
-        qubit_count = 1
-        norm_deficit = result.norm_deficit
+        dist, times = record.final_distribution(), record.times
+        series = ("t,sigma,entropy,norm", times, record.sigma, record.entropy, record.norm)
     else:
-        dist = result.mean_distribution
-        final_t = int(result.times[-1])
-        series_header = "t,mean_sigma,mean_entropy"
-        series_rows = (
-            f"{t},{_fmt(s)},{_fmt(e)}"
-            for t, s, e in zip(result.times, result.mean_dispersion, result.mean_entropy)
-        )
-        slope = result.slope
-        final_entropy = float(result.mean_entropy[-1])
-        qubit_count = result.qubit_count
-        norm_deficit = result.norm_deficit
-
-    dist_path = output_dir / f"distribution_t{final_t}.csv"
-    rows = [
-        f"{j},{_fmt(pu)},{_fmt(pd)},{_fmt(pt)}"
-        for j, pu, pd, pt in zip(dist.sites(), dist.p_up, dist.p_down, dist.p_total)
+        dist, times = result.mean_distribution, result.times
+        series = ("t,mean_sigma,mean_entropy", times, result.mean_dispersion, result.mean_entropy)
+    written = [
+        output_dir / f"distribution_t{int(times[-1])}.csv",
+        output_dir / "timeseries.csv",
+        output_dir / "summary.csv",
     ]
-    _write_csv(dist_path, "j,p_up,p_down,p_total", rows)
-    written.append(dist_path)
-
-    series_path = output_dir / "timeseries.csv"
-    _write_csv(series_path, series_header, series_rows)
-    written.append(series_path)
-
-    summary_path = output_dir / "summary.csv"
-    summary_row = f"{_fmt(slope)},{_fmt(final_entropy)},{qubit_count},{_fmt(norm_deficit)}"
-    _write_csv(summary_path, "slope,final_entropy,qubit_count,norm_deficit", [summary_row])
-    written.append(summary_path)
+    _write_csv(written[0], "j,p_up,p_down,p_total", dist.sites(), dist.p_up, dist.p_down, dist.p_total)
+    _write_csv(written[1], *series)
+    _write_csv(written[2], _SUMMARY_HEADER, *([value] for value in _summary(result)))
     return written
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _summary(result: SingleRunOutput | EnsembleResult) -> tuple:
+    """The values of ``_SUMMARY_HEADER`` for one run."""
+    if isinstance(result, SingleRunOutput):
+        return result.slope, result.record.entropy[-1], 1, result.norm_deficit
+    return result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write equal-length ``columns`` under ``header``, the one CSV number format.
+
+    Each column's format is picked once, by dtype: integers as they are,
+    floats to 17 significant digits, which round-trips double precision
+    exactly.  Rows are formatted and written one at a time.
+    """
+    columns = [np.asarray(column) for column in columns]
+    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in columns) + "\n"
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.writelines(row.format(*cells) for cells in zip(*(c.tolist() for c in columns)))
 
 
 def _write_manifest(config: RunConfig | PresetConfig, output_dir: Path) -> Path:
@@ -407,27 +387,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _write_manifest(config, config.output_dir)
-        sigma_summary: list[tuple[int, EnsembleResult]] = []
+        sigma_summary = []  # fig3: sigma0, then the run's summary values
         for label, run in expand_runs(config):
             result = execute(run)
             run_dir = run.output_dir
             emit_results(result, run_dir)
             if label:
                 _write_manifest(run, run_dir)
-            if config.preset == "fig3" and isinstance(result, EnsembleResult):
+            if config.preset == "fig3":
                 sigma0 = 0 if run.initial.sigma0 is None else int(run.initial.sigma0)
-                sigma_summary.append((sigma0, result))
+                sigma_summary.append((sigma0, *_summary(result)))
             print(f"{label or 'run'}: wrote results to {run_dir}", flush=True)
         if sigma_summary:
-            rows = [
-                f"{sigma0},{_fmt(res.slope)},{_fmt(float(res.mean_entropy[-1]))},"
-                f"{res.qubit_count},{_fmt(res.norm_deficit)}"
-                for sigma0, res in sigma_summary
-            ]
             _write_csv(
                 config.output_dir / "fig3_summary.csv",
-                "sigma0,slope,final_entropy,qubit_count,norm_deficit",
-                rows,
+                "sigma0," + _SUMMARY_HEADER,
+                *zip(*sigma_summary),
             )
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

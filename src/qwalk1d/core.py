@@ -22,8 +22,6 @@ import numpy as np
 
 __all__ = [
     "SQRT1_2",
-    "MAX_SITES",
-    "DEFAULT_TRUNCATION_RADIUS",
     "HADAMARD_MATRIX",
     "NOT_MATRIX",
     "QubitParams",
@@ -34,7 +32,6 @@ __all__ = [
     "coin_matrix",
     "gaussian_envelope",
     "build_initial_state",
-    "check_site_count",
 ]
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -79,12 +76,20 @@ class QubitParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("Bloch angles must be finite")
-        if not 0.0 <= self.alpha <= math.pi:
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
-        if not 0.0 <= self.beta <= 2.0 * math.pi:
-            raise ValueError(f"beta must lie in [0, 2*pi], got {self.beta}")
+        _check_bloch_angles(np.array([self.alpha]), np.array([self.beta]))
+
+
+def _check_bloch_angles(alphas: np.ndarray, betas: np.ndarray) -> None:
+    """Raise ValueError unless all angles are finite, alphas in [0, pi] and betas in [0, 2*pi]."""
+    if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
+        raise ValueError("Bloch angles must be finite")
+    for name, values, bound, text in (
+        ("alpha", alphas, math.pi, "pi"),
+        ("beta", betas, 2.0 * math.pi, "2*pi"),
+    ):
+        outside = (values < 0.0) | (values > bound)
+        if outside.any():
+            raise ValueError(f"{name} must lie in [0, {text}], got {values[outside][0]}")
 
 
 @dataclass(frozen=True, order=True)
@@ -282,9 +287,6 @@ class WalkState:
         n = window.size
         return cls(window, np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128), t)
 
-    def sites(self) -> np.ndarray:
-        return self.window.sites()
-
     def support(self) -> tuple[int, int] | None:
         """Site range of nonzero amplitude, or None for the zero state."""
         occupied = np.flatnonzero((self.up != 0) | (self.down != 0))
@@ -294,9 +296,6 @@ class WalkState:
             int(self.window.j_min + occupied[0]),
             int(self.window.j_min + occupied[-1]),
         )
-
-    def copy(self) -> "WalkState":
-        return WalkState(self.window, self.up.copy(), self.down.copy(), self.t)
 
     def embedded(self, window: LatticeWindow) -> "WalkState":
         """Same amplitudes inside a larger window (zero padding)."""

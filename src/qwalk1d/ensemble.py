@@ -33,6 +33,7 @@ from .core import (
     LatticeWindow,
     QubitParams,
     WalkState,
+    _check_bloch_angles,
     _coefficients,
     _product_states,
     build_initial_state,
@@ -55,8 +56,6 @@ __all__ = [
     "run_walk",
     "run_ensemble",
     "fit_dispersion_slope",
-    "default_fit_window",
-    "MAX_QUBITS",
 ]
 
 # Qubits the direct method evolves as one batch, bounding its array sizes; of
@@ -73,11 +72,24 @@ _BYTES_PER_QUBIT = 225
 class QubitGrid:
     """Initial qubits as Bloch angles: qubit ``n`` is ``(alphas[n], betas[n])``.
 
-    Averaging and reduction follow this order.
+    Averaging and reduction follow this order.  Two 1-D arrays of equal
+    length, each angle in the range :class:`QubitParams` requires.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
+
+    def __post_init__(self) -> None:
+        alphas = np.asarray(self.alphas, dtype=np.float64)
+        betas = np.asarray(self.betas, dtype=np.float64)
+        if alphas.ndim != 1 or alphas.shape != betas.shape:
+            raise ValueError(
+                f"a qubit grid needs two 1-D angle arrays of equal length, "
+                f"got shapes {alphas.shape} and {betas.shape}"
+            )
+        _check_bloch_angles(alphas, betas)
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "betas", betas)
 
     def __len__(self) -> int:
         return self.alphas.size
@@ -194,14 +206,16 @@ def run_ensemble(
     """
     if len(grid) == 0:
         raise ValueError("qubit grid is empty")
+    if method not in ("linear", "direct"):
+        raise ValueError(f"unknown ensemble method {method!r}")
+    # every check before any walk: the window cap first, so no record schedule is sized past it
+    window = reachable_window(init.support(), plan.coin, plan.steps)
     if fit_window is None:
         fit_window = default_fit_window(plan.steps)
-    if method == "linear":
-        times, mean_sigma, mean_entropy, mean_dist = _run_linear(grid, init, plan)
-    elif method == "direct":
-        times, mean_sigma, mean_entropy, mean_dist = _run_direct(grid, init, plan)
-    else:
-        raise ValueError(f"unknown ensemble method {method!r}")
+    times = plan.record_times()
+    fit_dispersion_slope(times, times, fit_window)  # the fit's own rule
+    run = _run_linear if method == "linear" else _run_direct
+    times, mean_sigma, mean_entropy, mean_dist = run(grid, init, plan, window)
     slope = fit_dispersion_slope(times, mean_sigma, fit_window)
     return EnsembleResult(
         times=times,
@@ -214,13 +228,14 @@ def run_ensemble(
     )
 
 
-def _run_linear(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
+def _run_linear(
+    grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow
+):
     c, s = _coefficients(grid.alphas, grid.betas)
     # weights of the up-basis walk, the down-basis walk and their cross term
     w_uu, w_dd, w_ud = w = (c * c, (s * s.conj()).real, c * s.conj())
     cs = c * s
 
-    window = reachable_window(init.support(), plan.coin, plan.steps)
     sites = window.sites().astype(np.float64)
     sites_sq = sites * sites
 
@@ -268,9 +283,10 @@ def _form(w, uu, dd, ud):
     return w_uu * uu + w_dd * dd + 2.0 * (w_ud * ud).real
 
 
-def _run_direct(grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan):
+def _run_direct(
+    grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow
+):
     c, s = _coefficients(grid.alphas, grid.betas)
-    window = reachable_window(init.support(), plan.coin, plan.steps)
     times = plan.record_times()
     series_sum = np.zeros((2, times.size))  # sigma, entropy
     p_sum = np.zeros((2, window.size))  # p_up, p_down

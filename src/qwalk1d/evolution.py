@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT1_2, CoinSpec, LatticeWindow, WalkState
+from .core import SQRT1_2, CoinSpec, LatticeWindow, WalkState, check_site_count
 
 __all__ = [
     "WindowOverflowError",
@@ -78,6 +78,8 @@ def reachable_window(
     The light cone grows one site per step on each side.  A NOT defect is a
     perfect chiral mirror, so amplitude starting strictly on one side of it
     never crosses: the window is clipped at a defect outside the support.
+    A window above :data:`~qwalk1d.core.MAX_SITES` sites raises ValueError,
+    so every run that sizes its window here fails before it allocates.
     """
     lo, hi = support
     if lo > hi:
@@ -90,7 +92,9 @@ def reachable_window(
             j_min = max(j_min, r)
         if r > hi:
             j_max = min(j_max, r)
-    return LatticeWindow(j_min, j_max)
+    window = LatticeWindow(j_min, j_max)
+    check_site_count(window.size, f"a {steps}-step walk reaches")
+    return window
 
 
 def prepared(state: WalkState, plan: EvolutionPlan) -> WalkState:

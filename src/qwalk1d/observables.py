@@ -113,13 +113,13 @@ def _xlog2_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_observables(up, down, sites, work=(None,) * 4):
+def _row_observables(up, down, sites, work):
     """Norm, dispersion, ``sum|a|^2``, ``sum|b|^2`` and ``sum a conj(b)`` of each row.
 
     The one set of formulas for single walks and ``direct`` batches; on one state its
     halves are :func:`dispersion` and :func:`entanglement_entropy`.  A row's numbers
-    come from that row alone, bit for bit.  A stepping loop passes
-    ``work``, three real and one complex array of the amplitudes' shape, to reuse.
+    come from that row alone, bit for bit.  ``work`` is three real and one complex
+    array of the amplitudes' shape, reused across a stepping loop.
     """
     p_total, p_down, tmp, conj = work
     p_total = np.add(np.square(up.real, out=p_total), np.square(up.imag, out=tmp), out=p_total)

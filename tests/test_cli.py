@@ -7,14 +7,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qwalk1d import CoinSpec, InitialStateSpec
+from qwalk1d import CoinSpec, InitialStateSpec, cli
 from qwalk1d.cli import (
     ConfigError,
     PresetConfig,
     RunConfig,
     _build_parser,
+    _write_csv,
     canonical_argv,
     emit_results,
     execute,
@@ -270,6 +272,25 @@ class TestEmission:
         ]
         assert any(len(m) >= 16 for m in mantissas)
 
+    def test_csv_writer_golden_text(self, tmp_path):
+        path = tmp_path / "golden.csv"
+        _write_csv(
+            path,
+            "j,n,x",
+            np.arange(-2, 4, dtype=np.int64),
+            [0, 1, 2, 3, 4, 2**40],
+            [0.1, 1 / 3, -0.0, 5e-324, 1e300, 1.0],
+        )
+        assert path.read_bytes() == (
+            b"j,n,x\n"
+            b"-2,0,0.10000000000000001\n"
+            b"-1,1,0.33333333333333331\n"
+            b"0,2,-0\n"
+            b"1,3,4.9406564584124654e-324\n"
+            b"2,4,1.0000000000000001e+300\n"
+            b"3,1099511627776,1\n"
+        )
+
 
 class TestMain:
     def test_single_run_writes_files(self, tmp_path, capsys):
@@ -372,6 +393,20 @@ class TestMain:
             assert len(rows) == 3001
             _, srows = read_csv(out / label / "summary.csv")
             assert int(srows[0][2]) == 2016
+
+    def test_fig3_summary_rows_are_subrun_summaries(self, tmp_path, monkeypatch):
+        short = ["--steps", "60", "--fit-start", "10", "--fit-end", "60",
+                 "--alpha-step", "0.5", "--beta-step", "0.5"]
+        subruns = [(label, [*flags, *short]) for label, flags in cli.PRESETS["fig3"]]
+        monkeypatch.setitem(cli.PRESETS, "fig3", subruns)
+        out = tmp_path / "fig3"
+        assert main(["--preset", "fig3", "--output-dir", str(out)]) == 0
+        lines = (out / "fig3_summary.csv").read_text().splitlines()
+        assert lines[0] == "sigma0,slope,final_entropy,qubit_count,norm_deficit"
+        assert len(lines) == 1 + len(subruns)
+        for line, (label, _) in zip(lines[1:], subruns):
+            summary = (out / label / "summary.csv").read_text().splitlines()
+            assert line == label.removeprefix("sigma0_") + "," + summary[1]
 
     @pytest.mark.slow
     def test_preset_fig3_summary_sweep(self, tmp_path):

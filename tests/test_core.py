@@ -18,6 +18,7 @@ from qwalk1d import (
     CoinSpec,
     InitialStateSpec,
     LatticeWindow,
+    QubitGrid,
     QubitParams,
     WalkState,
     build_initial_state,
@@ -46,8 +47,11 @@ class TestQubitParams:
                                             (0.0, -0.1), (0.0, 2 * math.pi + 1e-9),
                                             (math.nan, 0.0), (0.0, math.inf)])
     def test_out_of_range_rejected(self, alpha, beta):
-        with pytest.raises(ValueError):
+        """A qubit grid rejects the same angles with the same message."""
+        with pytest.raises(ValueError) as single:
             QubitParams(alpha, beta)
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            QubitGrid(np.array([1.0, alpha]), np.array([1.0, beta]))
 
     def test_amplitudes(self):
         state = build_initial_state(QubitParams(0.75 * math.pi, 0.5), InitialStateSpec.local())

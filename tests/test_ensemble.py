@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk1d.ensemble
 from qwalk1d import (
     CoinSpec,
     EvolutionPlan,
@@ -50,6 +52,13 @@ class TestQubitGrid:
             make_qubit_grid(0.0, 0.1)
         with pytest.raises(ValueError):
             make_qubit_grid(0.1, -1.0)
+
+    @pytest.mark.parametrize(
+        "alphas, betas", [([0.5], [0.0, 1.0, 2.0]), ([[0.5]], [[0.5]]), (0.5, 0.5)]
+    )
+    def test_angle_arrays_must_be_1d_of_equal_length(self, alphas, betas):
+        with pytest.raises(ValueError, match="1-D"):
+            QubitGrid(alphas, betas)
 
     @pytest.mark.parametrize("steps", [(1e-4, 1e-4), (1e-300, 0.1), (0.1, 5e-324)])
     def test_grid_above_cap_rejected_before_it_is_built(self, steps):
@@ -244,6 +253,41 @@ class TestRunEnsemble:
         plan = EvolutionPlan(CoinSpec.hadamard(), 5)
         with pytest.raises(ValueError):
             run_ensemble(empty, InitialStateSpec.local(), plan)
+
+    @pytest.mark.parametrize("method", ["linear", "direct"])
+    def test_fit_window_checked_before_any_walk(self, method, monkeypatch):
+        calls = []
+        real = qwalk1d.ensemble.recorded_steps
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qwalk1d.ensemble, "recorded_steps", spy)
+        plan = EvolutionPlan(CoinSpec.hadamard(), 1000)
+        with pytest.raises(ValueError, match="fit window"):
+            run_ensemble(
+                make_qubit_grid(0.1, 0.1), InitialStateSpec.local(), plan,
+                fit_window=(0, 5000), method=method,
+            )
+        assert calls == []
+
+
+@pytest.mark.parametrize("method", ["run_walk", "linear", "direct"])
+def test_light_cone_above_max_sites_rejected_before_allocating(method):
+    plan = EvolutionPlan(CoinSpec(), 10**8)  # 2e8 + 1 sites: 3.2 GB of amplitudes per walk
+    grid = QubitGrid(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_SITES"):
+            if method == "run_walk":
+                run_walk(QubitParams(0.5, 0.5), InitialStateSpec.local(), plan)
+            else:
+                run_ensemble(grid, InitialStateSpec.local(), plan, method=method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class TestFitSlope:

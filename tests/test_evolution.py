@@ -81,7 +81,7 @@ def test_light_cone_zeros_are_exact():
     coin = CoinSpec.hadamard()
     for t in range(1, steps + 1):
         state = step(state, coin)
-        sites = state.sites()
+        sites = state.window.sites()
         outside = np.abs(sites) > t
         assert np.all(state.up[outside] == 0.0)
         assert np.all(state.down[outside] == 0.0)
@@ -109,6 +109,21 @@ def test_overflow_is_fatal_not_clipped():
 def test_reachable_window_hadamard():
     assert reachable_window((0, 0), CoinSpec.hadamard(), 10) == LatticeWindow(-10, 10)
     assert reachable_window((-3, 5), CoinSpec.hadamard(), 2) == LatticeWindow(-5, 7)
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        lambda plan: reachable_window((0, 0), plan.coin, plan.steps),
+        lambda plan: prepared(spin_up_local(LatticeWindow(0, 0)), plan),
+        lambda plan: evolve(spin_up_local(LatticeWindow(0, 0)), plan),
+    ],
+    ids=["reachable_window", "prepared", "evolve"],
+)
+def test_light_cone_above_max_sites_rejected(size):
+    # 2e8 + 1 sites: sized before any amplitude array is
+    with pytest.raises(ValueError, match="MAX_SITES"):
+        size(EvolutionPlan(CoinSpec(), 10**8))
 
 
 def test_reachable_window_clips_at_defect():
@@ -197,7 +212,7 @@ def test_evolve_single_step_matches_step():
     state = prepared(
         build_initial_state(QubitParams(0.7, 0.2), InitialStateSpec.local()), plan
     )
-    via_evolve = evolve(state.copy(), plan)
+    via_evolve = evolve(state, plan)
     via_step = step(state, plan.coin)
     assert np.array_equal(via_evolve.up, via_step.up)
     assert np.array_equal(via_evolve.down, via_step.down)
