@@ -34,6 +34,7 @@ from .ensemble import (
     run_walk,
 )
 from .evolution import EvolutionPlan, reachable_window
+from .observables import distribution
 
 __all__ = [
     "ConfigError",
@@ -332,7 +333,7 @@ def emit_results(
     output_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, SingleRunOutput):
         record = result.record
-        dist, times = record.final_distribution(), record.times
+        dist, times = distribution(record.final_state), record.times
         series = ("t,sigma,entropy,norm", times, record.sigma, record.entropy, record.norm)
     else:
         dist, times = result.mean_distribution, result.times
@@ -342,7 +343,7 @@ def emit_results(
         output_dir / "timeseries.csv",
         output_dir / "summary.csv",
     ]
-    _write_csv(written[0], "j,p_up,p_down,p_total", dist.sites(), dist.p_up, dist.p_down, dist.p_total)
+    _write_csv(written[0], "j,p_up,p_down,p_total", dist.window.sites(), dist.p_up, dist.p_down, dist.p_total)
     _write_csv(written[1], *series)
     _write_csv(written[2], _SUMMARY_HEADER, *([value] for value in _summary(result)))
     return written

@@ -15,7 +15,6 @@ envelope is its optional width ``sigma0``.  One builder,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +49,20 @@ DEFAULT_TRUNCATION_RADIUS = 100
 # An unrenormalized envelope may exceed unit squared norm by lattice aliasing,
 # about 2 exp(-2 pi^2 sigma0^2): 5.4e-9 at sigma0 = 1, past this near sigma0 = 0.86.
 _NORM_EXCESS_LIMIT = 1e-6
+
+
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int: the one integer rule of the package.
+
+    A bool, a float or any other non-integer raises ValueError (numpy
+    integers pass), as does a value below ``minimum`` when one is given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def check_site_count(sites: int, what: str) -> None:
@@ -100,9 +113,8 @@ class LatticeWindow:
     j_max: int
 
     def __post_init__(self) -> None:
-        for bound in (self.j_min, self.j_max):
-            if not isinstance(bound, (int, np.integer)):
-                raise ValueError(f"window bounds must be integer sites, got {bound}")
+        for name in ("j_min", "j_max"):
+            object.__setattr__(self, name, _integer(getattr(self, name), f"window bound {name}"))
         if self.j_min > self.j_max:
             raise ValueError(f"empty window: j_min={self.j_min} > j_max={self.j_max}")
 
@@ -138,8 +150,8 @@ class CoinSpec:
     defect_site: int | None = None
 
     def __post_init__(self) -> None:
-        if self.defect_site is not None and not isinstance(self.defect_site, (int, np.integer)):
-            raise ValueError("defect site must be an integer lattice site")
+        if self.defect_site is not None:
+            object.__setattr__(self, "defect_site", _integer(self.defect_site, "defect site"))
 
     @classmethod
     def hadamard(cls) -> "CoinSpec":
@@ -147,7 +159,7 @@ class CoinSpec:
 
     @classmethod
     def not_defect(cls, site: int) -> "CoinSpec":
-        return cls(operator.index(site))
+        return cls(site)
 
 
 def coin_matrix(spec: CoinSpec, j: int) -> np.ndarray:
@@ -187,11 +199,8 @@ class InitialStateSpec:
             return
         if not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")
-        if not isinstance(self.truncation_radius, (int, np.integer)) or self.truncation_radius < 1:
-            raise ValueError(
-                "Gaussian shape requires an integer truncation_radius >= 1, "
-                f"got {self.truncation_radius}"
-            )
+        radius = _integer(self.truncation_radius, "truncation_radius", 1)
+        object.__setattr__(self, "truncation_radius", radius)
         check_site_count(2 * self.truncation_radius + 1, "the Gaussian envelope spans")
         # sigma0 far from the lattice scale overflows the samples or underflows all to zero
         try:
@@ -218,8 +227,7 @@ class InitialStateSpec:
         truncation_radius: int = DEFAULT_TRUNCATION_RADIUS,
         renormalize: bool = False,
     ) -> "InitialStateSpec":
-        radius = operator.index(truncation_radius)  # an integer, not a rounded float
-        return cls(float(sigma0), radius, renormalize)
+        return cls(float(sigma0), truncation_radius, renormalize)
 
     def support(self) -> tuple[int, int]:
         """Smallest site range carrying nonzero envelope weight."""
@@ -279,8 +287,7 @@ class WalkState:
                 f"amplitude arrays must have shape ({self.window.size},), "
                 f"got {self.up.shape} and {self.down.shape}"
             )
-        if not isinstance(self.t, (int, np.integer)) or self.t < 0:
-            raise ValueError(f"time step must be a non-negative integer, got {self.t}")
+        self.t = _integer(self.t, "time step t", 0)
 
     @classmethod
     def zero(cls, window: LatticeWindow, t: int = 0) -> "WalkState":

@@ -39,14 +39,7 @@ from .core import (
     build_initial_state,
 )
 from .evolution import EvolutionPlan, prepared, reachable_window, recorded_steps
-from .observables import (
-    PositionDistribution,
-    _abs_sq,
-    _prob,
-    _row_observables,
-    distribution,
-    entropy_bits_vec,
-)
+from .observables import PositionDistribution, _prob, _row_observables, entropy_bits_vec
 
 __all__ = [
     "QubitGrid",
@@ -137,9 +130,6 @@ class WalkRecord:
     norm: np.ndarray
     final_state: WalkState
 
-    def final_distribution(self) -> PositionDistribution:
-        return distribution(self.final_state)
-
 
 def run_walk(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) -> WalkRecord:
     """One walk's sigma, entropy and norm series: one row of ``direct``, on its own window."""
@@ -162,7 +152,7 @@ def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: 
     for slot, (up, down) in enumerate(recorded_steps(up, down, plan, window)):
         sums[:, slot] = _row_observables(up, down, sites, work)
     norm, sigma, up_weight, down_weight = sums[:4].real
-    entropy = entropy_bits_vec(up_weight, _abs_sq(sums[4]), up_weight + down_weight)
+    entropy = entropy_bits_vec(up_weight, _prob(sums[4]), up_weight + down_weight)
     return sigma, entropy, norm, up, down
 
 

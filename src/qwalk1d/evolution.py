@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT1_2, CoinSpec, LatticeWindow, WalkState, check_site_count
+from .core import SQRT1_2, CoinSpec, LatticeWindow, WalkState, _integer, check_site_count
 
 __all__ = [
     "WindowOverflowError",
@@ -56,9 +56,8 @@ class EvolutionPlan:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        for name, value in (("steps", self.steps), ("record_every", self.record_every)):
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        for name in ("steps", "record_every"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
 
     def record_times(self) -> np.ndarray:
         """Record times: 0, every ``record_every`` steps, and the last step."""
@@ -179,19 +178,16 @@ def recorded_steps(
 def evolve(state: WalkState, plan: EvolutionPlan) -> WalkState:
     """Advance ``state`` by ``plan.steps`` steps; the input is left untouched.
 
-    The window must already be sized for the full run (see
-    :func:`prepared`); otherwise the walk fails fast instead of dying
-    mid-run.
+    The window must already be sized for the full run: when :func:`prepared`
+    would widen it, the walk fails fast instead of dying mid-run.
     """
-    support = state.support()
-    if support is not None:
-        needed = reachable_window(support, plan.coin, plan.steps)
-        if not state.window.contains(needed):
-            raise WindowOverflowError(
-                f"window [{state.window.j_min}, {state.window.j_max}] cannot hold "
-                f"the light cone [{needed.j_min}, {needed.j_max}] of a "
-                f"{plan.steps}-step run"
-            )
+    wider = prepared(state, plan)
+    if wider is not state:
+        raise WindowOverflowError(
+            f"window [{state.window.j_min}, {state.window.j_max}] cannot hold the light "
+            f"cone of a {plan.steps}-step run, which needs "
+            f"[{wider.window.j_min}, {wider.window.j_max}]"
+        )
     up, down = state.up.copy(), state.down.copy()
     for up, down in recorded_steps(up, down, plan, state.window):
         pass

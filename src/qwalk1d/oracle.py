@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CoinSpec, LatticeWindow, WalkState, coin_matrix
+from .core import CoinSpec, LatticeWindow, WalkState, _integer, coin_matrix
 
 __all__ = ["ring_evolve", "ring_matrix"]
 
@@ -43,8 +43,7 @@ def _ring_step(psi: np.ndarray, coins: np.ndarray) -> np.ndarray:
 
 def ring_evolve(state: WalkState, coin: CoinSpec, steps: int) -> WalkState:
     """``state`` after ``steps`` steps on the ring ``state.window`` (a new state)."""
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps}")
+    steps = _integer(steps, "steps", 0)
     coins = _ring_coins(state.window, coin)
     psi = np.stack([state.up, state.down])
     for _ in range(steps):

@@ -98,7 +98,7 @@ class TestCoin:
         assert CoinSpec(3) == CoinSpec.not_defect(3)
 
     def test_factory_takes_only_integer_sites(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             CoinSpec.not_defect(-101.7)
         with pytest.raises(ValueError):
             CoinSpec(defect_site=-101.7)
@@ -133,9 +133,9 @@ class TestInitialStateSpec:
             InitialStateSpec(renormalize=True)
 
     def test_truncation_radius_must_be_an_integer(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             InitialStateSpec.gaussian(2.0, 6.9)
-        with pytest.raises(ValueError, match="integer truncation_radius"):
+        with pytest.raises(ValueError, match="truncation_radius must be an integer >= 1"):
             InitialStateSpec(2.0, 6.9)
         radius = InitialStateSpec.gaussian(2.0, np.int64(7)).truncation_radius
         assert radius == 7 and type(radius) is int
@@ -277,7 +277,7 @@ class TestWalkState:
     def test_time_must_be_a_non_negative_integer(self):
         window = LatticeWindow(-2, 2)
         for t in (1.5, 2.0, -1):
-            with pytest.raises(ValueError, match="non-negative integer"):
+            with pytest.raises(ValueError, match="must be an integer >= 0"):
                 WalkState.zero(window, t)
         assert WalkState.zero(window, np.int64(3)).t == 3
 

@@ -155,7 +155,7 @@ class TestRunEnsemble:
         plan = EvolutionPlan(coin, 30)
         res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
         rec = run_walk(QubitParams(alpha, beta), init, plan)
-        final = rec.final_distribution()
+        final = distribution(rec.final_state)
         if method == "direct":  # a single walk is the one-row case of the direct path
             assert np.array_equal(res.mean_entropy, rec.entropy)
             assert np.array_equal(res.mean_dispersion, rec.sigma)

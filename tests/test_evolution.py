@@ -19,6 +19,7 @@ from qwalk1d import (
     prepared,
     reachable_window,
     recorded_steps,
+    ring_evolve,
     run_walk,
     step,
 )
@@ -225,26 +226,49 @@ def test_plan_validation():
         EvolutionPlan(CoinSpec.hadamard(), 5, record_every=0)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: EvolutionPlan(CoinSpec.hadamard(), 2.5),
-        lambda: EvolutionPlan(CoinSpec.hadamard(), 6, record_every=2.5),
-        lambda: LatticeWindow(0.5, 3),
-    ],
-    ids=["steps", "record_every", "window_bound"],
-)
+# every integer input of the package, each given the value under test
+INTEGER_INPUTS = {
+    "steps": lambda v: EvolutionPlan(CoinSpec.hadamard(), v),
+    "record_every": lambda v: EvolutionPlan(CoinSpec.hadamard(), 6, record_every=v),
+    "window_bound": lambda v: LatticeWindow(v, 3),
+    "defect_site": lambda v: CoinSpec(v),
+    "not_defect": lambda v: CoinSpec.not_defect(v),
+    "truncation_radius": lambda v: InitialStateSpec(2.0, v),
+    "gaussian_radius": lambda v: InitialStateSpec.gaussian(2.0, v),
+    "walk_time": lambda v: WalkState.zero(LatticeWindow(-4, 4), v),
+    "ring_steps": lambda v: ring_evolve(WalkState.zero(LatticeWindow(-4, 4)), CoinSpec.hadamard(), v),
+}
+
+
+@pytest.mark.parametrize("build", INTEGER_INPUTS.values(), ids=INTEGER_INPUTS.keys())
 def test_plan_and_window_take_only_integers(build):
-    with pytest.raises(ValueError, match="integer"):
-        build()
+    # one rule, one exception type, by every spelling: a bool is not an integer here
+    for value in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            build(value)
 
 
 def test_plan_and_window_accept_numpy_integers():
     plan = EvolutionPlan(CoinSpec.hadamard(), np.int64(5), record_every=np.int32(2))
     assert plan.record_times().tolist() == [0, 2, 4, 5]
-    assert LatticeWindow(np.int64(-2), np.int64(3)).size == 6
+    window = LatticeWindow(np.int64(-2), np.int32(3))
+    assert window.size == 6
     state = WalkState.zero(LatticeWindow(-4, 4), np.int64(1))
     assert evolve(state, EvolutionPlan(CoinSpec.hadamard(), 3)).t == 4
+    stored = {
+        "steps": plan.steps,
+        "record_every": plan.record_every,
+        "j_min": window.j_min,
+        "j_max": window.j_max,
+        "defect_site": CoinSpec(np.int64(-101)).defect_site,
+        "not_defect": CoinSpec.not_defect(np.int32(-101)).defect_site,
+        "truncation_radius": InitialStateSpec(2.0, np.int32(7)).truncation_radius,
+        "gaussian_radius": InitialStateSpec.gaussian(2.0, np.int64(7)).truncation_radius,
+        "walk_time": state.t,
+        "ring_time": ring_evolve(state, CoinSpec.hadamard(), np.int64(2)).t,
+    }
+    assert {name: type(value) for name, value in stored.items()} == dict.fromkeys(stored, int)
+    assert stored["ring_time"] == 3 and stored["gaussian_radius"] == 7
 
 
 @st.composite

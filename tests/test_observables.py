@@ -26,9 +26,9 @@ from qwalk1d import (
 )
 from qwalk1d.core import SQRT1_2
 from qwalk1d.observables import (
-    _abs_sq,
     _coin_eigenvalues,
     _coin_sums,
+    _prob,
     _row_observables,
     entropy_bits_vec,
 )
@@ -273,7 +273,7 @@ class TestEntropy:
             down[i] = plus * s * phase, minus * c
         states = [state_from(u, d) for u, d in zip(up, down)]
         up_weight, down_weight, coherence = _coin_sums(up, down)
-        coherence_sq, trace = _abs_sq(coherence), up_weight + down_weight
+        coherence_sq, trace = _prob(coherence), up_weight + down_weight
         one_by_one = np.array([entanglement_entropy(state) for state in states])
         assert np.array_equal(entropy_bits_vec(up_weight, coherence_sq, trace), one_by_one)
 
