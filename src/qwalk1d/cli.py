@@ -5,10 +5,12 @@ the standard experiments (three reference initial states, with and
 without the reflecting defect, and the envelope-width sweep); a preset
 fixes every physics field, so combining it with physics flags is an
 error.  A preset is a table of flag lists (``PRESETS``): each sub-run is
-built and validated by ``parse_config`` like any command line.  All
-numeric output is CSV written by ``_write_csv``, the one place the number
-format lives: integers as they are, floats to 17 significant digits,
-which round-trips double precision exactly.
+built and validated by ``parse_config`` like any command line, with the
+library's own pre-run checks (``ensemble.check_run``).  ``execute``
+returns the library's ``WalkRecord`` or ``EnsembleResult``.  All numeric
+output is CSV written by ``_write_csv``, the one place the number format
+lives: integers as they are, floats to 17 significant digits, which
+round-trips double precision exactly.
 """
 
 from __future__ import annotations
@@ -27,20 +29,19 @@ from .core import DEFAULT_TRUNCATION_RADIUS, CoinSpec, InitialStateSpec, QubitPa
 from .ensemble import (
     EnsembleResult,
     WalkRecord,
+    check_run,
     default_fit_window,
-    fit_dispersion_slope,
     make_qubit_grid,
     run_ensemble,
     run_walk,
 )
-from .evolution import EvolutionPlan, reachable_window
+from .evolution import EvolutionPlan
 from .observables import distribution
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "PresetConfig",
-    "SingleRunOutput",
     "parse_config",
     "canonical_argv",
     "expand_runs",
@@ -115,15 +116,6 @@ class PresetConfig:
 
     preset: str
     output_dir: Path
-
-
-@dataclass
-class SingleRunOutput:
-    """One walk's recorded series plus the fitted slope."""
-
-    record: WalkRecord
-    slope: float
-    norm_deficit: float
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,10 +215,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
         else:
             initial = InitialStateSpec.local()
         coin = CoinSpec.not_defect(ns.defect_site) if defect else CoinSpec.hadamard()
-        plan = EvolutionPlan(coin, steps, record_every)
-        reachable_window(initial.support(), coin, steps)  # capped at MAX_SITES
-        times = plan.record_times()
-        fit_dispersion_slope(times, times, fit_window)  # the fit's own rule
+        check_run(initial, EvolutionPlan(coin, steps, record_every), fit_window)
         if mode == "single":
             alpha, beta = _or_default(ns.alpha, DEFAULT_ALPHA), _or_default(ns.beta, DEFAULT_BETA)
             qubit = QubitParams(alpha, beta)
@@ -300,18 +289,11 @@ def expand_runs(config: RunConfig | PresetConfig) -> list[tuple[str, RunConfig]]
     ]
 
 
-def execute(config: RunConfig) -> SingleRunOutput | EnsembleResult:
+def execute(config: RunConfig) -> WalkRecord | EnsembleResult:
     """Run one concrete (non-preset) configuration."""
     plan = EvolutionPlan(config.coin, config.steps, config.record_every)
     if config.mode == "single":
-        assert config.qubit is not None
-        record = run_walk(config.qubit, config.initial, plan)
-        slope = fit_dispersion_slope(record.times, record.sigma, config.fit_window)
-        return SingleRunOutput(
-            record=record,
-            slope=slope,
-            norm_deficit=config.initial.norm_deficit(),
-        )
+        return run_walk(config.qubit, config.initial, plan, fit_window=config.fit_window)
     grid = make_qubit_grid(config.alpha_step, config.beta_step)
     return run_ensemble(grid, config.initial, plan, fit_window=config.fit_window)
 
@@ -320,7 +302,7 @@ _SUMMARY_HEADER = "slope,final_entropy,qubit_count,norm_deficit"
 
 
 def emit_results(
-    result: SingleRunOutput | EnsembleResult,
+    result: WalkRecord | EnsembleResult,
     output_dir: Path,
 ) -> list[Path]:
     """Write distribution, time-series and summary CSV files.
@@ -331,10 +313,9 @@ def emit_results(
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, SingleRunOutput):
-        record = result.record
-        dist, times = distribution(record.final_state), record.times
-        series = ("t,sigma,entropy,norm", times, record.sigma, record.entropy, record.norm)
+    if isinstance(result, WalkRecord):
+        dist, times = distribution(result.final_state), result.times
+        series = ("t,sigma,entropy,norm", times, result.sigma, result.entropy, result.norm)
     else:
         dist, times = result.mean_distribution, result.times
         series = ("t,mean_sigma,mean_entropy", times, result.mean_dispersion, result.mean_entropy)
@@ -349,10 +330,10 @@ def emit_results(
     return written
 
 
-def _summary(result: SingleRunOutput | EnsembleResult) -> tuple:
+def _summary(result: WalkRecord | EnsembleResult) -> tuple:
     """The values of ``_SUMMARY_HEADER`` for one run."""
-    if isinstance(result, SingleRunOutput):
-        return result.slope, result.record.entropy[-1], 1, result.norm_deficit
+    if isinstance(result, WalkRecord):
+        return result.slope, result.entropy[-1], 1, result.norm_deficit
     return result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit
 
 

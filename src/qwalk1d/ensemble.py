@@ -35,6 +35,7 @@ from .core import (
     WalkState,
     _check_bloch_angles,
     _coefficients,
+    _integer,
     _product_states,
     build_initial_state,
 )
@@ -122,21 +123,29 @@ def _step_multiples(step: float, bound: float) -> np.ndarray:
 
 @dataclass
 class WalkRecord:
-    """Per-step observables of one walk plus its final state."""
+    """Per-step observables of one walk plus its final state, slope and norm deficit."""
 
     times: np.ndarray
     sigma: np.ndarray
     entropy: np.ndarray
     norm: np.ndarray
     final_state: WalkState
+    slope: float
+    norm_deficit: float
 
 
-def run_walk(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) -> WalkRecord:
-    """One walk's sigma, entropy and norm series: one row of ``direct``, on its own window."""
+def run_walk(
+    qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan, *,
+    fit_window: tuple[int, int] | None = None,
+) -> WalkRecord:
+    """One walk's series and slope, checked by :func:`check_run`: one row of ``direct``."""
+    _, fit_window = check_run(init, plan, fit_window)
     start = prepared(build_initial_state(qubit, init), plan)
     sigma, entropy, norm, up, down = _walk_series(start.up, start.down, plan, start.window)
     final = WalkState(start.window, up, down, plan.steps)
-    return WalkRecord(plan.record_times(), sigma, entropy, norm, final)
+    times = plan.record_times()
+    slope = fit_dispersion_slope(times, sigma, fit_window)
+    return WalkRecord(times, sigma, entropy, norm, final, slope, init.norm_deficit())
 
 
 def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow):
@@ -198,12 +207,7 @@ def run_ensemble(
         raise ValueError("qubit grid is empty")
     if method not in ("linear", "direct"):
         raise ValueError(f"unknown ensemble method {method!r}")
-    # every check before any walk: the window cap first, so no record schedule is sized past it
-    window = reachable_window(init.support(), plan.coin, plan.steps)
-    if fit_window is None:
-        fit_window = default_fit_window(plan.steps)
-    times = plan.record_times()
-    fit_dispersion_slope(times, times, fit_window)  # the fit's own rule
+    window, fit_window = check_run(init, plan, fit_window)
     run = _run_linear if method == "linear" else _run_direct
     times, mean_sigma, mean_entropy, mean_dist = run(grid, init, plan, window)
     slope = fit_dispersion_slope(times, mean_sigma, fit_window)
@@ -298,6 +302,20 @@ def default_fit_window(steps: int) -> tuple[int, int]:
     return (max(0, steps - 2000), steps)
 
 
+def check_run(
+    init: InitialStateSpec, plan: EvolutionPlan, fit_window: tuple[int, int] | None = None
+) -> tuple[LatticeWindow, tuple[int, int]]:
+    """A run's window and fit window (by default the last 2000 steps), checked before any walk.
+
+    The light-cone cap comes first, so no record schedule is sized past ``MAX_SITES``.
+    """
+    window = reachable_window(init.support(), plan.coin, plan.steps)
+    start, end = default_fit_window(plan.steps) if fit_window is None else fit_window
+    times = plan.record_times()
+    fit_dispersion_slope(times, times, (start, end))
+    return window, (int(start), int(end))
+
+
 def fit_dispersion_slope(
     times: np.ndarray,
     values: np.ndarray,
@@ -305,14 +323,14 @@ def fit_dispersion_slope(
 ) -> float:
     """Ordinary least-squares slope of ``values`` vs ``times`` in a window.
 
-    ``fit_window`` is inclusive on both ends and must lie within the
-    recorded time range and select at least two distinct times.
+    ``fit_window`` is two integers, inclusive on both ends; it must lie
+    within the recorded time range and select at least two distinct times.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if times.shape != values.shape:
         raise ValueError("times and values must have matching shapes")
-    start, end = fit_window
+    start, end = (_integer(bound, "fit window bound") for bound in fit_window)
     if start > end:
         raise ValueError(f"degenerate fit window [{start}, {end}]")
     if times.size == 0 or start < times.min() or end > times.max():

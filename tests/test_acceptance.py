@@ -33,7 +33,7 @@ from qwalk1d import (
     run_ensemble,
     step,
 )
-from qwalk1d.cli import emit_results, main
+from qwalk1d.cli import emit_results, main, parse_config
 
 DATA_DIR = Path(__file__).parent / "data"
 STEPS = 3000
@@ -85,15 +85,34 @@ def reference_walks():
     }
 
 
+def _csv_columns(path: Path) -> dict[str, np.ndarray]:
+    header, *rows = path.read_text().splitlines()
+    columns = zip(*(map(float, row.split(",")) for row in rows))
+    return dict(zip(header.split(","), map(np.array, columns)))
+
+
 @pytest.fixture(scope="module")
-def full_ensembles():
-    """The six full-size 2016-qubit, 3000-step ensembles."""
-    grid = make_qubit_grid(0.1, 0.1)
-    assert len(grid) == 2016
+def full_ensembles(fig2_preset):
+    """The six full-size 2016-qubit, 3000-step ensembles, read back from ``--preset fig2``.
+
+    Each sub-run's manifest must name this module's initial state, coin and
+    step count.  The CSVs hold 17 significant digits, which round-trip
+    double precision exactly, so the values read are the run's own.
+    """
+    code, root = fig2_preset
+    assert code == 0
     out = {}
     for ilabel, init in INITIAL_STATES.items():
         for clabel, coin in COINS.items():
-            out[(ilabel, clabel)] = run_ensemble(grid, init, EvolutionPlan(coin, STEPS))
+            run_dir = root / f"{ilabel}_{clabel}"
+            config = parse_config(json.loads((run_dir / "manifest.json").read_text())["argv"])
+            assert (config.initial, config.coin, config.steps) == (init, coin, STEPS)
+            summary = _csv_columns(run_dir / "summary.csv")
+            assert summary["qubit_count"].tolist() == [2016]
+            out[(ilabel, clabel)] = SimpleNamespace(
+                mean_entropy=_csv_columns(run_dir / "timeseries.csv")["mean_entropy"],
+                slope=float(summary["slope"][0]),
+            )
     return out
 
 

@@ -384,9 +384,9 @@ class TestMain:
         assert parse_config(top["argv"]).preset == "fig1"
 
     @pytest.mark.slow
-    def test_preset_fig2_writes_six_ensembles(self, tmp_path):
-        out = tmp_path / "fig2"
-        assert main(["--preset", "fig2", "--output-dir", str(out)]) == 0
+    def test_preset_fig2_writes_six_ensembles(self, fig2_preset):
+        code, out = fig2_preset
+        assert code == 0
         for label in PRESET_LABELS["fig2"]:
             header, rows = read_csv(out / label / "timeseries.csv")
             assert header == ["t", "mean_sigma", "mean_entropy"]

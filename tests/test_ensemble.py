@@ -87,12 +87,14 @@ class TestQubitGrid:
 class TestRunWalk:
     def test_record_shapes_and_final_state(self):
         plan = EvolutionPlan(CoinSpec.hadamard(), 20, record_every=4)
-        rec = run_walk(QubitParams(1.0, 0.5), InitialStateSpec.local(), plan)
+        rec = run_walk(QubitParams(1.0, 0.5), InitialStateSpec.local(), plan, fit_window=(4, 16))
         assert list(rec.times) == [0, 4, 8, 12, 16, 20]
         assert rec.sigma.shape == rec.entropy.shape == rec.norm.shape == (6,)
         assert rec.final_state.t == 20
         assert rec.sigma[0] == 0.0
         assert np.abs(rec.norm - 1.0).max() <= 1e-12
+        assert rec.slope == fit_dispersion_slope(rec.times, rec.sigma, (4, 16))
+        assert rec.norm_deficit == 0.0
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_series_match_repeated_step(self, record_every):
@@ -131,7 +133,9 @@ class TestRunWalk:
 
 
 class TestRunEnsemble:
-    # sigma0=10 keeps its whole radius-100 envelope, so run_walk's window is the ensemble's;
+    # run_walk sizes its window from the built state's nonzero support, an ensemble from the
+    # envelope's: sigma0=10 keeps its whole radius-100 envelope, so the windows match, while
+    # sigma0=1 underflows to exact zeros past |j| = 54, so run_walk's window is narrower;
     # qubit (0, 0) has c = 1 and s = 0, the other two mix both spins with a complex phase
     @pytest.mark.parametrize(
         "init, coin, alpha, beta",
@@ -140,6 +144,7 @@ class TestRunEnsemble:
             for init, coin, init_id in (
                 (InitialStateSpec.local(), CoinSpec.hadamard(), "local_hadamard"),
                 (InitialStateSpec.gaussian(10.0), CoinSpec.not_defect(-101), "sigma10_defect"),
+                (InitialStateSpec.gaussian(1.0), CoinSpec.hadamard(), "sigma1_hadamard"),
             )
             for alpha, beta, qubit_id in (
                 (0.0, 0.0, ""),
@@ -154,17 +159,27 @@ class TestRunEnsemble:
         assert len(grid) == 1
         plan = EvolutionPlan(coin, 30)
         res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
-        rec = run_walk(QubitParams(alpha, beta), init, plan)
-        final = distribution(rec.final_state)
-        if method == "direct":  # a single walk is the one-row case of the direct path
+        rec = run_walk(QubitParams(alpha, beta), init, plan, fit_window=(0, 30))
+        final, mean = distribution(rec.final_state), res.mean_distribution
+        assert (final.window == mean.window) == (init.sigma0 != 1.0)
+        lo = mean.window.index(final.window.j_min)
+        shared = slice(lo, lo + final.window.size)
+        outside = np.ones(mean.window.size, dtype=bool)
+        outside[shared] = False
+        assert not mean.p_total[outside].any()
+        assert rec.norm_deficit == res.norm_deficit
+        if method == "direct" and final.window == mean.window:
+            # on one window a single walk is the one-row case of the direct path
             assert np.array_equal(res.mean_entropy, rec.entropy)
             assert np.array_equal(res.mean_dispersion, rec.sigma)
-            assert np.array_equal(res.mean_distribution.p_total, final.p_total)
+            assert np.array_equal(mean.p_total, final.p_total)
+            assert res.slope == rec.slope
         else:
             assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
             assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
-            assert np.abs(res.mean_distribution.p_up - final.p_up).max() <= 1e-12
-            assert np.abs(res.mean_distribution.p_down - final.p_down).max() <= 1e-12
+            assert np.abs(mean.p_up[shared] - final.p_up).max() <= 1e-12
+            assert np.abs(mean.p_down[shared] - final.p_down).max() <= 1e-12
+            assert abs(res.slope - rec.slope) <= 1e-12
 
     def test_linear_matches_brute_force_average(self):
         """Independent re-computation oracle for the two-basis-walk path."""
@@ -254,7 +269,7 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(empty, InitialStateSpec.local(), plan)
 
-    @pytest.mark.parametrize("method", ["linear", "direct"])
+    @pytest.mark.parametrize("method", ["run_walk", "linear", "direct"])
     def test_fit_window_checked_before_any_walk(self, method, monkeypatch):
         calls = []
         real = qwalk1d.ensemble.recorded_steps
@@ -266,10 +281,13 @@ class TestRunEnsemble:
         monkeypatch.setattr(qwalk1d.ensemble, "recorded_steps", spy)
         plan = EvolutionPlan(CoinSpec.hadamard(), 1000)
         with pytest.raises(ValueError, match="fit window"):
-            run_ensemble(
-                make_qubit_grid(0.1, 0.1), InitialStateSpec.local(), plan,
-                fit_window=(0, 5000), method=method,
-            )
+            if method == "run_walk":
+                run_walk(QubitParams(0.5, 0.5), InitialStateSpec.local(), plan, fit_window=(0, 5000))
+            else:
+                run_ensemble(
+                    make_qubit_grid(0.1, 0.1), InitialStateSpec.local(), plan,
+                    fit_window=(0, 5000), method=method,
+                )
         assert calls == []
 
 

@@ -16,13 +16,17 @@ from qwalk1d import (
     build_initial_state,
     distribution,
     evolve,
+    fit_dispersion_slope,
+    make_qubit_grid,
     prepared,
     reachable_window,
     recorded_steps,
     ring_evolve,
+    run_ensemble,
     run_walk,
     step,
 )
+from qwalk1d.ensemble import check_run
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -237,6 +241,16 @@ INTEGER_INPUTS = {
     "gaussian_radius": lambda v: InitialStateSpec.gaussian(2.0, v),
     "walk_time": lambda v: WalkState.zero(LatticeWindow(-4, 4), v),
     "ring_steps": lambda v: ring_evolve(WalkState.zero(LatticeWindow(-4, 4)), CoinSpec.hadamard(), v),
+    "fit_start": lambda v: fit_dispersion_slope(np.arange(7), np.arange(7.0), (v, 6)),
+    "fit_end": lambda v: fit_dispersion_slope(np.arange(7), np.arange(7.0), (0, v)),
+    "walk_fit_window": lambda v: run_walk(
+        QubitParams(1.0, 0.0), InitialStateSpec.local(), EvolutionPlan(CoinSpec.hadamard(), 6),
+        fit_window=(0, v),
+    ),
+    "ensemble_fit_window": lambda v: run_ensemble(
+        make_qubit_grid(1.0, 2.0), InitialStateSpec.local(), EvolutionPlan(CoinSpec.hadamard(), 6),
+        fit_window=(v, 6),
+    ),
 }
 
 
@@ -255,6 +269,7 @@ def test_plan_and_window_accept_numpy_integers():
     assert window.size == 6
     state = WalkState.zero(LatticeWindow(-4, 4), np.int64(1))
     assert evolve(state, EvolutionPlan(CoinSpec.hadamard(), 3)).t == 4
+    _, fit_window = check_run(InitialStateSpec.local(), plan, (np.int64(0), np.int32(5)))
     stored = {
         "steps": plan.steps,
         "record_every": plan.record_every,
@@ -266,6 +281,8 @@ def test_plan_and_window_accept_numpy_integers():
         "gaussian_radius": InitialStateSpec.gaussian(2.0, np.int64(7)).truncation_radius,
         "walk_time": state.t,
         "ring_time": ring_evolve(state, CoinSpec.hadamard(), np.int64(2)).t,
+        "fit_start": fit_window[0],
+        "fit_end": fit_window[1],
     }
     assert {name: type(value) for name, value in stored.items()} == dict.fromkeys(stored, int)
     assert stored["ring_time"] == 3 and stored["gaussian_radius"] == 7
