@@ -230,7 +230,12 @@ class InitialStateSpec:
         return cls(float(sigma0), truncation_radius, renormalize)
 
     def support(self) -> tuple[int, int]:
-        """Smallest site range carrying nonzero envelope weight."""
+        """Site range the envelope is sampled on: ``|j| <= truncation_radius``, or site 0.
+
+        Every run sizes its window from this range (``ensemble.check_run``).
+        It is not the nonzero range: samples near its edges may underflow to
+        exact zeros (past ``|j| = 54`` at sigma0=1 and radius 100).
+        """
         if self.sigma0 is None:
             return (0, 0)
         return (-self.truncation_radius, self.truncation_radius)
@@ -326,8 +331,8 @@ def build_initial_state(
     """Product state of ``qubit`` over the envelope of ``init`` at t=0.
 
     The one-row case of :func:`_product_states`.  When ``window`` is
-    omitted the state occupies the minimal support window; pass a
-    pre-sized window (or embed later) before evolving.
+    omitted the state occupies :meth:`InitialStateSpec.support`; to evolve
+    it, pass the run's window (``ensemble.check_run``) or embed it later.
     """
     lo, hi = init.support()
     if window is None:

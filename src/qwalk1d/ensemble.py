@@ -39,7 +39,7 @@ from .core import (
     _product_states,
     build_initial_state,
 )
-from .evolution import EvolutionPlan, prepared, reachable_window, recorded_steps
+from .evolution import EvolutionPlan, reachable_window, recorded_steps
 from .observables import PositionDistribution, _prob, _row_observables, entropy_bits_vec
 
 __all__ = [
@@ -139,10 +139,10 @@ def run_walk(
     fit_window: tuple[int, int] | None = None,
 ) -> WalkRecord:
     """One walk's series and slope, checked by :func:`check_run`: one row of ``direct``."""
-    _, fit_window = check_run(init, plan, fit_window)
-    start = prepared(build_initial_state(qubit, init), plan)
-    sigma, entropy, norm, up, down = _walk_series(start.up, start.down, plan, start.window)
-    final = WalkState(start.window, up, down, plan.steps)
+    window, fit_window = check_run(init, plan, fit_window)
+    start = build_initial_state(qubit, init, window)
+    sigma, entropy, norm, up, down = _walk_series(start.up, start.down, plan, window)
+    final = WalkState(window, up, down, plan.steps)
     times = plan.record_times()
     slope = fit_dispersion_slope(times, sigma, fit_window)
     return WalkRecord(times, sigma, entropy, norm, final, slope, init.norm_deficit())

@@ -36,7 +36,6 @@ __all__ = [
     "WindowOverflowError",
     "EvolutionPlan",
     "reachable_window",
-    "prepared",
     "step",
     "recorded_steps",
     "evolve",
@@ -94,25 +93,6 @@ def reachable_window(
     window = LatticeWindow(j_min, j_max)
     check_site_count(window.size, f"a {steps}-step walk reaches")
     return window
-
-
-def prepared(state: WalkState, plan: EvolutionPlan) -> WalkState:
-    """State re-embedded into a window sized for the whole plan.
-
-    Returns ``state`` unchanged when its window already covers the
-    reachable sites.  A zero state needs no room and is returned as is.
-    """
-    support = state.support()
-    if support is None:
-        return state
-    needed = reachable_window(support, plan.coin, plan.steps)
-    if state.window.contains(needed):
-        return state
-    merged = LatticeWindow(
-        min(needed.j_min, state.window.j_min),
-        max(needed.j_max, state.window.j_max),
-    )
-    return state.embedded(merged)
 
 
 def step(state: WalkState, coin: CoinSpec) -> WalkState:
@@ -178,16 +158,18 @@ def recorded_steps(
 def evolve(state: WalkState, plan: EvolutionPlan) -> WalkState:
     """Advance ``state`` by ``plan.steps`` steps; the input is left untouched.
 
-    The window must already be sized for the full run: when :func:`prepared`
-    would widen it, the walk fails fast instead of dying mid-run.
+    The window must already hold the light cone of the state's nonzero
+    support (:func:`reachable_window`), so a mis-sized walk fails before
+    its first step instead of dying mid-run; a zero state fits any window.
     """
-    wider = prepared(state, plan)
-    if wider is not state:
-        raise WindowOverflowError(
-            f"window [{state.window.j_min}, {state.window.j_max}] cannot hold the light "
-            f"cone of a {plan.steps}-step run, which needs "
-            f"[{wider.window.j_min}, {wider.window.j_max}]"
-        )
+    support = state.support()
+    if support is not None:
+        needed = reachable_window(support, plan.coin, plan.steps)
+        if not state.window.contains(needed):
+            raise WindowOverflowError(
+                f"window [{state.window.j_min}, {state.window.j_max}] cannot hold the light "
+                f"cone of a {plan.steps}-step run, which needs [{needed.j_min}, {needed.j_max}]"
+            )
     up, down = state.up.copy(), state.down.copy()
     for up, down in recorded_steps(up, down, plan, state.window):
         pass

@@ -27,13 +27,14 @@ from qwalk1d import (
     far_peak_weight,
     make_qubit_grid,
     outer_peak_distance,
-    prepared,
+    reachable_window,
     recorded_steps,
     ring_evolve,
     run_ensemble,
     step,
 )
 from qwalk1d.cli import emit_results, main, parse_config
+from qwalk1d.ensemble import check_run
 
 DATA_DIR = Path(__file__).parent / "data"
 STEPS = 3000
@@ -56,9 +57,14 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _run_start(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) -> WalkState:
+    """The state a run starts from: ``qubit`` over ``init``, in the run's window."""
+    return build_initial_state(qubit, init, check_run(init, plan)[0])
+
+
 def _reference_walk(init: InitialStateSpec, coin: CoinSpec, snapshots=(1000, 2000, 3000)):
     plan = EvolutionPlan(coin, STEPS)
-    start = prepared(build_initial_state(REFERENCE_QUBIT, init), plan)
+    start = _run_start(REFERENCE_QUBIT, init, plan)
     entropies: list[float] = []
     norms: list[float] = []
     dists: dict[int, object] = {}
@@ -124,10 +130,8 @@ def test_criterion1_oracle_equivalence():
     for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-5)):
         for _ in range(20):
             qubit = QubitParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            state = prepared(
-                build_initial_state(qubit, InitialStateSpec.local()),
-                EvolutionPlan(coin, steps),
-            )
+            window = reachable_window((0, 0), coin, steps)
+            state = build_initial_state(qubit, InitialStateSpec.local(), window)
             oracle = state.embedded(ring)
             for _ in range(steps):
                 state = step(state, coin)
@@ -144,14 +148,14 @@ def test_criterion1_oracle_equivalence():
 def test_criterion1_full_scale_oracle():
     """Criterion 1 at full scale: the reference qubit, 3000 steps, every fig1 envelope x both coins.
 
-    The ring is the engine's own ``prepared`` window padded by one site on
-    each side, so the oracle holds the whole light cone without wrapping.
+    The ring is the run's window padded by one site on each side, so the
+    oracle holds the whole light cone without wrapping.
     """
     worst = 0.0
     for init in INITIAL_STATES.values():
         for coin in COINS.values():
             plan = EvolutionPlan(coin, STEPS)
-            start = prepared(build_initial_state(REFERENCE_QUBIT, init), plan)
+            start = _run_start(REFERENCE_QUBIT, init, plan)
             ring = LatticeWindow(start.window.j_min - 1, start.window.j_max + 1)
             oracle = ring_evolve(start.embedded(ring), coin, STEPS)
             engine = evolve(start, plan).embedded(ring)
@@ -200,7 +204,7 @@ def test_criterion3_far_peak_probabilities(reference_walks):
 def _final_hadamard_distribution(qubit: QubitParams, init: InitialStateSpec):
     """Position distribution after a bare ``STEPS``-step Hadamard walk."""
     plan = EvolutionPlan(COINS["hadamard"], STEPS)
-    return distribution(evolve(prepared(build_initial_state(qubit, init), plan), plan))
+    return distribution(evolve(_run_start(qubit, init, plan), plan))
 
 
 @pytest.mark.slow

@@ -19,7 +19,6 @@ from qwalk1d import (
     entanglement_entropy,
     fit_dispersion_slope,
     make_qubit_grid,
-    prepared,
     run_ensemble,
     run_walk,
     step,
@@ -107,7 +106,7 @@ class TestRunWalk:
         times = list(range(0, 51, record_every))
         if times[-1] != 50:
             times.append(50)  # off-stride last record at record_every 7
-        state = prepared(build_initial_state(qubit, init), plan)
+        state = build_initial_state(qubit, init, qwalk1d.ensemble.check_run(init, plan)[0])
         sigma, entropy, norm = [], [], []
         for t in range(51):
             if t in times:
@@ -133,10 +132,10 @@ class TestRunWalk:
 
 
 class TestRunEnsemble:
-    # run_walk sizes its window from the built state's nonzero support, an ensemble from the
-    # envelope's: sigma0=10 keeps its whole radius-100 envelope, so the windows match, while
-    # sigma0=1 underflows to exact zeros past |j| = 54, so run_walk's window is narrower;
-    # qubit (0, 0) has c = 1 and s = 0, the other two mix both spins with a complex phase
+    # every run takes its window from check_run, so a single walk is the one-row case of
+    # the direct path on every envelope, sigma0=1 too, whose samples past |j| = 54 are
+    # exact zeros; qubit (0, 0) has c = 1 and s = 0, the other two mix both spins with a
+    # complex phase
     @pytest.mark.parametrize(
         "init, coin, alpha, beta",
         [
@@ -161,24 +160,19 @@ class TestRunEnsemble:
         res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
         rec = run_walk(QubitParams(alpha, beta), init, plan, fit_window=(0, 30))
         final, mean = distribution(rec.final_state), res.mean_distribution
-        assert (final.window == mean.window) == (init.sigma0 != 1.0)
-        lo = mean.window.index(final.window.j_min)
-        shared = slice(lo, lo + final.window.size)
-        outside = np.ones(mean.window.size, dtype=bool)
-        outside[shared] = False
-        assert not mean.p_total[outside].any()
+        assert final.window == mean.window
         assert rec.norm_deficit == res.norm_deficit
-        if method == "direct" and final.window == mean.window:
-            # on one window a single walk is the one-row case of the direct path
+        if method == "direct":
             assert np.array_equal(res.mean_entropy, rec.entropy)
             assert np.array_equal(res.mean_dispersion, rec.sigma)
-            assert np.array_equal(mean.p_total, final.p_total)
+            assert np.array_equal(mean.p_up, final.p_up)
+            assert np.array_equal(mean.p_down, final.p_down)
             assert res.slope == rec.slope
         else:
             assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
             assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
-            assert np.abs(mean.p_up[shared] - final.p_up).max() <= 1e-12
-            assert np.abs(mean.p_down[shared] - final.p_down).max() <= 1e-12
+            assert np.abs(mean.p_up - final.p_up).max() <= 1e-12
+            assert np.abs(mean.p_down - final.p_down).max() <= 1e-12
             assert abs(res.slope - rec.slope) <= 1e-12
 
     def test_linear_matches_brute_force_average(self):

@@ -18,7 +18,6 @@ from qwalk1d import (
     evolve,
     fit_dispersion_slope,
     make_qubit_grid,
-    prepared,
     reachable_window,
     recorded_steps,
     ring_evolve,
@@ -120,10 +119,9 @@ def test_reachable_window_hadamard():
     "size",
     [
         lambda plan: reachable_window((0, 0), plan.coin, plan.steps),
-        lambda plan: prepared(spin_up_local(LatticeWindow(0, 0)), plan),
         lambda plan: evolve(spin_up_local(LatticeWindow(0, 0)), plan),
     ],
-    ids=["reachable_window", "prepared", "evolve"],
+    ids=["reachable_window", "evolve"],
 )
 def test_light_cone_above_max_sites_rejected(size):
     # 2e8 + 1 sites: sized before any amplitude array is
@@ -157,25 +155,27 @@ def test_walk_from_a_defect_on_the_support_edge():
     assert np.array_equal(record.final_state.down, reference.down)
 
 
-def test_prepared_embeds_only_when_needed():
-    plan = EvolutionPlan(CoinSpec.hadamard(), 5)
-    state = spin_up_local(LatticeWindow(-1, 1))
-    ready = prepared(state, plan)
-    assert ready.window == LatticeWindow(-5, 5)
-    again = prepared(ready, plan)
-    assert again is ready
-
-
 def test_evolve_requires_presized_window():
     plan = EvolutionPlan(CoinSpec.hadamard(), 10)
     state = spin_up_local(LatticeWindow(-3, 3))
-    with pytest.raises(WindowOverflowError):
+    with pytest.raises(WindowOverflowError, match=r"needs \[-10, 10\]"):
         evolve(state, plan)
+
+
+def test_evolve_window_is_checked_against_the_nonzero_support():
+    # the light cone of what is occupied, not of the window: a zero state fits any window
+    plan = EvolutionPlan(CoinSpec.hadamard(), 4)
+    assert evolve(WalkState.zero(LatticeWindow(0, 0)), plan).t == 4
+    assert evolve(spin_up_local(LatticeWindow(-4, 4)), plan).t == 4
+    off_centre = WalkState.zero(LatticeWindow(-4, 4))
+    off_centre.up[off_centre.window.index(1)] = 1.0
+    with pytest.raises(WindowOverflowError, match=r"needs \[-3, 5\]"):
+        evolve(off_centre, plan)
 
 
 def test_recorded_steps_schedule():
     plan = EvolutionPlan(CoinSpec.hadamard(), 7, record_every=3)
-    state = prepared(spin_up_local(LatticeWindow(0, 0)), plan)
+    state = spin_up_local(reachable_window((0, 0), plan.coin, plan.steps))
     stepped = [state]
     for _ in range(plan.steps):
         stepped.append(step(stepped[-1], plan.coin))
@@ -195,9 +195,8 @@ def test_recorded_steps_schedule():
 def test_evolve_leaves_input_and_counts_from_its_time():
     """The generator steps in its input arrays, so evolve must work on copies."""
     plan = EvolutionPlan(CoinSpec.not_defect(-2), 9, record_every=4)
-    ready = prepared(
-        build_initial_state(QubitParams(0.7, 0.2), InitialStateSpec.gaussian(1.5, 4)), plan
-    )
+    init = InitialStateSpec.gaussian(1.5, 4)
+    ready = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
     start = WalkState(ready.window, ready.up, ready.down, t=5)
     up, down = start.up.copy(), start.down.copy()
     final = evolve(start, plan)
@@ -214,9 +213,8 @@ def test_evolve_leaves_input_and_counts_from_its_time():
 
 def test_evolve_single_step_matches_step():
     plan = EvolutionPlan(CoinSpec.hadamard(), 1)
-    state = prepared(
-        build_initial_state(QubitParams(0.7, 0.2), InitialStateSpec.local()), plan
-    )
+    init = InitialStateSpec.local()
+    state = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
     via_evolve = evolve(state, plan)
     via_step = step(state, plan.coin)
     assert np.array_equal(via_evolve.up, via_step.up)

@@ -21,10 +21,10 @@ from qwalk1d import (
     far_peak_weight,
     outer_peak_distance,
     peak_sites,
-    prepared,
     step,
 )
 from qwalk1d.core import SQRT1_2
+from qwalk1d.ensemble import check_run
 from qwalk1d.observables import (
     _coin_eigenvalues,
     _coin_sums,
@@ -309,9 +309,8 @@ class TestEntropy:
         assert rejects == (fraction > 1.0)
 
     def test_invariant_under_global_phase_and_translation(self):
-        state = build_initial_state(QubitParams(1.1, 0.7), InitialStateSpec.gaussian(2.0, 8))
-        plan = EvolutionPlan(CoinSpec.hadamard(), 6)
-        state = evolve(prepared(state, plan), plan)
+        init, plan = InitialStateSpec.gaussian(2.0, 8), EvolutionPlan(CoinSpec.hadamard(), 6)
+        state = evolve(build_initial_state(QubitParams(1.1, 0.7), init, check_run(init, plan)[0]), plan)
         base = entanglement_entropy(state)
 
         phased = WalkState(

@@ -8,7 +8,7 @@ from qwalk1d import (
     QubitParams,
     WalkState,
     build_initial_state,
-    prepared,
+    reachable_window,
     ring_evolve,
     ring_matrix,
     step,
@@ -92,10 +92,8 @@ def test_engine_matches_oracle_small():
     for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-3)):
         for _ in range(4):
             qubit = QubitParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            state = prepared(
-                build_initial_state(qubit, InitialStateSpec.local()),
-                EvolutionPlan(coin, steps),
-            )
+            window = reachable_window((0, 0), coin, steps)
+            state = build_initial_state(qubit, InitialStateSpec.local(), window)
             oracle = state.embedded(ring)
             for _ in range(steps):
                 state = step(state, coin)
