@@ -156,17 +156,12 @@ def test_walk_from_a_defect_on_the_support_edge():
 
 
 def test_evolve_requires_presized_window():
-    plan = EvolutionPlan(CoinSpec.hadamard(), 10)
-    state = spin_up_local(LatticeWindow(-3, 3))
-    with pytest.raises(WindowOverflowError, match=r"needs \[-10, 10\]"):
-        evolve(state, plan)
-
-
-def test_evolve_window_is_checked_against_the_nonzero_support():
-    # the light cone of what is occupied, not of the window: a zero state fits any window
+    # the window must hold the light cone of the occupied sites; a zero state fits any window
     plan = EvolutionPlan(CoinSpec.hadamard(), 4)
     assert evolve(WalkState.zero(LatticeWindow(0, 0)), plan).t == 4
     assert evolve(spin_up_local(LatticeWindow(-4, 4)), plan).t == 4
+    with pytest.raises(WindowOverflowError, match=r"needs \[-4, 4\]"):
+        evolve(spin_up_local(LatticeWindow(-3, 3)), plan)
     off_centre = WalkState.zero(LatticeWindow(-4, 4))
     off_centre.up[off_centre.window.index(1)] = 1.0
     with pytest.raises(WindowOverflowError, match=r"needs \[-3, 5\]"):
