@@ -155,6 +155,20 @@ def test_walk_from_a_defect_on_the_support_edge():
     assert np.array_equal(record.final_state.down, reference.down)
 
 
+def test_run_walk_window_is_the_sampled_light_cone():
+    # sized from the envelope's sampled range, not from its nonzero sites: at sigma0=1
+    # the samples past |j| = 54 are exact zeros, and the window still holds them
+    plan = EvolutionPlan(CoinSpec.hadamard(), 5)
+    qubit = QubitParams(0.7, 0.2)
+    init = InitialStateSpec.gaussian(1.0)
+    start = build_initial_state(qubit, init, LatticeWindow(*init.support()))
+    assert start.support() == (-54, 54)
+    record = run_walk(qubit, init, plan)
+    assert record.final_state.window == LatticeWindow(-105, 105) == check_run(init, plan)[0]
+    local = run_walk(qubit, InitialStateSpec.local(), plan)
+    assert local.final_state.window == LatticeWindow(-5, 5)
+
+
 def test_evolve_requires_presized_window():
     # the window must hold the light cone of the occupied sites; a zero state fits any window
     plan = EvolutionPlan(CoinSpec.hadamard(), 4)
