@@ -39,9 +39,11 @@ HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQR
 NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 # Largest window a run may need; at its peak a linear ensemble holds about
-# _BYTES_PER_SITE bytes per site (tracemalloc), ~0.23 GB at the cap.
+# _BYTES_PER_SITE bytes per site, ~0.41 GB at the cap (tracemalloc: 401 B on
+# 40k sites recorded every step, half of it the per-record Grams and rows;
+# 184 B on 100k sites over 20 steps).
 MAX_SITES = 1_000_000
-_BYTES_PER_SITE = 225
+_BYTES_PER_SITE = 410
 
 # Gaussian support half-width, in sites, when none is given
 DEFAULT_TRUNCATION_RADIUS = 100
@@ -355,10 +357,13 @@ def _coefficients(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np
 def _product_states(
     init: InitialStateSpec, window: LatticeWindow, c: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope."""
+    """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope.
+
+    Real when ``c`` and ``s`` are (the linear path's basis pair), else complex.
+    """
     f = init.envelope()
     lo = window.index(init.support()[0])
-    up = np.zeros((c.size, window.size), dtype=np.complex128)
+    up = np.zeros((c.size, window.size), dtype=np.result_type(c, s))
     down = np.zeros_like(up)
     up[:, lo : lo + f.size] = c[:, None] * f
     down[:, lo : lo + f.size] = s[:, None] * f

@@ -12,13 +12,19 @@ Every per-qubit observable used here (norm, position moments, reduced
 coin entries) is a quadratic form in the amplitudes, so it reduces to a
 handful of lattice sums over the basis walks combined with per-qubit
 coefficients.  The default "linear" method exploits this and costs two
-walks regardless of grid size: every per-qubit number it reports, and its
-mean distribution, is one Hermitian form (:func:`_form`) of the basis
-pair's lattice sums; only the reduced coin's off-diagonal entry, which is
-not Hermitian, is a four-term sum of its own.  The "direct" method, the
-independent cross-check, evolves every qubit in fixed-size batches through
-the per-qubit path whose one-row case is :func:`run_walk`.  Both run in one
-process and reduce in a fixed order, so results are bitwise reproducible.
+walks regardless of grid size.  The envelope and coins are real, so the
+basis pair is stepped in float64, and every per-qubit number is linear in
+the qubit's weights ``(c^2, |s|^2, c conj(s))``, its Bloch vector
+``(1, x, y, z)`` in other coordinates.  Per record, one GEMM gives the
+pair's Gram matrices ``A diag((j - centre)^k) A^T`` (k = 0, 1, 2, moments
+about the pair's mean position); per block of records, one GEMM of their
+coefficient rows with the qubits' weights gives every qubit's norm,
+moments, spin-up weight and coherence.  The mean distribution is one
+Hermitian form (:func:`_form`) with the qubit-averaged weights.  The
+"direct" method, the independent cross-check, evolves every qubit in
+fixed-size batches through the per-qubit path whose one-row case is
+:func:`run_walk`.  Both run in one process and reduce in a fixed order,
+so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -56,10 +62,18 @@ __all__ = [
 # 4 to 64, 16 ran fastest with the lowest peak memory on 128 qubits x 500 steps.
 _BLOCK = 16
 
+# Records whose per-qubit numbers are one GEMM: as many as keep records x qubits
+# within this, and at least one, so 4 at 2016 qubits and 1 above 8192 qubits.
+# That keeps the memory flat, and the GEMM below OpenBLAS's threading threshold:
+# 64-record blocks put it on two threads, which cost more CPU time than they
+# saved wall time.
+_BLOCK_ELEMENTS = 8192
+
 # Largest grid make_qubit_grid builds; at its peak the linear method holds
-# about _BYTES_PER_QUBIT bytes per qubit (tracemalloc), ~0.23 GB at the cap.
+# about _BYTES_PER_QUBIT bytes per qubit, ~0.16 GB at the cap (tracemalloc:
+# 152 B on 198k- and 791k-qubit grids, 20 steps, one-record blocks).
 MAX_QUBITS = 1_000_000
-_BYTES_PER_QUBIT = 225
+_BYTES_PER_QUBIT = 160
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,44 +239,81 @@ def run_ensemble(
 def _run_linear(
     grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow
 ):
-    c, s = _coefficients(grid.alphas, grid.betas)
-    # weights of the up-basis walk, the down-basis walk and their cross term
-    w_uu, w_dd, w_ud = w = (c * c, (s * s.conj()).real, c * s.conj())
-    cs = c * s
-
-    sites = window.sites().astype(np.float64)
-    sites_sq = sites * sites
-
     times = plan.record_times()
+    grams, (au, ad), (bu, bd) = _basis_grams(init, plan, window)
+    rows = _weight_rows(grams)
+    weights, mean_w = _qubit_weights(grid)
     mean_sigma = np.empty(times.size)
     mean_entropy = np.empty(times.size)
+    block = max(1, _BLOCK_ELEMENTS // len(grid))
+    for lo in range(0, times.size, block):
+        records = slice(lo, lo + block)
+        sums = (rows[records].reshape(-1, 4) @ weights).reshape(-1, 6, len(grid))
+        norm, m1, m2, up_weight, re, im = sums.transpose(1, 0, 2)
+        mean = m1 / norm
+        mean_sigma[records] = np.mean(np.sqrt(np.maximum(m2 / norm - mean * mean, 0.0)), axis=1)
+        mean_entropy[records] = np.mean(entropy_bits_vec(up_weight, re**2 + im**2, norm), axis=1)
 
-    # the basis pair: row 0 starts spin-up, row 1 spin-down
-    basis = _product_states(init, window, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    for slot, (up, down) in enumerate(recorded_steps(*basis, plan, window)):
-        (au, ad), (bu, bd) = up, down
-        # per site: |a_up|^2 + |b_up|^2, the down walk's, and their cross term
-        k_uu, k_dd = up.real**2 + up.imag**2 + down.real**2 + down.imag**2
-        k_ud = au * ad.conj() + bu * bd.conj()
-        norm = _form(w, np.sum(k_uu), np.sum(k_dd), np.sum(k_ud))
-        m1 = _form(w, np.dot(k_uu, sites), np.dot(k_dd, sites), np.dot(k_ud, sites)) / norm
-        m2 = _form(w, np.dot(k_uu, sites_sq), np.dot(k_dd, sites_sq), np.dot(k_ud, sites_sq)) / norm
-        mean_sigma[slot] = float(np.mean(np.sqrt(np.maximum(m2 - m1 * m1, 0.0))))
-
-        # reduced coin entries per qubit; the coherence is not Hermitian, so not a _form
-        up_weight = _form(w, np.vdot(au, au).real, np.vdot(ad, ad).real, np.vdot(ad, au))
-        t_uu = np.vdot(bu, au)  # sum a_up conj(b_up)
-        t_ud = np.vdot(bd, au)  # sum a_up conj(b_down)
-        t_du = np.vdot(bu, ad)  # sum a_down conj(b_up)
-        t_dd = np.vdot(bd, ad)  # sum a_down conj(b_down)
-        coherence = w_uu * t_uu + w_ud * t_ud + cs * t_du + w_dd * t_dd
-        mean_entropy[slot] = float(np.mean(entropy_bits_vec(up_weight, _prob(coherence), norm)))
-
-    # the same form with the qubit-averaged weights, site by site, is the mean distribution
-    mean_w = [np.mean(weight) for weight in w]
+    # the qubit-averaged weights' Hermitian form, site by site, is the mean distribution
     p_up = _form(mean_w, _prob(au), _prob(ad), au * ad.conj())
     p_down = _form(mean_w, _prob(bu), _prob(bd), bu * bd.conj())
     return times, mean_sigma, mean_entropy, PositionDistribution(window, p_up, p_down)
+
+
+def _basis_grams(init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow):
+    """Step the real basis pair; return its Grams ``(T, 3, 4, 4)`` and final ``up``, ``down``.
+
+    Row 0 of the pair starts spin-up, row 1 spin-down.  Per record, with
+    ``A = [a_up; a_down; b_up; b_down]`` and ``d = j - centre`` about the pair's
+    mean position, one GEMM ``A [A; A d; A d^2]^T`` gives ``A diag(d^k) A^T``
+    for k = 0, 1, 2.
+    """
+    sites = window.sites().astype(np.float64)
+    stack = np.empty((12, window.size))
+    a, a_d, a_dd = stack[:4], stack[4:8], stack[8:]
+    grams = np.empty((plan.record_times().size, 4, 12))
+    basis = _product_states(init, window, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    for slot, (up, down) in enumerate(recorded_steps(*basis, plan, window)):
+        prob = np.square(np.concatenate((up, down), out=a), out=a_d)
+        d = sites - (prob @ sites).sum() / prob.sum()
+        np.multiply(np.multiply(a, d, out=a_d), d, out=a_dd)
+        np.matmul(a, stack.T, out=grams[slot])
+    return grams.reshape(-1, 4, 3, 4).transpose(0, 2, 1, 3), up, down
+
+
+def _qubit_weights(grid: QubitGrid):
+    """The form weights ``w = (c^2, |s|^2, c conj(s))`` of every qubit, and their grid means.
+
+    Per qubit as the real ``(4, Q)`` columns ``(c^2, |s|^2, Re, Im of c conj(s))``,
+    its Bloch vector ``(1, x, y, z)`` in other coordinates: ``c^2 = (1+z)/2``,
+    ``|s|^2 = (1-z)/2`` and ``c conj(s) = (x - iy)/2``.
+    """
+    c, s = _coefficients(grid.alphas, grid.betas)
+    w_uu, w_dd, w_ud = w = (c * c, (s * s.conj()).real, c * s.conj())
+    return np.stack((w_uu, w_dd, w_ud.real, w_ud.imag)), [np.mean(weight) for weight in w]
+
+
+def _weight_rows(grams: np.ndarray) -> np.ndarray:
+    """Each record's six per-qubit sums as rows ``(T, 6, 4)`` over the qubit weights.
+
+    ``grams[t, k]`` is ``A diag(d^k) A^T``, ``d = j - centre``, over the rows
+    ``a_up, a_down, b_up, b_down`` of ``A``.  The sums are the norm, its first and
+    second moments about the centre, ``sum|a|^2`` and ``sum a conj(b)`` (real,
+    imaginary).  The basis walks are real, so each but the coherence is
+    :func:`_form` with a real ``ud``, ``w_uu*uu + w_dd*dd + 2 Re(w_ud) ud``; with
+    ``c s = conj(w_ud)``, the coherence is
+    ``w_uu*G02 + w_dd*G13 + w_ud*G03 + conj(w_ud)*G12`` over ``grams[t, 0]``.
+    """
+    g, g0 = grams, grams[:, 0]
+    rows = np.zeros((g.shape[0], 6, 4))
+    # norm and moments: |a|^2 + |b|^2 of the up walk, of the down walk, and their cross term
+    rows[:, :3, 0] = g[:, :, 0, 0] + g[:, :, 2, 2]
+    rows[:, :3, 1] = g[:, :, 1, 1] + g[:, :, 3, 3]
+    rows[:, :3, 2] = 2.0 * (g[:, :, 0, 1] + g[:, :, 2, 3])
+    rows[:, 3, :3] = np.stack((g0[:, 0, 0], g0[:, 1, 1], 2.0 * g0[:, 0, 1]), axis=1)
+    rows[:, 4, :3] = np.stack((g0[:, 0, 2], g0[:, 1, 3], g0[:, 0, 3] + g0[:, 1, 2]), axis=1)
+    rows[:, 5, 3] = g0[:, 0, 3] - g0[:, 1, 2]
+    return rows
 
 
 def _form(w, uu, dd, ud):
@@ -270,8 +321,8 @@ def _form(w, uu, dd, ud):
 
     With ``w = (c^2, |s|^2, c conj(s))`` and ``uu``, ``dd``, ``ud`` the basis pair's
     sums of ``|x_up|^2``, ``|x_down|^2`` and ``x_up conj(x_down)``, it is the qubit's
-    ``sum |c x_up + s x_down|^2``.  Every per-qubit number of the linear path, and
-    its mean distribution, is one.
+    ``sum |c x_up + s x_down|^2``.  The linear path's mean distribution is one, and
+    so, as rows of :func:`_weight_rows`, is every per-qubit number but the coherence.
     """
     w_uu, w_dd, w_ud = w
     return w_uu * uu + w_dd * dd + 2.0 * (w_ud * ud).real

@@ -152,8 +152,9 @@ def _row_dot(x, y):
 def _prob(z):
     """``|z|^2`` as ``z.real**2 + z.imag**2``, the one ``|z|^2``.
 
-    Every distribution and every coin entropy's squared coherence, of single
-    walks and of both ensemble paths, comes from it.
+    Every distribution, and the squared coherence of single walks and ``direct``
+    batches, comes from it; the linear ensemble path applies the same formula
+    to its coherence's real and imaginary rows.
     """
     return z.real**2 + z.imag**2
 

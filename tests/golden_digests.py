@@ -2,10 +2,13 @@
 
 Each ``cli.PRESETS`` sub-run is run through ``cli.main`` with ``--steps 300``
 (ensembles also with ``--alpha-step 0.5 --beta-step 0.5``), and each of the
-three CSVs it writes is hashed.  Every row sum is a BLAS dot, and an OpenBLAS
-built for several CPUs picks its kernel at load time, so the runs happen in a
-child process with the kernel pinned (``OPENBLAS_CORETYPE``) and
-``OPENBLAS_VERBOSE=2``, which makes OpenBLAS print the core it loaded.  numpy
+three CSVs it writes is hashed.  Row sums are BLAS dots, and the linear
+ensemble path's sums are GEMMs (one Gram per record, one per-qubit product per
+record block); an OpenBLAS built for several CPUs picks its dot and GEMM kernels
+at load time, so the runs happen in a child process with the core pinned
+(``OPENBLAS_CORETYPE``) and ``OPENBLAS_VERBOSE=2``, which makes OpenBLAS print
+the core it loaded.  OpenBLAS splits a GEMM's output between threads, not its
+sums, so the thread count moves no byte (a CI step checks it).  numpy
 also dispatches its own loops (``exp``, ``sin``) by CPU feature, so the
 features it enabled are recorded next to its version.  Bytes can be compared
 only where all three match; the slope, final sigma and final entropy of each

@@ -209,6 +209,22 @@ class TestRunEnsemble:
             lin_p = getattr(lin.mean_distribution, part)
             assert np.abs(lin_p - getattr(direct.mean_distribution, part)).max() <= 1e-12
 
+    def test_trojan_sigma_matches_direct_to_rounding(self):
+        """Linear sigma on a Trojan walk within 1e-14 relative of ``direct``, which centres each row.
+
+        The defect at -31 folds the packet into two lobes that move right, so by t=1000
+        its mean lies about 700 sites from the origin and many sigmas from it.  Moments
+        about the basis pair's mean measure 1.26e-15 here (at t=0), an 8x margin;
+        moments about the origin, ``m2 - m1^2``, measured 1.08e-13 (at t=882).
+        """
+        grid = make_qubit_grid(0.5, 0.5)
+        init = InitialStateSpec.gaussian(10.0, 30)
+        plan = EvolutionPlan(CoinSpec.not_defect(-31), 1000)
+        lin = run_ensemble(grid, init, plan)
+        direct = run_ensemble(grid, init, plan, method="direct")
+        rel = np.abs(lin.mean_dispersion - direct.mean_dispersion) / direct.mean_dispersion
+        assert rel.max() <= 1e-14
+
     def test_direct_invariant_to_worker_count(self):
         grid = make_qubit_grid(0.5, 1.0)
         init = InitialStateSpec.local()
@@ -300,6 +316,24 @@ def test_light_cone_above_max_sites_rejected_before_allocating(method):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_linear_peak_memory_within_bytes_per_qubit():
+    """The linear path's tracemalloc peak is at most ``_BYTES_PER_QUBIT`` per qubit plus 100 kB.
+
+    198,135 qubits (steps 0.01) for 20 steps from a local start: the 41-site window
+    and the 21 records' Grams and rows are a few kB, well inside the allowance.
+    Measured 152.1 B per qubit (30.1 MB) against the budget of 160.
+    """
+    grid = make_qubit_grid(0.01, 0.01)
+    plan = EvolutionPlan(CoinSpec.hadamard(), 20)
+    tracemalloc.start()
+    try:
+        run_ensemble(grid, InitialStateSpec.local(), plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= qwalk1d.ensemble._BYTES_PER_QUBIT * len(grid) + 100_000
 
 
 class TestFitSlope:
