@@ -286,7 +286,8 @@ def _qubit_weights(grid: QubitGrid):
 
     Per qubit as the real ``(4, Q)`` columns ``(c^2, |s|^2, Re, Im of c conj(s))``,
     its Bloch vector ``(1, x, y, z)`` in other coordinates: ``c^2 = (1+z)/2``,
-    ``|s|^2 = (1-z)/2`` and ``c conj(s) = (x - iy)/2``.
+    ``|s|^2 = (1-z)/2`` and ``c conj(s) = (x - iy)/2``.  A function of its own, so
+    that ``c``, ``s`` and the complex weights are freed before the record blocks.
     """
     c, s = _coefficients(grid.alphas, grid.betas)
     w_uu, w_dd, w_ud = w = (c * c, (s * s.conj()).real, c * s.conj())
