@@ -272,7 +272,7 @@ def gaussian_envelope(sigma0: float, truncation_radius: int) -> np.ndarray:
     return np.exp(-(j * j) / (4.0 * sigma0 * sigma0)) / (2.0 * math.pi * sigma0 * sigma0) ** 0.25
 
 
-@dataclass
+@dataclass(eq=False)
 class WalkState:
     """Walk amplitudes over a window at a given time step.
 

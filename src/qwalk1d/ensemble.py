@@ -135,7 +135,7 @@ def _step_multiples(step: float, bound: float) -> np.ndarray:
     return values[values <= bound]
 
 
-@dataclass
+@dataclass(eq=False)
 class WalkRecord:
     """Per-step observables of one walk plus its final state, slope and norm deficit."""
 
@@ -179,7 +179,7 @@ def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: 
     return sigma, entropy, norm, up, down
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleResult:
     """Grid-averaged observables.
 

@@ -19,16 +19,17 @@ __all__ = [
     "distribution",
     "dispersion",
     "entanglement_entropy",
-    "peak_sites",
-    "outer_peak_distance",
-    "far_peak_weight",
+    "outer_lobes",
 ]
 
 # Valid inputs give a radicand (A - 1/2)^2 + |B|^2 <= 1/4; above this or NaN means corruption.
 RADICAND_CEILING = 0.25 + 1e-9
 
+# Envelope maxima below this fraction of the highest seed no lobe.
+_LOBE_FLOOR = 0.05
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PositionDistribution:
     """Spin-resolved site probabilities ``|a(j)|^2`` and ``|b(j)|^2``."""
 
@@ -159,66 +160,36 @@ def _prob(z):
     return z.real**2 + z.imag**2
 
 
-def peak_sites(dist: PositionDistribution) -> tuple[int, int]:
-    """Sites of maximal probability strictly left and right of the origin.
+def outer_lobes(dist: PositionDistribution) -> tuple[tuple[int, float], tuple[int, float]]:
+    """The leftmost and the rightmost lobe of the position marginal, as ``(site, weight)``.
 
-    Ties resolve to the site closest to the origin, which keeps the result
-    deterministic for the parity comb of local-state walks.
+    Lobes are found on the adjacent-pair envelope ``p[i] + p[i+1]``, which
+    bridges the every-other-site comb of local-state walks.  Its local
+    maxima at or above ``_LOBE_FLOOR`` times its highest are the candidates;
+    the leftmost and the rightmost seed a lobe each, which extends both ways
+    while the envelope does not increase, i.e. up to the nearest envelope
+    minima.  A lobe's site is its most probable one, and its weight the
+    probability it encloses as a fraction of the total.  A distribution
+    with one maximum gives the same lobe twice.
     """
-    sites = dist.window.sites()
-    p = dist.p_total
-    left = sites < 0
-    right = sites > 0
-    if not left.any() or not right.any():
-        raise ValueError("window does not straddle the origin")
-    p_left = p[left]
-    p_right = p[right]
-    if p_left.sum() <= 0.0 or p_right.sum() <= 0.0:
-        raise ValueError("peak sites need probability on both sides of the origin")
-    j_left = int(sites[left][p_left.size - 1 - int(np.argmax(p_left[::-1]))])
-    j_right = int(sites[right][int(np.argmax(p_right))])
-    return j_left, j_right
-
-
-def outer_peak_distance(dist: PositionDistribution) -> int:
-    """Distance between the two outermost probability maxima."""
-    j_left, j_right = peak_sites(dist)
-    return j_right - j_left
-
-
-def far_peak_weight(dist: PositionDistribution, side: str = "right") -> float:
-    """Fraction of total probability carried by the outer peak lobe.
-
-    The lobe is found on the adjacent-pair envelope ``p[i] + p[i+1]``
-    (which bridges the every-other-site comb of local-state walks): seed
-    at the side's maximum, then extend outward and inward while the
-    envelope is non-increasing, i.e. up to the nearest envelope minima.
-    Returns the enclosed probability as a fraction of the total.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     total = dist.total()
-    if total <= 0.0:
-        raise ValueError("far peak weight undefined for zero total probability")
-    p = dist.p_total
-    if p.size < 2:
-        return 1.0
+    if not total > 0.0:
+        raise ValueError("lobes undefined for zero total probability")
+    # a zero past j_max gives the last site, and so a one-site window, a pair
+    p = np.append(dist.p_total, 0.0)
     env = p[:-1] + p[1:]
-    # pair i covers sites (j_min + i, j_min + i + 1); seed on pairs fully
-    # on the requested side of the origin
-    pair_site = dist.window.sites()[:-1]
-    if side == "right":
-        mask = pair_site >= 1
-    else:
-        mask = pair_site <= -2
-    if not mask.any():
-        raise ValueError(f"window has no sites on the {side} side")
-    candidates = np.flatnonzero(mask)
-    seed = int(candidates[int(np.argmax(env[candidates]))])
-    lo = seed
-    while lo > 0 and env[lo - 1] <= env[lo]:
-        lo -= 1
-    hi = seed
-    while hi + 1 < env.size and env[hi + 1] <= env[hi]:
-        hi += 1
-    return float(np.sum(p[lo : hi + 2])) / total
+    padded = np.concatenate(([-np.inf], env, [-np.inf]))
+    peaks = np.flatnonzero(
+        (env > padded[:-2]) & (env >= padded[2:]) & (env >= _LOBE_FLOOR * env.max())
+    )
+
+    def lobe(seed: int) -> tuple[int, float]:
+        lo = hi = seed
+        while lo > 0 and env[lo - 1] <= env[lo]:
+            lo -= 1
+        while hi + 1 < env.size and env[hi + 1] <= env[hi]:
+            hi += 1
+        weights = p[lo : hi + 2]  # pairs lo..hi cover sites lo..hi+1
+        return dist.window.j_min + lo + int(np.argmax(weights)), float(np.sum(weights)) / total
+
+    return lobe(int(peaks[0])), lobe(int(peaks[-1]))

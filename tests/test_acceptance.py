@@ -18,15 +18,16 @@ from qwalk1d import (
     EvolutionPlan,
     InitialStateSpec,
     LatticeWindow,
+    PositionDistribution,
     QubitParams,
     WalkState,
     build_initial_state,
+    dispersion,
     distribution,
     entanglement_entropy,
     evolve,
-    far_peak_weight,
     make_qubit_grid,
-    outer_peak_distance,
+    outer_lobes,
     reachable_window,
     recorded_steps,
     ring_evolve,
@@ -34,6 +35,7 @@ from qwalk1d import (
     step,
 )
 from qwalk1d.cli import emit_results, main, parse_config
+from qwalk1d.core import SQRT1_2
 from qwalk1d.ensemble import check_run
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -97,13 +99,20 @@ def _csv_columns(path: Path) -> dict[str, np.ndarray]:
     return dict(zip(header.split(","), map(np.array, columns)))
 
 
+def _csv_distribution(path: Path) -> PositionDistribution:
+    columns = _csv_columns(path)
+    window = LatticeWindow(int(columns["j"][0]), int(columns["j"][-1]))
+    return PositionDistribution(window, columns["p_up"], columns["p_down"])
+
+
 @pytest.fixture(scope="module")
 def full_ensembles(fig2_preset):
     """The six full-size 2016-qubit, 3000-step ensembles, read back from ``--preset fig2``.
 
-    Each sub-run's manifest must name this module's initial state, coin and
-    step count.  The CSVs hold 17 significant digits, which round-trip
-    double precision exactly, so the values read are the run's own.
+    Each gives its mean entropy series, its slope and its mean distribution
+    at t=3000.  Each sub-run's manifest must name this module's initial
+    state, coin and step count.  The CSVs hold 17 significant digits, which
+    round-trip double precision exactly, so the values read are the run's own.
     """
     code, root = fig2_preset
     assert code == 0
@@ -118,6 +127,7 @@ def full_ensembles(fig2_preset):
             out[(ilabel, clabel)] = SimpleNamespace(
                 mean_entropy=_csv_columns(run_dir / "timeseries.csv")["mean_entropy"],
                 slope=float(summary["slope"][0]),
+                final=_csv_distribution(run_dir / f"distribution_t{STEPS}.csv"),
             )
     return out
 
@@ -192,7 +202,7 @@ def test_criterion3_far_peak_probabilities(reference_walks):
     ok = True
     for ilabel, (target, tol) in targets.items():
         dist = reference_walks[(ilabel, "hadamard")].dists[STEPS]
-        weight = far_peak_weight(dist, "right")
+        weight = outer_lobes(dist)[1][1]
         measured[ilabel] = weight
         ok = ok and abs(weight - target) <= tol
     detail = ", ".join(
@@ -259,12 +269,13 @@ def test_criterion4_peak_separation(reference_walks):
     for ilabel in INITIAL_STATES:
         walk = reference_walks[(ilabel, "hadamard")]
         for t in (1000, 2000, 3000):
-            separation = outer_peak_distance(walk.dists[t])
+            (j_back, _), (j_front, _) = outer_lobes(walk.dists[t])
+            separation = j_front - j_back
             expected = math.sqrt(2.0) * t
             rel = abs(separation - expected) / expected
             ok = ok and rel <= 0.05
             details.append(f"{ilabel}@t={t}: {separation} vs {expected:.0f} ({100*rel:.2f}%)")
-    _report("criterion 4 (peak separation ~ sqrt(2)t)", ok, "; ".join(details[-3:]))
+    _report("criterion 4 (peak separation ~ sqrt(2)t)", ok, "; ".join(details))
 
 
 @pytest.mark.slow
@@ -491,4 +502,82 @@ def test_criterion9_truncation_deficit_range():
         ok,
         "sigma0=10 " + "; ".join(details)
         + " (agreement 1e-13; range [1e-6, 1e-4] for R=40, 44; |deficit| < 1e-14 for R=100)",
+    )
+
+
+def _lobe_pair(dist: PositionDistribution, defect_site: int) -> tuple[bool, str]:
+    """Two lobes of weight 0.5 +- 0.02 whose sites are 2|r|+1 +- 2 apart, ``r`` the defect site."""
+    (j_back, w_back), (j_front, w_front) = outer_lobes(dist)
+    separation = j_front - j_back
+    ok = (
+        abs(w_back - 0.5) <= 0.02
+        and abs(w_front - 0.5) <= 0.02
+        and abs(separation - (2 * abs(defect_site) + 1)) <= 2
+    )
+    return ok, f"lobes ({j_back}, {w_back:.4f}) and ({j_front}, {w_front:.4f}), {separation} apart"
+
+
+def _trojan_packet(dists: dict[int, PositionDistribution], defect_site: int) -> tuple[bool, str]:
+    """Whether the snapshots ``dists`` (by time step) show the Trojan packet of ``defect_site``.
+
+    At every snapshot, :func:`_lobe_pair` holds.  From the first snapshot
+    to the last, the mean of ``p_total`` moves at 1/sqrt(2) +- 1e-3 sites
+    per step, and the dispersions differ by less than 0.1.  The velocity is
+    that of the mean, not of the lobes' midpoint, which a spreading packet
+    can also move at nearly 1/sqrt(2).
+    """
+    times = sorted(dists)
+    pairs = [_lobe_pair(dists[t], defect_site) for t in times]
+    means = [np.dot(dists[t].p_total, dists[t].window.sites()) / dists[t].total() for t in times]
+    velocity = (means[-1] - means[0]) / (times[-1] - times[0])
+    sigmas = [dispersion(dists[t]) for t in times]
+    spread = max(sigmas) - min(sigmas)
+    ok = all(good for good, _ in pairs) and abs(velocity - SQRT1_2) <= 1e-3 and spread < 0.1
+    detail = "; ".join(f"t={t}: {text}" for t, (_, text) in zip(times, pairs))
+    detail += f"; velocity {velocity:.6f} (1/sqrt(2) = {SQRT1_2:.6f}); sigma "
+    detail += " -> ".join(f"{sigma:.3f}" for sigma in sigmas)
+    return ok, detail
+
+
+@pytest.mark.slow
+def test_criterion10_trojan_packet(reference_walks):
+    """The sigma0=10 walk with the defect at r=-101 is a moving, non-spreading double peak.
+
+    Measured at t = 1000, 2000 and 3000 against :func:`_trojan_packet`'s
+    tolerances: lobe weights within 4e-6 of 0.5 (tolerance 0.02);
+    separations 204, 204 and 203 against 2|r|+1 = 203 (tolerance 2);
+    velocity 0.706664 against 0.707107, 4.4e-4 off (tolerance 1e-3);
+    sigma 102.201 -> 102.216, a spread of 0.015 (tolerance 0.1).
+
+    Two controls must fail.  The defect-free walk's lobes separate
+    (1413, 2825 and 4237 sites apart; sigma 707 -> 2120).  A defect inside
+    the envelope, r=-31, gives lobes 63, 65 and 62 apart, within 2 of
+    2|r|+1 = 63, but its mean moves at 0.70544 (1.7e-3 off) and its sigma
+    grows from 52.7 to 127.0.
+    """
+    ok, detail = _trojan_packet(reference_walks[("gaussian_sigma10", "defect")].dists, DEFECT_SITE)
+    plain, _ = _trojan_packet(reference_walks[("gaussian_sigma10", "hadamard")].dists, DEFECT_SITE)
+    inside = _reference_walk(INITIAL_STATES["gaussian_sigma10"], CoinSpec.not_defect(-31))
+    shallow, _ = _trojan_packet(inside.dists, -31)
+    _report(
+        "criterion 10 (Trojan packet)",
+        ok and not plain and not shallow,
+        f"{detail}; rejects the defect-free walk: {not plain}, a defect at -31: {not shallow}",
+    )
+
+
+@pytest.mark.slow
+def test_criterion10_trojan_packet_ensemble(full_ensembles):
+    """The 2016-qubit sigma0=10/defect mean distribution at t=3000 has the packet's two lobes.
+
+    Measured: (1916, 0.4948) and (2119, 0.5052), 203 apart (tolerances
+    0.02 and 2 sites).  The defect-free ensemble's lobes, at -2119 and
+    2119, must fail.
+    """
+    ok, detail = _lobe_pair(full_ensembles[("gaussian_sigma10", "defect")].final, DEFECT_SITE)
+    plain, plain_detail = _lobe_pair(full_ensembles[("gaussian_sigma10", "hadamard")].final, DEFECT_SITE)
+    _report(
+        "criterion 10 (Trojan packet, ensemble mean)",
+        ok and not plain,
+        f"{detail}; defect-free ensemble {plain_detail}, rejected: {not plain}",
     )

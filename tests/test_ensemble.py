@@ -13,6 +13,7 @@ from qwalk1d import (
     InitialStateSpec,
     QubitGrid,
     QubitParams,
+    WalkState,
     build_initial_state,
     dispersion,
     distribution,
@@ -299,6 +300,20 @@ class TestRunEnsemble:
                     fit_window=(0, 5000), method=method,
                 )
         assert calls == []
+
+
+def test_array_holders_compare_by_identity():
+    """``==`` on states, distributions and results is a bool, and each is hashable."""
+    plan = EvolutionPlan(CoinSpec.hadamard(), 4)
+    record = run_walk(QubitParams(0.5, 0.5), InitialStateSpec.local(), plan)
+    result = run_ensemble(make_qubit_grid(1.0, 2.0), InitialStateSpec.local(), plan)
+    state = record.final_state
+    twin = WalkState(state.window, state.up.copy(), state.down.copy(), state.t)
+    for value in (record, result, state, distribution(state)):
+        assert (value == value) is True
+        assert hash(value) == hash(value)
+    assert (state == twin) is False
+    assert (distribution(state) == distribution(twin)) is False
 
 
 @pytest.mark.parametrize("method", ["run_walk", "linear", "direct"])

@@ -18,9 +18,7 @@ from qwalk1d import (
     distribution,
     entanglement_entropy,
     evolve,
-    far_peak_weight,
-    outer_peak_distance,
-    peak_sites,
+    outer_lobes,
     step,
 )
 from qwalk1d.core import SQRT1_2
@@ -339,30 +337,30 @@ class TestEntropy:
 class TestPeaks:
     def test_peak_sites_and_distance(self):
         d = dist_from({-7: 0.4, -2: 0.1, 3: 0.2, 8: 0.3}, LatticeWindow(-10, 10))
-        assert peak_sites(d) == (-7, 8)
-        assert outer_peak_distance(d) == 15
+        (j_left, _), (j_right, _) = outer_lobes(d)
+        assert (j_left, j_right) == (-7, 8)
 
     def test_far_peak_weight_isolated_lobes(self):
-        # two clean lobes: each side's lobe carries its own mass
+        # two clean lobes: each lobe carries its own mass
         values = {-6: 0.1, -5: 0.2, -4: 0.1, 4: 0.15, 5: 0.3, 6: 0.15}
-        d = dist_from(values, LatticeWindow(-9, 9))
-        assert far_peak_weight(d, "right") == pytest.approx(0.6 / 1.0, abs=1e-12)
-        assert far_peak_weight(d, "left") == pytest.approx(0.4 / 1.0, abs=1e-12)
+        (_, left), (_, right) = outer_lobes(dist_from(values, LatticeWindow(-9, 9)))
+        assert right == pytest.approx(0.6, abs=1e-12)
+        assert left == pytest.approx(0.4, abs=1e-12)
 
     def test_far_peak_weight_bridges_parity_comb(self):
         # every other site empty, like a local-state walk
         values = {2: 0.1, 4: 0.5, 6: 0.2, -2: 0.2}
-        d = dist_from(values, LatticeWindow(-7, 7))
-        assert far_peak_weight(d, "right") == pytest.approx(0.8, abs=1e-12)
+        (_, left), (j_right, right) = outer_lobes(dist_from(values, LatticeWindow(-7, 7)))
+        assert (j_right, right) == (4, pytest.approx(0.8, abs=1e-12))
+        assert left == pytest.approx(0.2, abs=1e-12)
 
-    def test_requires_mass_on_both_sides(self):
-        with pytest.raises(ValueError):
-            peak_sites(point_mass(3, LatticeWindow(-1, 5)))
+    @pytest.mark.parametrize("window", [LatticeWindow(1, 5), LatticeWindow(3, 3)])
+    def test_point_mass_is_one_lobe_twice(self, window):
+        assert outer_lobes(point_mass(3, window)) == ((3, 1.0), (3, 1.0))
 
-    def test_side_validated(self):
-        d = dist_from({-1: 0.5, 1: 0.5}, LatticeWindow(-2, 2))
+    def test_zero_total_raises(self):
         with pytest.raises(ValueError):
-            far_peak_weight(d, "up")
+            outer_lobes(dist_from({}, LatticeWindow(-2, 2)))
 
 
 @pytest.mark.parametrize("rows, sites", [(1, 6201), (16, 702), (16, 2201)])
