@@ -164,9 +164,11 @@ def outer_lobes(dist: PositionDistribution) -> tuple[tuple[int, float], tuple[in
     """The leftmost and the rightmost lobe of the position marginal, as ``(site, weight)``.
 
     Lobes are found on the adjacent-pair envelope ``p[i] + p[i+1]``, which
-    bridges the every-other-site comb of local-state walks.  Its local
-    maxima at or above ``_LOBE_FLOOR`` times its highest are the candidates;
-    the leftmost and the rightmost seed a lobe each, which extends both ways
+    bridges the every-other-site comb of local-state walks.  On a comb the
+    envelope climbs in steps of two equal values, so its maxima are taken
+    over runs of equal values: a run higher than both of its neighbours,
+    and at or above ``_LOBE_FLOOR`` times the highest, is a candidate.  The
+    leftmost and the rightmost seed a lobe each, which extends both ways
     while the envelope does not increase, i.e. up to the nearest envelope
     minima.  A lobe's site is its most probable one, and its weight the
     probability it encloses as a fraction of the total.  A distribution
@@ -178,10 +180,10 @@ def outer_lobes(dist: PositionDistribution) -> tuple[tuple[int, float], tuple[in
     # a zero past j_max gives the last site, and so a one-site window, a pair
     p = np.append(dist.p_total, 0.0)
     env = p[:-1] + p[1:]
-    padded = np.concatenate(([-np.inf], env, [-np.inf]))
-    peaks = np.flatnonzero(
-        (env > padded[:-2]) & (env >= padded[2:]) & (env >= _LOBE_FLOOR * env.max())
-    )
+    starts = np.flatnonzero(np.diff(env, prepend=np.nan) != 0.0)  # first pair of each run
+    level = np.concatenate(([-np.inf], env[starts], [-np.inf]))
+    run = level[1:-1]
+    peaks = starts[(run > level[:-2]) & (run > level[2:]) & (run >= _LOBE_FLOOR * env.max())]
 
     def lobe(seed: int) -> tuple[int, float]:
         lo = hi = seed

@@ -354,6 +354,24 @@ class TestPeaks:
         assert (j_right, right) == (4, pytest.approx(0.8, abs=1e-12))
         assert left == pytest.approx(0.2, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, lobes",
+        [
+            # a rising outer tail on the left, as a local walk has at its back edge
+            ({-6: 0.05, -4: 0.3, -2: 0.05, 4: 0.6}, ((-4, 0.4), (4, 0.6))),
+            # and on both edges, mirrored
+            ({-6: 0.05, -4: 0.3, -2: 0.05, 2: 0.05, 4: 0.5, 6: 0.05}, ((-4, 0.4), (4, 0.6))),
+        ],
+    )
+    def test_comb_lobe_is_reached_across_its_rising_tail(self, values, lobes):
+        # on a comb the envelope rises in pairs of equal values; the start of
+        # such a pair is not a maximum, so the lobe is the ballistic peak
+        (j_left, left), (j_right, right) = outer_lobes(dist_from(values, LatticeWindow(-8, 8)))
+        assert ((j_left, left), (j_right, right)) == (
+            (lobes[0][0], pytest.approx(lobes[0][1], abs=1e-12)),
+            (lobes[1][0], pytest.approx(lobes[1][1], abs=1e-12)),
+        )
+
     @pytest.mark.parametrize("window", [LatticeWindow(1, 5), LatticeWindow(3, 3)])
     def test_point_mass_is_one_lobe_twice(self, window):
         assert outer_lobes(point_mass(3, window)) == ((3, 1.0), (3, 1.0))
