@@ -278,7 +278,7 @@ class WalkState:
 
     ``up[i]`` and ``down[i]`` hold the spin-up and spin-down amplitudes of
     site ``window.j_min + i``.  Outside the reachable light cone both
-    fields are exactly zero, which the step operation preserves bit for bit.
+    fields are exactly zero, which every step preserves bit for bit.
     """
 
     window: LatticeWindow
@@ -301,29 +301,6 @@ class WalkState:
         n = window.size
         return cls(window, np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128), t)
 
-    def support(self) -> tuple[int, int] | None:
-        """Site range of nonzero amplitude, or None for the zero state."""
-        occupied = np.flatnonzero((self.up != 0) | (self.down != 0))
-        if occupied.size == 0:
-            return None
-        return (
-            int(self.window.j_min + occupied[0]),
-            int(self.window.j_min + occupied[-1]),
-        )
-
-    def embedded(self, window: LatticeWindow) -> "WalkState":
-        """Same amplitudes inside a larger window (zero padding)."""
-        if not window.contains(self.window):
-            raise ValueError(
-                f"target window [{window.j_min}, {window.j_max}] does not contain "
-                f"[{self.window.j_min}, {self.window.j_max}]"
-            )
-        out = WalkState.zero(window, self.t)
-        lo = window.index(self.window.j_min)
-        out.up[lo : lo + self.window.size] = self.up
-        out.down[lo : lo + self.window.size] = self.down
-        return out
-
 
 def build_initial_state(
     qubit: QubitParams,
@@ -334,7 +311,7 @@ def build_initial_state(
 
     The one-row case of :func:`_product_states`.  When ``window`` is
     omitted the state occupies :meth:`InitialStateSpec.support`; to evolve
-    it, pass the run's window (``ensemble.check_run``) or embed it later.
+    it, pass the run's window (``ensemble.check_run``).
     """
     lo, hi = init.support()
     if window is None:

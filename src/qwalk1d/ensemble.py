@@ -169,13 +169,12 @@ def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: 
     record time, then the final ``up`` and ``down``.
     """
     sites = window.sites().astype(np.float64)
-    work = (*np.empty((3, *up.shape)), np.empty(up.shape, dtype=np.complex128))
-    # the five row sums per record time; all but the last, the coherence, are real
-    sums = np.empty((5, plan.record_times().size, *up.shape[:-1]), dtype=np.complex128)
+    # the four row sums per record time; all but the last, the coherence, are real
+    sums = np.empty((4, plan.record_times().size, *up.shape[:-1]), dtype=np.complex128)
     for slot, (up, down) in enumerate(recorded_steps(up, down, plan, window)):
-        sums[:, slot] = _row_observables(up, down, sites, work)
-    norm, sigma, up_weight, down_weight = sums[:4].real
-    entropy = entropy_bits_vec(up_weight, _prob(sums[4]), up_weight + down_weight)
+        sums[:, slot] = _row_observables(up, down, sites)
+    norm, sigma, up_weight = sums[:3].real
+    entropy = entropy_bits_vec(up_weight, _prob(sums[3]), norm)
     return sigma, entropy, norm, up, down
 
 

@@ -14,13 +14,16 @@ contribution degenerates to a pure swap:
 
 The update is double buffered: the t-arrays are read in full before the
 t+1 arrays are written, because each output site reads both neighbors.
-Amplitude that would cross the window edge raises
-:class:`WindowOverflowError` instead of being clipped; clipping would
-silently destroy norm conservation.
+A run's window is sized before its first step, from the light cone
+(:func:`reachable_window`, called by ``ensemble.check_run``).  Amplitude
+that would still cross the window edge raises :class:`WindowOverflowError`
+instead of being clipped; clipping would silently destroy norm
+conservation.
 
 :func:`recorded_steps` is the one loop that runs a plan, for single walks,
 ensembles and cross-checks alike: it steps ``(..., N)`` amplitude arrays
-and yields them at the plan's record times.
+with the one kernel, ``_advance``, and yields them at the plan's record
+times.
 """
 
 from __future__ import annotations
@@ -30,15 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT1_2, CoinSpec, LatticeWindow, WalkState, _integer, check_site_count
+from .core import SQRT1_2, CoinSpec, LatticeWindow, _integer, check_site_count
 
 __all__ = [
     "WindowOverflowError",
     "EvolutionPlan",
     "reachable_window",
-    "step",
     "recorded_steps",
-    "evolve",
 ]
 
 
@@ -95,13 +96,6 @@ def reachable_window(
     return window
 
 
-def step(state: WalkState, coin: CoinSpec) -> WalkState:
-    """Advance one time step; returns a new state at ``t + 1``."""
-    up, down = np.empty_like(state.up), np.empty_like(state.down)
-    _advance(state.up, state.down, up, down, coin, state.window, state.t)
-    return WalkState(state.window, up, down, state.t + 1)
-
-
 def _advance(up, down, new_up, new_down, coin: CoinSpec, window: LatticeWindow, t: int) -> None:
     """Coin and shift ``(..., N)`` arrays from ``t`` into the distinct arrays ``new_*``.
 
@@ -153,24 +147,3 @@ def recorded_steps(
             (up, down), spare = spare, (up, down)
             t += 1
         yield up, down
-
-
-def evolve(state: WalkState, plan: EvolutionPlan) -> WalkState:
-    """Advance ``state`` by ``plan.steps`` steps; the input is left untouched.
-
-    The window must already hold the light cone of the state's nonzero
-    support (:func:`reachable_window`), so a mis-sized walk fails before
-    its first step instead of dying mid-run; a zero state fits any window.
-    """
-    support = state.support()
-    if support is not None:
-        needed = reachable_window(support, plan.coin, plan.steps)
-        if not state.window.contains(needed):
-            raise WindowOverflowError(
-                f"window [{state.window.j_min}, {state.window.j_max}] cannot hold the light "
-                f"cone of a {plan.steps}-step run, which needs [{needed.j_min}, {needed.j_max}]"
-            )
-    up, down = state.up.copy(), state.down.copy()
-    for up, down in recorded_steps(up, down, plan, state.window):
-        pass
-    return WalkState(state.window, up, down, state.t + plan.steps)

@@ -17,7 +17,6 @@ from .core import LatticeWindow, WalkState
 __all__ = [
     "PositionDistribution",
     "distribution",
-    "dispersion",
     "entanglement_entropy",
     "outer_lobes",
 ]
@@ -51,36 +50,27 @@ def distribution(state: WalkState) -> PositionDistribution:
     return PositionDistribution(state.window, _prob(state.up), _prob(state.down))
 
 
-def dispersion(dist: PositionDistribution) -> float:
-    """Standard deviation of the position marginal.
-
-    Computed as the second moment about the mean, which cannot go negative
-    by cancellation; any tiny negative radicand from rounding is clamped
-    to zero.
-    """
-    if dist.total() <= 0.0:
-        raise ValueError("dispersion undefined for zero total probability")
-    return float(_position_moments(dist.p_total, dist.window.sites().astype(np.float64))[2])
-
-
 def entanglement_entropy(state: WalkState) -> float:
     """Spin-position entanglement: the coin's von Neumann entropy in bits.
 
     The position is traced out, leaving the coin matrix
     ``[[sum|a|^2, sum a b*], [c.c., sum|b|^2]]``; this is
-    :func:`entropy_bits_vec` on that one matrix.
+    :func:`entropy_bits_vec` on that one matrix, summed as
+    :func:`_row_observables` sums one row, without its position moments.
     """
-    up_weight, down_weight, coherence = _coin_sums(state.up, state.down)
-    trace = up_weight + down_weight
+    p_up = _prob(state.up)
+    trace = np.sum(p_up + _prob(state.down))
     if not trace > 0.0:
         raise ValueError(f"trace must be positive, got {trace}")
-    return float(entropy_bits_vec(up_weight, _prob(coherence), trace))
+    coherence = _row_dot(np.conjugate(state.down), state.up)
+    return float(entropy_bits_vec(np.sum(p_up), _prob(coherence), trace))
 
 
 def entropy_bits_vec(up_weight, coherence_sq, trace):
     """Coin entropy in bits from ``sum|a|^2``, ``|sum a b*|^2`` and norm, over arrays."""
     lam_plus, lam_minus = _coin_eigenvalues(up_weight, coherence_sq, trace)
-    return -_xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
+    # 0.0 first, so that a pure coin state gives +0.0 rather than -0.0
+    return 0.0 - _xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
 
 
 def _coin_eigenvalues(up_weight, coherence_sq, trace):
@@ -106,42 +96,30 @@ def _coin_eigenvalues(up_weight, coherence_sq, trace):
 
 
 def _xlog2_vec(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    np.multiply(x, np.log2(x, out=np.zeros_like(x), where=x > 0.0), out=out, where=x > 0.0)
-    return out
+    """``x log2(x)`` on [0, 1], with ``0 log2(0) = +0.0``."""
+    return x * np.log2(np.where(x > 0.0, x, 1.0))
 
 
-def _row_observables(up, down, sites, work):
-    """Norm, dispersion, ``sum|a|^2``, ``sum|b|^2`` and ``sum a conj(b)`` of each row.
+def _row_observables(up, down, sites):
+    """Norm, dispersion, ``sum|a|^2`` and ``sum a conj(b)`` of each row.
 
-    The one set of formulas for single walks and ``direct`` batches; on one state its
-    halves are :func:`dispersion` and :func:`entanglement_entropy`.  A row's numbers
-    come from that row alone, bit for bit.  ``work`` is three real and one complex
-    array of the amplitudes' shape, reused across a stepping loop; fresh arrays per
-    record made the fig1 preset slower, median 0.97 s against 0.93 s (same bytes;
-    eight alternating runs each, twice, on 2 Xeon vCPUs).
+    The one set of formulas for single walks and ``direct`` batches; the norm
+    is the coin matrix's trace, and :func:`entanglement_entropy` is the same
+    sums on one state.  A row's numbers come from that row alone, bit for bit.
     """
-    p_total, p_down, tmp, conj = work
-    p_total = np.add(np.square(up.real, out=p_total), np.square(up.imag, out=tmp), out=p_total)
-    p_down = np.add(np.square(down.real, out=p_down), np.square(down.imag, out=tmp), out=p_down)
-    norm, _, sigma = _position_moments(np.add(p_total, p_down, out=p_total), sites, tmp)
-    return (norm, sigma, *_coin_sums(up, down, conj))
+    p_up, p_total = _prob(up), _prob(down)
+    p_total += p_up
+    norm, _, sigma = _position_moments(p_total, sites)
+    return norm, sigma, np.sum(p_up, axis=-1), _row_dot(np.conjugate(down), up)
 
 
-def _coin_sums(up, down, conj=None):
-    """``sum|a|^2``, ``sum|b|^2`` and ``sum a conj(b)`` of each row; ``conj`` is scratch."""
-    conj = np.conjugate(down, out=conj)
-    coherence, down_weight = _row_dot(conj, up), _row_dot(conj, down).real
-    up_weight = _row_dot(np.conjugate(up, out=conj), up).real
-    return up_weight, down_weight, coherence
-
-
-def _position_moments(p_total, sites, tmp=None):
+def _position_moments(p_total, sites):
     """Norm, mean and dispersion about the mean of each row of site probabilities."""
     norm = np.sum(p_total, axis=-1)
     mean = _row_dot(p_total, sites) / norm
-    centered = np.subtract(sites, mean[..., None], out=tmp)
-    radicand = _row_dot(p_total, np.multiply(centered, centered, out=centered)) / norm
+    centered = sites - mean[..., None]
+    centered *= centered
+    radicand = _row_dot(p_total, centered) / norm
     return norm, mean, np.sqrt(np.maximum(radicand, 0.0))
 
 
@@ -155,9 +133,12 @@ def _prob(z):
 
     Every distribution, and the squared coherence of single walks and ``direct``
     batches, comes from it; the linear ensemble path applies the same formula
-    to its coherence's real and imaginary rows.
+    to its coherence's real and imaginary rows.  The sum is taken in place,
+    which saves the single-walk kernel an array per call.
     """
-    return z.real**2 + z.imag**2
+    p = z.real**2
+    p += z.imag**2
+    return p
 
 
 def outer_lobes(dist: PositionDistribution) -> tuple[tuple[int, float], tuple[int, float]]:

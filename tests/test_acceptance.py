@@ -22,21 +22,21 @@ from qwalk1d import (
     QubitParams,
     WalkState,
     build_initial_state,
-    dispersion,
     distribution,
     entanglement_entropy,
-    evolve,
     make_qubit_grid,
     outer_lobes,
     reachable_window,
     recorded_steps,
     ring_evolve,
     run_ensemble,
-    step,
+    run_walk,
 )
 from qwalk1d.cli import emit_results, main, parse_config
 from qwalk1d.core import SQRT1_2
 from qwalk1d.ensemble import check_run
+from qwalk1d.observables import _position_moments
+from walks import stepped
 
 DATA_DIR = Path(__file__).parent / "data"
 STEPS = 3000
@@ -140,13 +140,14 @@ def test_criterion1_oracle_equivalence():
     for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-5)):
         for _ in range(20):
             qubit = QubitParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            window = reachable_window((0, 0), coin, steps)
-            state = build_initial_state(qubit, InitialStateSpec.local(), window)
-            oracle = state.embedded(ring)
-            for _ in range(steps):
-                state = step(state, coin)
+            assert ring.contains(reachable_window((0, 0), coin, steps))  # so nothing wraps
+            oracle = build_initial_state(qubit, InitialStateSpec.local(), ring)
+            plan = EvolutionPlan(coin, steps)
+            walk = recorded_steps(oracle.up.copy(), oracle.down.copy(), plan, ring)
+            next(walk)  # t = 0
+            for up, down in walk:
                 oracle = ring_evolve(oracle, coin, 1)
-                worst = max(worst, _amplitude_difference(oracle, state.embedded(ring)))
+                worst = max(worst, _amplitude_difference(oracle, WalkState(ring, up, down)))
     _report(
         "criterion 1 (oracle equivalence)",
         worst <= 1e-12,
@@ -159,16 +160,16 @@ def test_criterion1_full_scale_oracle():
     """Criterion 1 at full scale: the reference qubit, 3000 steps, every fig1 envelope x both coins.
 
     The ring is the run's window padded by one site on each side, so the
-    oracle holds the whole light cone without wrapping.
+    oracle holds the whole light cone without wrapping; the engine is
+    :func:`run_walk`, zero on the two padding sites.
     """
     worst = 0.0
     for init in INITIAL_STATES.values():
         for coin in COINS.values():
-            plan = EvolutionPlan(coin, STEPS)
-            start = _run_start(REFERENCE_QUBIT, init, plan)
-            ring = LatticeWindow(start.window.j_min - 1, start.window.j_max + 1)
-            oracle = ring_evolve(start.embedded(ring), coin, STEPS)
-            engine = evolve(start, plan).embedded(ring)
+            final = run_walk(REFERENCE_QUBIT, init, EvolutionPlan(coin, STEPS)).final_state
+            ring = LatticeWindow(final.window.j_min - 1, final.window.j_max + 1)
+            oracle = ring_evolve(build_initial_state(REFERENCE_QUBIT, init, ring), coin, STEPS)
+            engine = WalkState(ring, np.pad(final.up, 1), np.pad(final.down, 1), STEPS)
             worst = max(worst, _amplitude_difference(oracle, engine))
     _report(
         "criterion 1 (full-scale oracle equivalence)",
@@ -214,7 +215,7 @@ def test_criterion3_far_peak_probabilities(reference_walks):
 def _final_hadamard_distribution(qubit: QubitParams, init: InitialStateSpec):
     """Position distribution after a bare ``STEPS``-step Hadamard walk."""
     plan = EvolutionPlan(COINS["hadamard"], STEPS)
-    return distribution(evolve(_run_start(qubit, init, plan), plan))
+    return distribution(stepped(_run_start(qubit, init, plan), plan.coin, STEPS))
 
 
 @pytest.mark.slow
@@ -527,10 +528,12 @@ def _trojan_packet(dists: dict[int, PositionDistribution], defect_site: int) -> 
     can also move at nearly 1/sqrt(2).
     """
     times = sorted(dists)
-    pairs = [_lobe_pair(dists[t], defect_site) for t in times]
-    means = [np.dot(dists[t].p_total, dists[t].window.sites()) / dists[t].total() for t in times]
+    snapshots = [dists[t] for t in times]
+    pairs = [_lobe_pair(d, defect_site) for d in snapshots]
+    _, means, sigmas = zip(
+        *(_position_moments(d.p_total, d.window.sites().astype(np.float64)) for d in snapshots)
+    )
     velocity = (means[-1] - means[0]) / (times[-1] - times[0])
-    sigmas = [dispersion(dists[t]) for t in times]
     spread = max(sigmas) - min(sigmas)
     ok = all(good for good, _ in pairs) and abs(velocity - SQRT1_2) <= 1e-3 and spread < 0.1
     detail = "; ".join(f"t={t}: {text}" for t, (_, text) in zip(times, pairs))

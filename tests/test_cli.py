@@ -233,6 +233,7 @@ class TestEmission:
         header, rows = read_csv(tmp_path / "timeseries.csv")
         assert header == ["t", "sigma", "entropy", "norm"]
         assert [int(r[0]) for r in rows] == [0, 2, 4]
+        assert rows[0] == ["0", "0", "0", "1"]  # a product state's entropy is +0, not -0
         for row in rows:
             assert float(row[3]) == pytest.approx(1.0, abs=1e-12)
         header, rows = read_csv(tmp_path / "summary.csv")

@@ -233,7 +233,7 @@ class TestBuildInitialState:
         window = LatticeWindow(-10, 10)
         state = build_initial_state(QubitParams(1.0, 1.0), InitialStateSpec.local(), window)
         assert state.window == window
-        assert state.support() == (0, 0)
+        assert np.flatnonzero(distribution(state).p_total).tolist() == [window.index(0)]
 
     def test_window_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -260,19 +260,6 @@ class TestWalkState:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             WalkState(LatticeWindow(0, 2), np.zeros(3, complex), np.zeros(2, complex))
-
-    def test_embedded_preserves_amplitudes(self):
-        state = build_initial_state(QubitParams(1.0, 2.0), InitialStateSpec.gaussian(1.0, 3))
-        big = state.embedded(LatticeWindow(-10, 10))
-        assert big.window == LatticeWindow(-10, 10)
-        assert big.support() == (-3, 3)
-        norm = distribution(state).total()
-        assert distribution(big).total() == pytest.approx(norm, abs=1e-15)
-        with pytest.raises(ValueError):
-            state.embedded(LatticeWindow(0, 2))
-
-    def test_support_of_zero_state(self):
-        assert WalkState.zero(LatticeWindow(-2, 2)).support() is None
 
     def test_time_must_be_a_non_negative_integer(self):
         window = LatticeWindow(-2, 2)

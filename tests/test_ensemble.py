@@ -15,15 +15,15 @@ from qwalk1d import (
     QubitParams,
     WalkState,
     build_initial_state,
-    dispersion,
     distribution,
     entanglement_entropy,
     fit_dispersion_slope,
     make_qubit_grid,
     run_ensemble,
     run_walk,
-    step,
 )
+from qwalk1d.observables import _position_moments
+from walks import stepped
 
 
 class TestQubitGrid:
@@ -98,7 +98,7 @@ class TestRunWalk:
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_series_match_repeated_step(self, record_every):
-        """The recorded series and final state are those of ``step`` applied t times."""
+        """The recorded series and final state are those of one step applied t times."""
         qubit = QubitParams(1.1, 0.4)
         init = InitialStateSpec.gaussian(2.0, 6)
         plan = EvolutionPlan(CoinSpec.not_defect(-3), 50, record_every=record_every)
@@ -108,15 +108,16 @@ class TestRunWalk:
         if times[-1] != 50:
             times.append(50)  # off-stride last record at record_every 7
         state = build_initial_state(qubit, init, qwalk1d.ensemble.check_run(init, plan)[0])
+        sites = state.window.sites().astype(np.float64)
         sigma, entropy, norm = [], [], []
         for t in range(51):
             if t in times:
                 dist = distribution(state)
-                sigma.append(dispersion(dist))
+                sigma.append(_position_moments(dist.p_total, sites)[2])
                 entropy.append(entanglement_entropy(state))
                 norm.append(dist.total())
             if t < 50:
-                state = step(state, plan.coin)
+                state = stepped(state, plan.coin)
         assert rec.times.tolist() == times
         assert np.array_equal(rec.sigma, sigma)
         assert np.array_equal(rec.entropy, entropy)

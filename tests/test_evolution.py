@@ -15,7 +15,6 @@ from qwalk1d import (
     WindowOverflowError,
     build_initial_state,
     distribution,
-    evolve,
     fit_dispersion_slope,
     make_qubit_grid,
     reachable_window,
@@ -23,9 +22,9 @@ from qwalk1d import (
     ring_evolve,
     run_ensemble,
     run_walk,
-    step,
 )
 from qwalk1d.ensemble import check_run
+from walks import stepped
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -38,7 +37,7 @@ def spin_up_local(window: LatticeWindow) -> WalkState:
 
 def test_single_step_hand_result():
     state = spin_up_local(LatticeWindow(-1, 1))
-    out = step(state, CoinSpec.hadamard())
+    out = stepped(state, CoinSpec.hadamard())
     assert out.t == 1
     assert out.up[out.window.index(1)] == pytest.approx(SQRT1_2, abs=1e-16)
     assert out.down[out.window.index(-1)] == pytest.approx(SQRT1_2, abs=1e-16)
@@ -48,7 +47,7 @@ def test_single_step_hand_result():
 
 def test_two_step_amplitudes_and_distribution():
     state = spin_up_local(LatticeWindow(-2, 2))
-    out = step(step(state, CoinSpec.hadamard()), CoinSpec.hadamard())
+    out = stepped(state, CoinSpec.hadamard(), 2)
     idx = out.window.index
     assert out.up[idx(0)] == pytest.approx(0.5, abs=1e-15)
     assert out.down[idx(0)] == pytest.approx(0.5, abs=1e-15)
@@ -64,7 +63,7 @@ def test_defect_flips_and_moves_right():
     r = 4
     state = WalkState.zero(LatticeWindow(0, 8))
     state.down[state.window.index(r)] = 1.0
-    out = step(state, CoinSpec.not_defect(r))
+    out = stepped(state, CoinSpec.not_defect(r))
     assert out.up[out.window.index(r + 1)] == 1.0 + 0.0j
     assert distribution(out).total() == pytest.approx(1.0, abs=1e-15)
     occupied = np.flatnonzero((out.up != 0) | (out.down != 0))
@@ -75,39 +74,61 @@ def test_defect_spin_up_reflects_left():
     r = 4
     state = WalkState.zero(LatticeWindow(0, 8))
     state.up[state.window.index(r)] = 1.0
-    out = step(state, CoinSpec.not_defect(r))
+    out = stepped(state, CoinSpec.not_defect(r))
     assert out.down[out.window.index(r - 1)] == 1.0 + 0.0j
 
 
 def test_light_cone_zeros_are_exact():
-    steps = 25
+    plan = EvolutionPlan(CoinSpec.hadamard(), 25)
     state = spin_up_local(LatticeWindow(-40, 40))
-    coin = CoinSpec.hadamard()
-    for t in range(1, steps + 1):
-        state = step(state, coin)
-        sites = state.window.sites()
+    sites = state.window.sites()
+    walk = recorded_steps(state.up, state.down, plan, state.window)
+    for t, (up, down) in zip(plan.record_times(), walk):
         outside = np.abs(sites) > t
-        assert np.all(state.up[outside] == 0.0)
-        assert np.all(state.down[outside] == 0.0)
+        assert np.all(up[outside] == 0.0)
+        assert np.all(down[outside] == 0.0)
 
 
 def test_norm_conserved_per_step():
-    state = build_initial_state(QubitParams(1.2, 3.4), InitialStateSpec.gaussian(2.0, 8))
-    state = state.embedded(LatticeWindow(-60, 60))
-    coin = CoinSpec.not_defect(-9)
+    window = LatticeWindow(-60, 60)
+    state = build_initial_state(QubitParams(1.2, 3.4), InitialStateSpec.gaussian(2.0, 8), window)
+    plan = EvolutionPlan(CoinSpec.not_defect(-9), 50)
     norm0 = distribution(state).total()
-    for _ in range(50):
-        state = step(state, coin)
-        assert abs(distribution(state).total() - norm0) <= 50 * 1e-14
+    for up, down in recorded_steps(state.up, state.down, plan, window):
+        assert abs(distribution(WalkState(window, up, down)).total() - norm0) <= 50 * 1e-14
 
 
 def test_overflow_is_fatal_not_clipped():
     state = spin_up_local(LatticeWindow(-2, 2))
-    coin = CoinSpec.hadamard()
-    state = step(state, coin)
-    state = step(state, coin)
-    with pytest.raises(WindowOverflowError):
-        step(state, coin)
+    walk = recorded_steps(state.up, state.down, EvolutionPlan(CoinSpec.hadamard(), 3), state.window)
+    for _ in range(3):  # t = 0, 1, 2: the light cone reaches the edges at t = 2
+        next(walk)
+    with pytest.raises(WindowOverflowError, match="t=3"):
+        next(walk)
+
+
+@pytest.mark.parametrize(
+    "defect, spin, overflows",
+    [(0, "up", True), (4, "down", True), (0, "down", False), (4, "up", False)],
+    ids=["up_at_left_defect", "down_at_right_defect", "down_at_left_defect", "up_at_right_defect"],
+)
+def test_overflow_guard_at_a_defect_on_the_window_edge(defect, spin, overflows):
+    # the NOT gate sends spin up left and spin down right; spin down at a left-edge
+    # defect is the fig2 geometry, whose window is clipped at the defect
+    window = LatticeWindow(0, 4)
+    state = WalkState.zero(window)
+    getattr(state, spin)[window.index(defect)] = 1.0
+    plan = EvolutionPlan(CoinSpec.not_defect(defect), 1)
+    walk = recorded_steps(state.up, state.down, plan, window)
+    next(walk)
+    if overflows:
+        with pytest.raises(WindowOverflowError):
+            next(walk)
+    else:
+        up, down = next(walk)
+        flipped, site = (up, defect + 1) if spin == "down" else (down, defect - 1)
+        assert flipped[window.index(site)] == 1.0
+        assert np.count_nonzero(up) + np.count_nonzero(down) == 1
 
 
 def test_reachable_window_hadamard():
@@ -119,9 +140,9 @@ def test_reachable_window_hadamard():
     "size",
     [
         lambda plan: reachable_window((0, 0), plan.coin, plan.steps),
-        lambda plan: evolve(spin_up_local(LatticeWindow(0, 0)), plan),
+        lambda plan: run_walk(QubitParams(0.0, 0.0), InitialStateSpec.local(), plan),
     ],
-    ids=["reachable_window", "evolve"],
+    ids=["reachable_window", "run_walk"],
 )
 def test_light_cone_above_max_sites_rejected(size):
     # 2e8 + 1 sites: sized before any amplitude array is
@@ -149,7 +170,7 @@ def test_walk_from_a_defect_on_the_support_edge():
     qubit = QubitParams(0.75 * math.pi, 0.0)
     record = run_walk(qubit, InitialStateSpec.local(), plan)
     padded = build_initial_state(qubit, InitialStateSpec.local(), LatticeWindow(-10, 10))
-    reference = evolve(padded, plan)
+    reference = stepped(padded, plan.coin, plan.steps)
     assert record.final_state.window == reference.window
     assert np.array_equal(record.final_state.up, reference.up)
     assert np.array_equal(record.final_state.down, reference.down)
@@ -162,72 +183,56 @@ def test_run_walk_window_is_the_sampled_light_cone():
     qubit = QubitParams(0.7, 0.2)
     init = InitialStateSpec.gaussian(1.0)
     start = build_initial_state(qubit, init, LatticeWindow(*init.support()))
-    assert start.support() == (-54, 54)
+    occupied = start.window.sites()[(start.up != 0) | (start.down != 0)]
+    assert (occupied.min(), occupied.max()) == (-54, 54)
     record = run_walk(qubit, init, plan)
     assert record.final_state.window == LatticeWindow(-105, 105) == check_run(init, plan)[0]
     local = run_walk(qubit, InitialStateSpec.local(), plan)
     assert local.final_state.window == LatticeWindow(-5, 5)
 
 
-def test_evolve_requires_presized_window():
-    # the window must hold the light cone of the occupied sites; a zero state fits any window
-    plan = EvolutionPlan(CoinSpec.hadamard(), 4)
-    assert evolve(WalkState.zero(LatticeWindow(0, 0)), plan).t == 4
-    assert evolve(spin_up_local(LatticeWindow(-4, 4)), plan).t == 4
-    with pytest.raises(WindowOverflowError, match=r"needs \[-4, 4\]"):
-        evolve(spin_up_local(LatticeWindow(-3, 3)), plan)
-    off_centre = WalkState.zero(LatticeWindow(-4, 4))
-    off_centre.up[off_centre.window.index(1)] = 1.0
-    with pytest.raises(WindowOverflowError, match=r"needs \[-3, 5\]"):
-        evolve(off_centre, plan)
-
-
 def test_recorded_steps_schedule():
     plan = EvolutionPlan(CoinSpec.hadamard(), 7, record_every=3)
     state = spin_up_local(reachable_window((0, 0), plan.coin, plan.steps))
-    stepped = [state]
+    states = [state]
     for _ in range(plan.steps):
-        stepped.append(step(stepped[-1], plan.coin))
+        states.append(stepped(states[-1], plan.coin))
     seen = []  # the time of each yield, found among the stepped states
     for up, down in recorded_steps(state.up.copy(), state.down.copy(), plan, state.window):
         seen += [
             t
-            for t, s in enumerate(stepped)
+            for t, s in enumerate(states)
             if np.array_equal(s.up, up) and np.array_equal(s.down, down)
         ]
-    final = evolve(state, plan)
     assert seen == [0, 3, 6, 7]
-    assert final.t == 7
     assert list(plan.record_times()) == [0, 3, 6, 7]
 
 
-def test_evolve_leaves_input_and_counts_from_its_time():
-    """The generator steps in its input arrays, so evolve must work on copies."""
+def test_recorded_steps_alternate_two_buffer_pairs():
+    """The loop steps in its input arrays and one spare pair, so a caller copies what it keeps."""
     plan = EvolutionPlan(CoinSpec.not_defect(-2), 9, record_every=4)
     init = InitialStateSpec.gaussian(1.5, 4)
-    ready = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
-    start = WalkState(ready.window, ready.up, ready.down, t=5)
+    start = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
     up, down = start.up.copy(), start.down.copy()
-    final = evolve(start, plan)
-    assert np.array_equal(start.up, up) and np.array_equal(start.down, down)
-    assert start.t == 5
-    assert final.t == 14
     expected = start
-    for _ in range(plan.steps):
-        expected = step(expected, plan.coin)
-    assert expected.t == 14
-    assert np.array_equal(final.up, expected.up)
-    assert np.array_equal(final.down, expected.down)
+    walk = recorded_steps(up, down, plan, start.window)
+    for t, (new_up, new_down) in zip(plan.record_times(), walk):
+        assert (new_up is up) == (new_down is down) == (t % 2 == 0)
+        if t > expected.t:
+            expected = stepped(expected, plan.coin, t - expected.t)
+        assert np.array_equal(new_up, expected.up) and np.array_equal(new_down, expected.down)
+    assert expected.t == 9
 
 
-def test_evolve_single_step_matches_step():
+def test_run_walk_single_step_matches_ring():
     plan = EvolutionPlan(CoinSpec.hadamard(), 1)
-    init = InitialStateSpec.local()
-    state = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
-    via_evolve = evolve(state, plan)
-    via_step = step(state, plan.coin)
-    assert np.array_equal(via_evolve.up, via_step.up)
-    assert np.array_equal(via_evolve.down, via_step.down)
+    qubit, init = QubitParams(0.7, 0.2), InitialStateSpec.local()
+    final = run_walk(qubit, init, plan).final_state
+    # the three-site ring [-1, 1] holds the one-step light cone without wrapping
+    oracle = ring_evolve(build_initial_state(qubit, init, final.window), plan.coin, 1)
+    assert final.window == oracle.window == LatticeWindow(-1, 1)
+    assert np.abs(final.up - oracle.up).max() <= 1e-15
+    assert np.abs(final.down - oracle.down).max() <= 1e-15
 
 
 def test_plan_validation():
@@ -275,7 +280,6 @@ def test_plan_and_window_accept_numpy_integers():
     window = LatticeWindow(np.int64(-2), np.int32(3))
     assert window.size == 6
     state = WalkState.zero(LatticeWindow(-4, 4), np.int64(1))
-    assert evolve(state, EvolutionPlan(CoinSpec.hadamard(), 3)).t == 4
     _, fit_window = check_run(InitialStateSpec.local(), plan, (np.int64(0), np.int32(5)))
     stored = {
         "steps": plan.steps,
@@ -295,42 +299,38 @@ def test_plan_and_window_accept_numpy_integers():
     assert stored["ring_time"] == 3 and stored["gaussian_radius"] == 7
 
 
+# the linearity test's window: a state on [-8, 8] stays inside it for five steps
+LINEARITY_WINDOW = LatticeWindow(-14, 14)
+
+
 @st.composite
-def random_states(draw):
-    j_min = draw(st.integers(-8, -2))
-    j_max = draw(st.integers(2, 8))
-    window = LatticeWindow(j_min, j_max)
-    n = window.size
+def random_amplitudes(draw):
+    """``(up, down)`` on ``LINEARITY_WINDOW``, nonzero only on a random range inside [-8, 8]."""
+    lo = LINEARITY_WINDOW.index(draw(st.integers(-8, -2)))
+    hi = LINEARITY_WINDOW.index(draw(st.integers(2, 8)))
+    n = hi - lo + 1
     elements = st.floats(-1.0, 1.0, allow_nan=False, width=32)
-    up_re = draw(st.lists(elements, min_size=n, max_size=n))
-    up_im = draw(st.lists(elements, min_size=n, max_size=n))
-    dn_re = draw(st.lists(elements, min_size=n, max_size=n))
-    dn_im = draw(st.lists(elements, min_size=n, max_size=n))
-    up = np.array(up_re) + 1j * np.array(up_im)
-    down = np.array(dn_re) + 1j * np.array(dn_im)
-    return WalkState(window, up, down)
+    re_up, im_up, re_down, im_down = (
+        np.array(draw(st.lists(elements, min_size=n, max_size=n))) for _ in range(4)
+    )
+    amplitudes = np.zeros((2, LINEARITY_WINDOW.size), dtype=np.complex128)
+    amplitudes[0, lo : hi + 1] = re_up + 1j * im_up
+    amplitudes[1, lo : hi + 1] = re_down + 1j * im_down
+    return amplitudes
 
 
-@given(pair=st.tuples(random_states(), random_states()),
+@given(pair=st.tuples(random_amplitudes(), random_amplitudes()),
        c1=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
        c2=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=40, deadline=None)
 def test_step_is_linear(pair, c1, c2):
+    # rows: the two states and their combination, stepped as one batch
     s1, s2 = pair
-    window = LatticeWindow(
-        min(s1.window.j_min, s2.window.j_min) - 6,
-        max(s1.window.j_max, s2.window.j_max) + 6,
-    )
-    s1 = s1.embedded(window)
-    s2 = s2.embedded(window)
-    combined = WalkState(window, c1 * s1.up + c2 * s2.up, c1 * s1.down + c2 * s2.down)
-    coin = CoinSpec.not_defect(0)
-    for _ in range(5):
-        s1 = step(s1, coin)
-        s2 = step(s2, coin)
-        combined = step(combined, coin)
-    assert np.abs(combined.up - (c1 * s1.up + c2 * s2.up)).max() <= 1e-12
-    assert np.abs(combined.down - (c1 * s1.down + c2 * s2.down)).max() <= 1e-12
+    up, down = np.stack((s1, s2, c1 * s1 + c2 * s2), axis=1)
+    plan = EvolutionPlan(CoinSpec.not_defect(0), 5, record_every=5)
+    *_, (up, down) = recorded_steps(up, down, plan, LINEARITY_WINDOW)
+    assert np.abs(up[2] - (c1 * up[0] + c2 * up[1])).max() <= 1e-12
+    assert np.abs(down[2] - (c1 * down[0] + c2 * down[1])).max() <= 1e-12
 
 
 @given(sigma0=st.floats(0.5, 5.0, allow_nan=False), seed=st.integers(0, 2**32 - 1))
@@ -342,7 +342,7 @@ def test_reflection_never_crosses_defect(sigma0, seed):
     defect = -11
     init = InitialStateSpec.gaussian(sigma0, 10, renormalize=True)
     plan = EvolutionPlan(CoinSpec.not_defect(defect), 40)
-    state = build_initial_state(qubit, init).embedded(LatticeWindow(-60, 60))
+    state = build_initial_state(qubit, init, LatticeWindow(-60, 60))
     cut = state.window.index(defect)
     for up, down in recorded_steps(state.up, state.down, plan, state.window):
         assert np.all(up[:cut] == 0.0)

@@ -14,22 +14,20 @@ from qwalk1d import (
     QubitParams,
     WalkState,
     build_initial_state,
-    dispersion,
     distribution,
     entanglement_entropy,
-    evolve,
     outer_lobes,
-    step,
+    run_walk,
 )
 from qwalk1d.core import SQRT1_2
-from qwalk1d.ensemble import check_run
 from qwalk1d.observables import (
     _coin_eigenvalues,
-    _coin_sums,
+    _position_moments,
     _prob,
     _row_observables,
     entropy_bits_vec,
 )
+from walks import stepped
 
 # sigma(0) of the truncated discrete Gaussian, 40-digit arithmetic
 SIGMA0_10_R100 = 10.0
@@ -53,8 +51,19 @@ def dist_from(values: dict[int, float], window: LatticeWindow) -> PositionDistri
 def two_step_local_state() -> WalkState:
     state = WalkState.zero(LatticeWindow(-2, 2))
     state.up[state.window.index(0)] = 1.0
-    coin = CoinSpec.hadamard()
-    return step(step(state, coin), coin)
+    return stepped(state, CoinSpec.hadamard(), 2)
+
+
+def dispersion(dist: PositionDistribution) -> float:
+    """The row kernel's dispersion of one distribution."""
+    return float(_position_moments(dist.p_total, dist.window.sites().astype(np.float64))[2])
+
+
+def coin_sums(up, down):
+    """Trace, ``sum|a|^2`` and ``sum a conj(b)`` of each row, from the row kernel."""
+    sites = np.arange(np.shape(up)[-1], dtype=np.float64)
+    norm, _, up_weight, coherence = _row_observables(up, down, sites)
+    return norm, up_weight, coherence
 
 
 class TestDistribution:
@@ -119,26 +128,21 @@ class TestMeanAndDispersion:
         far = PositionDistribution(LatticeWindow(2995, 3005), p, np.zeros_like(p))
         assert dispersion(far) == pytest.approx(dispersion(d), abs=1e-12)
 
-    def test_zero_probability_rejected(self):
-        empty = PositionDistribution(LatticeWindow(0, 2), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            dispersion(empty)
-
 
 class TestReducedCoin:
     """The reduced coin matrix's entries, as :func:`entanglement_entropy` sums them."""
 
     def test_spin_up_local(self):
         state = build_initial_state(QubitParams(0.0, 0.0), InitialStateSpec.local())
-        up_weight, _, coherence = _coin_sums(state.up, state.down)
+        _, up_weight, coherence = coin_sums(state.up, state.down)
         assert up_weight == pytest.approx(1.0, abs=1e-15)
         assert coherence == pytest.approx(0.0, abs=1e-15)
 
     def test_one_step_no_sitewise_overlap(self):
         state = WalkState.zero(LatticeWindow(-1, 1))
         state.up[state.window.index(0)] = 1.0
-        stepped = step(state, CoinSpec.hadamard())
-        up_weight, _, coherence = _coin_sums(stepped.up, stepped.down)
+        out = stepped(state, CoinSpec.hadamard())
+        _, up_weight, coherence = coin_sums(out.up, out.down)
         assert up_weight == pytest.approx(0.5, abs=1e-15)
         assert abs(coherence) <= 1e-15
 
@@ -147,17 +151,17 @@ class TestReducedCoin:
             state = build_initial_state(
                 QubitParams(alpha, beta), InitialStateSpec.gaussian(3.0, 20)
             )
-            up_weight, down_weight, coherence = _coin_sums(state.up, state.down)
+            trace, up_weight, coherence = coin_sums(state.up, state.down)
             a, b = up_weight, abs(coherence) ** 2
-            assert b == pytest.approx(a * (up_weight + down_weight - a), abs=1e-14)
+            assert b == pytest.approx(a * (trace - a), abs=1e-14)
 
     def test_matrix_layout(self):
         # row 0 is spin up, and the off-diagonal entry is sum a conj(b), not its conjugate
-        up_weight, down_weight, coherence = _coin_sums(
+        trace, up_weight, coherence = coin_sums(
             np.array([[0.6, 0.0], [0.5, 0.5j]]), np.array([[0.8j, 0.0], [0.5, 0.5]])
         )
+        assert np.allclose(trace, [1.0, 1.0], rtol=0, atol=1e-15)
         assert np.allclose(up_weight, [0.36, 0.5], rtol=0, atol=1e-15)
-        assert np.allclose(down_weight, [0.64, 0.5], rtol=0, atol=1e-15)
         assert np.allclose(coherence, [-0.48j, 0.25 + 0.25j], rtol=0, atol=1e-15)
 
     def test_nonpositive_trace_rejected(self):
@@ -176,6 +180,14 @@ class TestEntropy:
     def test_separable(self):
         assert _coin_eigenvalues(1.0, 0.0, 1.0) == (1.0, 0.0)
         assert entanglement_entropy(state_from([1.0], [0.0])) == 0.0
+
+    def test_exact_zero_is_positive_zero(self):
+        # -0 log2(-0) would print as "-0" in every single walk's first CSV row
+        product = build_initial_state(QubitParams(0.0, 0.0), InitialStateSpec.gaussian(1.5, 9))
+        for state in (product, state_from([0.0, 1.0], [0.0, 0.0]), state_from([0.0], [1j])):
+            assert math.copysign(1.0, entanglement_entropy(state)) == 1.0
+        zeros = entropy_bits_vec(np.array([1.0, 0.0]), np.zeros(2), 1.0)
+        assert np.array_equal(np.copysign(1.0, zeros), [1.0, 1.0])
 
     def test_maximally_mixed(self):
         lambda_plus, _ = _coin_eigenvalues(0.5, 0.0, 1.0)
@@ -200,10 +212,8 @@ class TestEntropy:
         assert entanglement_entropy(scaled) == pytest.approx(
             entanglement_entropy(reference), abs=1e-14
         )
-        up_weight, down_weight, coherence = _coin_sums(scaled.up, scaled.down)
-        lambda_plus, lambda_minus = _coin_eigenvalues(
-            up_weight, abs(coherence) ** 2, up_weight + down_weight
-        )
+        trace, up_weight, coherence = coin_sums(scaled.up, scaled.down)
+        lambda_plus, lambda_minus = _coin_eigenvalues(up_weight, abs(coherence) ** 2, trace)
         assert lambda_plus + lambda_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_corrupted_input_rejected(self):
@@ -270,8 +280,8 @@ class TestEntropy:
             up[i] = plus * c, -minus * s * phase.conjugate()
             down[i] = plus * s * phase, minus * c
         states = [state_from(u, d) for u, d in zip(up, down)]
-        up_weight, down_weight, coherence = _coin_sums(up, down)
-        coherence_sq, trace = _prob(coherence), up_weight + down_weight
+        trace, up_weight, coherence = coin_sums(up, down)
+        coherence_sq = _prob(coherence)
         one_by_one = np.array([entanglement_entropy(state) for state in states])
         assert np.array_equal(entropy_bits_vec(up_weight, coherence_sq, trace), one_by_one)
 
@@ -308,7 +318,7 @@ class TestEntropy:
 
     def test_invariant_under_global_phase_and_translation(self):
         init, plan = InitialStateSpec.gaussian(2.0, 8), EvolutionPlan(CoinSpec.hadamard(), 6)
-        state = evolve(build_initial_state(QubitParams(1.1, 0.7), init, check_run(init, plan)[0]), plan)
+        state = run_walk(QubitParams(1.1, 0.7), init, plan).final_state
         base = entanglement_entropy(state)
 
         phased = WalkState(
@@ -383,23 +393,22 @@ class TestPeaks:
 
 @pytest.mark.parametrize("rows, sites", [(1, 6201), (16, 702), (16, 2201)])
 def test_row_kernel_equals_scalar_observables_per_row(rows, sites):
-    """Each row of the kernel is bit for bit np.sum, np.vdot and dispersion of that row alone."""
+    """Each row of the kernel is bit for bit its sums, dispersion and entropy of that row alone."""
     rng = np.random.default_rng(rows * sites)
     window = LatticeWindow(-(sites // 2), sites - 1 - sites // 2)
     up, down = rng.normal(size=(2, rows, sites)) + 1j * rng.normal(size=(2, rows, sites))
     up[:, : sites // 3] = 0.0  # a zero margin, as outside the light cone
-    work = (*np.empty((3, rows, sites)), np.empty((rows, sites), dtype=np.complex128))
-    norm, sigma, up_weight, down_weight, coherence = _row_observables(
-        up, down, window.sites().astype(np.float64), work
-    )
+    sites_f = window.sites().astype(np.float64)
+    norm, sigma, up_weight, coherence = _row_observables(up, down, sites_f)
+    entropy = entropy_bits_vec(up_weight, _prob(coherence), norm)
     for i in range(rows):
         state = WalkState(window, up[i], down[i])
         dist = distribution(state)
         assert norm[i] == dist.total()
         assert sigma[i] == dispersion(dist)
-        assert up_weight[i] == np.vdot(up[i], up[i]).real
-        assert down_weight[i] == np.vdot(down[i], down[i]).real
+        assert up_weight[i] == np.sum(dist.p_up)
         assert coherence[i] == np.vdot(down[i], up[i])
+        assert entropy[i] == entanglement_entropy(state)
         # the plain one-row formula, written out with np.dot
         centered = window.sites() - np.dot(dist.p_total, window.sites()) / dist.total()
         assert sigma[i] == math.sqrt(np.dot(dist.p_total, centered * centered) / dist.total())

@@ -9,9 +9,9 @@ from qwalk1d import (
     WalkState,
     build_initial_state,
     reachable_window,
+    recorded_steps,
     ring_evolve,
     ring_matrix,
-    step,
 )
 from qwalk1d.core import InitialStateSpec
 
@@ -92,15 +92,15 @@ def test_engine_matches_oracle_small():
     for coin in (CoinSpec.hadamard(), CoinSpec.not_defect(-3)):
         for _ in range(4):
             qubit = QubitParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            window = reachable_window((0, 0), coin, steps)
-            state = build_initial_state(qubit, InitialStateSpec.local(), window)
-            oracle = state.embedded(ring)
-            for _ in range(steps):
-                state = step(state, coin)
+            assert ring.contains(reachable_window((0, 0), coin, steps))  # so nothing wraps
+            oracle = build_initial_state(qubit, InitialStateSpec.local(), ring)
+            plan = EvolutionPlan(coin, steps)
+            walk = recorded_steps(oracle.up.copy(), oracle.down.copy(), plan, ring)
+            next(walk)  # t = 0
+            for up, down in walk:
                 oracle = ring_evolve(oracle, coin, 1)
-                engine = state.embedded(ring)
-                assert np.abs(oracle.up - engine.up).max() <= 1e-12
-                assert np.abs(oracle.down - engine.down).max() <= 1e-12
+                assert np.abs(oracle.up - up).max() <= 1e-12
+                assert np.abs(oracle.down - down).max() <= 1e-12
 
 
 def test_validation_errors():
