@@ -304,7 +304,7 @@ _SUMMARY_HEADER = "slope,final_entropy,qubit_count,norm_deficit"
 def emit_results(
     result: WalkRecord | EnsembleResult,
     output_dir: Path,
-) -> list[Path]:
+) -> None:
     """Write distribution, time-series and summary CSV files.
 
     Every site of the final window is emitted, including exact zeros
@@ -319,15 +319,12 @@ def emit_results(
     else:
         dist, times = result.mean_distribution, result.times
         series = ("t,mean_sigma,mean_entropy", times, result.mean_dispersion, result.mean_entropy)
-    written = [
+    _write_csv(
         output_dir / f"distribution_t{int(times[-1])}.csv",
-        output_dir / "timeseries.csv",
-        output_dir / "summary.csv",
-    ]
-    _write_csv(written[0], "j,p_up,p_down,p_total", dist.window.sites(), dist.p_up, dist.p_down, dist.p_total)
-    _write_csv(written[1], *series)
-    _write_csv(written[2], _SUMMARY_HEADER, *([value] for value in _summary(result)))
-    return written
+        "j,p_up,p_down,p_total", dist.window.sites(), dist.p_up, dist.p_down, dist.p_total,
+    )
+    _write_csv(output_dir / "timeseries.csv", *series)
+    _write_csv(output_dir / "summary.csv", _SUMMARY_HEADER, *([value] for value in _summary(result)))
 
 
 def _summary(result: WalkRecord | EnsembleResult) -> tuple:
@@ -351,23 +348,17 @@ def _write_csv(path: Path, header: str, *columns) -> None:
         fh.writelines(row.format(*cells) for cells in zip(*(c.tolist() for c in columns)))
 
 
-def _write_manifest(config: RunConfig | PresetConfig, output_dir: Path) -> Path:
+def _write_manifest(config: RunConfig | PresetConfig, output_dir: Path) -> None:
     path = Path(output_dir) / "manifest.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         json.dump({"argv": canonical_argv(config)}, fh, indent=2)
         fh.write("\n")
-    return path
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
+    try:  # a ConfigError is a ValueError, so a bad configuration exits here too
         config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         _write_manifest(config, config.output_dir)
         sigma_summary = []  # fig3: sigma0, then the run's summary values
         for label, run in expand_runs(config):

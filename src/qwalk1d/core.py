@@ -29,7 +29,6 @@ __all__ = [
     "InitialStateSpec",
     "WalkState",
     "coin_matrix",
-    "gaussian_envelope",
     "build_initial_state",
 ]
 
@@ -38,12 +37,13 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQRT1_2
 NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
-# Largest window a run may need; at its peak a linear ensemble holds about
-# _BYTES_PER_SITE bytes per site, ~0.41 GB at the cap (tracemalloc: 401 B on
-# 40k sites recorded every step, half of it the per-record Grams and rows;
-# 184 B on 100k sites over 20 steps).
+# Largest window a run may need; at its peak a linear ensemble holds at most about
+# _BYTES_PER_SITE bytes per site, ~0.7 GB at the cap (tracemalloc, recorded every
+# step: 632 B per extra site where a defect clips the window to one site per record,
+# as on every fig2 and fig3 defect run, the per-record Grams (384 B) and weight rows
+# (192 B) dominating; 331-373 B on a free walk, about two sites per record).
 MAX_SITES = 1_000_000
-_BYTES_PER_SITE = 410
+_BYTES_PER_SITE = 700
 
 # Gaussian support half-width, in sites, when none is given
 DEFAULT_TRUNCATION_RADIUS = 100
@@ -246,7 +246,9 @@ class InitialStateSpec:
         """Envelope values ``f(j)`` over :meth:`support`, left to right."""
         if self.sigma0 is None:
             return np.ones(1)
-        f = gaussian_envelope(self.sigma0, self.truncation_radius)
+        sigma0 = self.sigma0
+        j = np.arange(-self.truncation_radius, self.truncation_radius + 1, dtype=np.float64)
+        f = np.exp(-(j * j) / (4.0 * sigma0 * sigma0)) / (2.0 * math.pi * sigma0 * sigma0) ** 0.25
         if self.renormalize:
             f = f / math.sqrt(float(np.sum(f * f)))
         return f
@@ -260,16 +262,6 @@ class InitialStateSpec:
         """
         f = self.envelope()
         return 1.0 - float(np.sum(f * f))
-
-
-def gaussian_envelope(sigma0: float, truncation_radius: int) -> np.ndarray:
-    """Truncated Gaussian ``f(j)`` for ``j = -radius..radius``.
-
-    Uses the continuum normalization ``(2 pi sigma0^2)^(-1/4)``, so the
-    discrete squared sum is close to but not exactly 1.
-    """
-    j = np.arange(-truncation_radius, truncation_radius + 1, dtype=np.float64)
-    return np.exp(-(j * j) / (4.0 * sigma0 * sigma0)) / (2.0 * math.pi * sigma0 * sigma0) ** 0.25
 
 
 @dataclass(eq=False)
@@ -313,14 +305,8 @@ def build_initial_state(
     omitted the state occupies :meth:`InitialStateSpec.support`; to evolve
     it, pass the run's window (``ensemble.check_run``).
     """
-    lo, hi = init.support()
     if window is None:
-        window = LatticeWindow(lo, hi)
-    elif not window.contains(LatticeWindow(lo, hi)):
-        raise ValueError(
-            f"window [{window.j_min}, {window.j_max}] does not cover "
-            f"initial support [{lo}, {hi}]"
-        )
+        window = LatticeWindow(*init.support())
     c, s = _coefficients(np.array([qubit.alpha]), np.array([qubit.beta]))
     up, down = _product_states(init, window, c, s)
     return WalkState(window, up[0], down[0])
@@ -337,11 +323,18 @@ def _product_states(
     """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope.
 
     Real when ``c`` and ``s`` are (the linear path's basis pair), else complex.
+    ``window`` must cover :meth:`InitialStateSpec.support`.
     """
+    lo, hi = init.support()
+    if not window.contains(LatticeWindow(lo, hi)):
+        raise ValueError(
+            f"window [{window.j_min}, {window.j_max}] does not cover "
+            f"initial support [{lo}, {hi}]"
+        )
     f = init.envelope()
-    lo = window.index(init.support()[0])
     up = np.zeros((c.size, window.size), dtype=np.result_type(c, s))
     down = np.zeros_like(up)
-    up[:, lo : lo + f.size] = c[:, None] * f
-    down[:, lo : lo + f.size] = s[:, None] * f
+    support = slice(lo - window.j_min, hi - window.j_min + 1)
+    up[:, support] = c[:, None] * f
+    down[:, support] = s[:, None] * f
     return up, down

@@ -22,8 +22,8 @@ coefficient rows with the qubits' weights gives every qubit's norm,
 moments, spin-up weight and coherence.  The mean distribution is one
 Hermitian form (:func:`_form`) with the qubit-averaged weights.  The
 "direct" method, the independent cross-check, evolves every qubit in
-fixed-size batches through the per-qubit path whose one-row case is
-:func:`run_walk`.  Both run in one process and reduce in a fixed order,
+fixed-size batches through the one per-qubit driver whose one-qubit case
+is :func:`run_walk`.  Both run in one process and reduce in a fixed order,
 so results are bitwise reproducible.
 """
 
@@ -43,7 +43,6 @@ from .core import (
     _coefficients,
     _integer,
     _product_states,
-    build_initial_state,
 )
 from .evolution import EvolutionPlan, reachable_window, recorded_steps
 from .observables import PositionDistribution, _prob, _row_observables, entropy_bits_vec
@@ -80,8 +79,8 @@ _BYTES_PER_QUBIT = 160
 class QubitGrid:
     """Initial qubits as Bloch angles: qubit ``n`` is ``(alphas[n], betas[n])``.
 
-    Averaging and reduction follow this order.  Two 1-D arrays of equal
-    length, each angle in the range :class:`QubitParams` requires.
+    Averaging and reduction follow this order.  Two non-empty 1-D arrays of
+    equal length, each angle in the range :class:`QubitParams` requires.
     """
 
     alphas: np.ndarray
@@ -95,6 +94,8 @@ class QubitGrid:
                 f"a qubit grid needs two 1-D angle arrays of equal length, "
                 f"got shapes {alphas.shape} and {betas.shape}"
             )
+        if alphas.size == 0:
+            raise ValueError("qubit grid is empty")
         _check_bloch_angles(alphas, betas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
@@ -152,30 +153,14 @@ def run_walk(
     qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan, *,
     fit_window: tuple[int, int] | None = None,
 ) -> WalkRecord:
-    """One walk's series and slope, checked by :func:`check_run`: one row of ``direct``."""
+    """One walk's series and slope, checked by :func:`check_run`: the one-qubit ``direct`` run."""
     window, fit_window = check_run(init, plan, fit_window)
-    start = build_initial_state(qubit, init, window)
-    sigma, entropy, norm, up, down = _walk_series(start.up, start.down, plan, window)
-    final = WalkState(window, up, down, plan.steps)
+    c, s = _coefficients(np.array([qubit.alpha]), np.array([qubit.beta]))
+    (sigma, entropy, norm), _, up, down = _qubit_sums(init, plan, window, c, s)
+    final = WalkState(window, up[0], down[0], plan.steps)
     times = plan.record_times()
     slope = fit_dispersion_slope(times, sigma, fit_window)
     return WalkRecord(times, sigma, entropy, norm, final, slope, init.norm_deficit())
-
-
-def _walk_series(up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow):
-    """Step ``(..., N)`` amplitudes (overwritten) through ``plan``.
-
-    Returns the ``sigma``, ``entropy`` and ``norm`` series, one row per
-    record time, then the final ``up`` and ``down``.
-    """
-    sites = window.sites().astype(np.float64)
-    # the four row sums per record time; all but the last, the coherence, are real
-    sums = np.empty((4, plan.record_times().size, *up.shape[:-1]), dtype=np.complex128)
-    for slot, (up, down) in enumerate(recorded_steps(up, down, plan, window)):
-        sums[:, slot] = _row_observables(up, down, sites)
-    norm, sigma, up_weight = sums[:3].real
-    entropy = entropy_bits_vec(up_weight, _prob(sums[3]), norm)
-    return sigma, entropy, norm, up, down
 
 
 @dataclass(eq=False)
@@ -216,8 +201,6 @@ def run_ensemble(
     accepted for callers that pass a worker count and has no effect.
     Output is deterministic for both methods.
     """
-    if len(grid) == 0:
-        raise ValueError("qubit grid is empty")
     if method not in ("linear", "direct"):
         raise ValueError(f"unknown ensemble method {method!r}")
     window, fit_window = check_run(init, plan, fit_window)
@@ -332,20 +315,39 @@ def _run_direct(
     grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow
 ):
     c, s = _coefficients(grid.alphas, grid.betas)
-    times = plan.record_times()
-    series_sum = np.zeros((2, times.size))  # sigma, entropy
-    p_sum = np.zeros((2, window.size))  # p_up, p_down
-    for lo in range(0, len(grid), _BLOCK):
-        states = _product_states(init, window, c[lo : lo + _BLOCK], s[lo : lo + _BLOCK])
-        sigma, entropy, _, up, down = _walk_series(*states, plan, window)
-        for i in range(up.shape[0]):  # sum in qubit order
-            series_sum += (sigma[:, i], entropy[:, i])
-            p_sum += (_prob(up[i]), _prob(down[i]))
+    (sigma, entropy, _), (p_up, p_down), _, _ = _qubit_sums(init, plan, window, c, s)
     n = float(len(grid))
-    mean_sigma, mean_entropy = series_sum / n
-    p_up, p_down = p_sum / n
-    mean_dist = PositionDistribution(window, p_up, p_down)
-    return times, mean_sigma, mean_entropy, mean_dist
+    mean_dist = PositionDistribution(window, p_up / n, p_down / n)
+    return plan.record_times(), sigma / n, entropy / n, mean_dist
+
+
+def _qubit_sums(
+    init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow,
+    c: np.ndarray, s: np.ndarray,
+):
+    """Step the qubits ``c_i |up> + s_i |down>`` in batches of ``_BLOCK``; sum them in qubit order.
+
+    The one per-qubit driver: :func:`run_walk` is its one-qubit case.  Returns the
+    sums over qubits of the ``(sigma, entropy, norm)`` series, one column per record
+    time, and of the final ``(p_up, p_down)``, then the last batch's final ``up``
+    and ``down``.
+    """
+    sites = window.sites().astype(np.float64)
+    times = plan.record_times()
+    series_sum = np.zeros((3, times.size))
+    p_sum = np.zeros((2, window.size))
+    for lo in range(0, c.size, _BLOCK):
+        up, down = _product_states(init, window, c[lo : lo + _BLOCK], s[lo : lo + _BLOCK])
+        # the four row sums per record time; all but the last, the coherence, are real
+        sums = np.empty((4, times.size, up.shape[0]), dtype=np.complex128)
+        for slot, (up, down) in enumerate(recorded_steps(up, down, plan, window)):
+            sums[:, slot] = _row_observables(up, down, sites)
+        norm, sigma, up_weight = sums[:3].real
+        entropy = entropy_bits_vec(up_weight, _prob(sums[3]), norm)
+        for i in range(up.shape[0]):  # sum in qubit order
+            series_sum += (sigma[:, i], entropy[:, i], norm[:, i])
+            p_sum += (_prob(up[i]), _prob(down[i]))
+    return series_sum, p_sum, up, down
 
 
 def default_fit_window(steps: int) -> tuple[int, int]:

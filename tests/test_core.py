@@ -24,8 +24,8 @@ from qwalk1d import (
     build_initial_state,
     coin_matrix,
     distribution,
-    gaussian_envelope,
 )
+from qwalk1d.core import _product_states
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 NOT = np.array([[0, 1], [1, 0]])
@@ -179,13 +179,13 @@ class TestInitialStateSpec:
         assert abs(init.norm_deficit()) <= 1e-12
 
     def test_gaussian_envelope_values(self):
-        f = gaussian_envelope(10.0, 100)
+        f = InitialStateSpec.gaussian(10.0, 100).envelope()
         assert f.size == 201
         assert f[100] == pytest.approx(F0_SIGMA10, abs=1e-15)
         assert f[105] == pytest.approx(F5_SIGMA10, abs=1e-15)
 
     def test_envelope_even(self):
-        f = gaussian_envelope(3.7, 50)
+        f = InitialStateSpec.gaussian(3.7, 50).envelope()
         assert np.array_equal(f, f[::-1])
 
     def test_truncation_deficit_reported_not_corrected(self):
@@ -242,6 +242,15 @@ class TestBuildInitialState:
                 InitialStateSpec.gaussian(1.0, 10),
                 LatticeWindow(-5, 10),
             )
+
+    @pytest.mark.parametrize(
+        "window", [LatticeWindow(-5, 3), LatticeWindow(-3, 8)], ids=["short_right", "short_left"]
+    )
+    def test_batch_builder_rejects_window_short_of_support(self, window):
+        """The batch builder holds the cover rule, on either side of the support."""
+        c, s = np.array([1.0, 0.6]), np.array([0.0, 0.8j])
+        with pytest.raises(ValueError, match="does not cover initial support"):
+            _product_states(InitialStateSpec.gaussian(2.0, 5), window, c, s)
 
     @given(
         alpha=st.floats(0.0, math.pi, allow_nan=False),

@@ -276,10 +276,8 @@ class TestRunEnsemble:
         assert total == pytest.approx(float(np.sum(f * f)), abs=1e-12)
 
     def test_empty_grid_rejected(self):
-        empty = QubitGrid(np.empty(0), np.empty(0))
-        plan = EvolutionPlan(CoinSpec.hadamard(), 5)
-        with pytest.raises(ValueError):
-            run_ensemble(empty, InitialStateSpec.local(), plan)
+        with pytest.raises(ValueError, match="qubit grid is empty"):
+            QubitGrid(np.empty(0), np.empty(0))
 
     @pytest.mark.parametrize("method", ["run_walk", "linear", "direct"])
     def test_fit_window_checked_before_any_walk(self, method, monkeypatch):
@@ -350,6 +348,25 @@ def test_linear_peak_memory_within_bytes_per_qubit():
     finally:
         tracemalloc.stop()
     assert peak <= qwalk1d.ensemble._BYTES_PER_QUBIT * len(grid) + 100_000
+
+
+@pytest.mark.parametrize("coin", [CoinSpec.hadamard(), CoinSpec.not_defect(-1)], ids=["free", "defect"])
+def test_linear_peak_memory_within_bytes_per_site(coin):
+    """The linear path's tracemalloc peak is at most ``_BYTES_PER_SITE`` per site plus 1 MB.
+
+    2000 local steps recorded every step on the 16-qubit grid: 4001 sites for the
+    free walk, about two per record, and 2002 for the defect at -1, which clips the
+    window to one site per record, so that the per-record Grams and rows dominate.
+    """
+    plan = EvolutionPlan(coin, 2000)
+    window = qwalk1d.ensemble.check_run(InitialStateSpec.local(), plan)[0]
+    tracemalloc.start()
+    try:
+        run_ensemble(make_qubit_grid(1.0, 2.0), InitialStateSpec.local(), plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= qwalk1d.core._BYTES_PER_SITE * window.size + 1_000_000
 
 
 class TestFitSlope:
