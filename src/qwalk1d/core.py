@@ -270,7 +270,9 @@ class WalkState:
 
     ``up[i]`` and ``down[i]`` hold the spin-up and spin-down amplitudes of
     site ``window.j_min + i``.  Outside the reachable light cone both
-    fields are exactly zero, which every step preserves bit for bit.
+    fields are exactly zero, which every step preserves bit for bit;
+    ``evolution.recorded_steps`` tracks that cone and steps only it, and a
+    final state keeps the full window.
     """
 
     window: LatticeWindow

@@ -23,8 +23,9 @@ moments, spin-up weight and coherence.  The mean distribution is one
 Hermitian form (:func:`_form`) with the qubit-averaged weights.  The
 "direct" method, the independent cross-check, evolves every qubit in
 fixed-size batches through the one per-qubit driver whose one-qubit case
-is :func:`run_walk`.  Both run in one process and reduce in a fixed order,
-so results are bitwise reproducible.
+is :func:`run_walk`.  Both run in one process, sum each record over its
+light cone alone (``recorded_steps``'s ``live``) and reduce in a fixed
+order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -57,8 +58,13 @@ __all__ = [
     "fit_dispersion_slope",
 ]
 
-# Qubits the direct method evolves as one batch, bounding its array sizes; of
-# 4 to 64, 16 ran fastest with the lowest peak memory on 128 qubits x 500 steps.
+# Qubits the direct method evolves as one batch, bounding its array sizes.  On
+# 128 qubits x 500 steps (sigma0=1, defect at -101), stepping and summing the
+# light cone, 8/16/32/64 took a median 1.28-1.49/1.03-1.14/0.89/0.96 s with
+# tracemalloc peaks of 1.2/2.3/4.5/8.8 MB (2 vCPUs).  In the benchmark's
+# direct_crosscheck, 32 gains only 3-4% (1.04-1.05 s against 1.08-1.11 s) for
+# 2 MB more peak RSS, so 16 stays.  Rows are independent and summed in qubit
+# order, so the block size moves no byte.
 _BLOCK = 16
 
 # Records whose per-qubit numbers are one GEMM: as many as keep records x qubits
@@ -246,18 +252,20 @@ def _basis_grams(init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWin
     """Step the real basis pair; return its Grams ``(T, 3, 4, 4)`` and final ``up``, ``down``.
 
     Row 0 of the pair starts spin-up, row 1 spin-down.  Per record, with
-    ``A = [a_up; a_down; b_up; b_down]`` and ``d = j - centre`` about the pair's
-    mean position, one GEMM ``A [A; A d; A d^2]^T`` gives ``A diag(d^k) A^T``
-    for k = 0, 1, 2.
+    ``A = [a_up; a_down; b_up; b_down]`` over the light cone ``live`` and
+    ``d = j - centre`` about the pair's mean position, one GEMM
+    ``A [A; A d; A d^2]^T`` gives ``A diag(d^k) A^T`` for k = 0, 1, 2.
     """
     sites = window.sites().astype(np.float64)
-    stack = np.empty((12, window.size))
-    a, a_d, a_dd = stack[:4], stack[4:8], stack[8:]
+    buffer = np.empty(12 * window.size)
     grams = np.empty((plan.record_times().size, 4, 12))
     basis = _product_states(init, window, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    for slot, (up, down) in enumerate(recorded_steps(*basis, plan, window)):
-        prob = np.square(np.concatenate((up, down), out=a), out=a_d)
-        d = sites - (prob @ sites).sum() / prob.sum()
+    for slot, (up, down, live) in enumerate(recorded_steps(*basis, plan, window)):
+        width = live.stop - live.start
+        stack = buffer[: 12 * width].reshape(12, width)
+        a, a_d, a_dd = stack[:4], stack[4:8], stack[8:]
+        prob = np.square(np.concatenate((up[:, live], down[:, live]), out=a), out=a_d)
+        d = sites[live] - (prob @ sites[live]).sum() / prob.sum()
         np.multiply(np.multiply(a, d, out=a_d), d, out=a_dd)
         np.matmul(a, stack.T, out=grams[slot])
     return grams.reshape(-1, 4, 3, 4).transpose(0, 2, 1, 3), up, down
@@ -340,8 +348,8 @@ def _qubit_sums(
         up, down = _product_states(init, window, c[lo : lo + _BLOCK], s[lo : lo + _BLOCK])
         # the four row sums per record time; all but the last, the coherence, are real
         sums = np.empty((4, times.size, up.shape[0]), dtype=np.complex128)
-        for slot, (up, down) in enumerate(recorded_steps(up, down, plan, window)):
-            sums[:, slot] = _row_observables(up, down, sites)
+        for slot, (up, down, live) in enumerate(recorded_steps(up, down, plan, window)):
+            sums[:, slot] = _row_observables(up[:, live], down[:, live], sites[live])
         norm, sigma, up_weight = sums[:3].real
         entropy = entropy_bits_vec(up_weight, _prob(sums[3]), norm)
         for i in range(up.shape[0]):  # sum in qubit order

@@ -106,16 +106,20 @@ def _row_observables(up, down, sites):
     The one set of formulas for single walks and ``direct`` batches; the norm
     is the coin matrix's trace, and :func:`entanglement_entropy` is the same
     sums on one state.  A row's numbers come from that row alone, bit for bit.
+    Callers pass the sites of the batch's light cone (``recorded_steps``'s
+    ``live``), so a row's range is its batch's cone.  Every qubit has
+    ``max(|c|, |s|) >= 1/sqrt(2)``, so that cone is the envelope's nonzero
+    range grown one site per step, the same for every batch of a run.
     """
     p_up, p_total = _prob(up), _prob(down)
     p_total += p_up
     norm, _, sigma = _position_moments(p_total, sites)
-    return norm, sigma, np.sum(p_up, axis=-1), _row_dot(np.conjugate(down), up)
+    return norm, sigma, p_up.sum(axis=-1), _row_dot(np.conjugate(down), up)
 
 
 def _position_moments(p_total, sites):
     """Norm, mean and dispersion about the mean of each row of site probabilities."""
-    norm = np.sum(p_total, axis=-1)
+    norm = p_total.sum(axis=-1)
     mean = _row_dot(p_total, sites) / norm
     centered = sites - mean[..., None]
     centered *= centered

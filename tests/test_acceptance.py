@@ -71,7 +71,7 @@ def _reference_walk(init: InitialStateSpec, coin: CoinSpec, snapshots=(1000, 200
     norms: list[float] = []
     dists: dict[int, object] = {}
     walk = recorded_steps(start.up, start.down, plan, start.window)
-    for t, (up, down) in zip(plan.record_times().tolist(), walk):
+    for t, (up, down, _) in zip(plan.record_times().tolist(), walk):
         s = WalkState(start.window, up, down, t)
         d = distribution(s)
         entropies.append(entanglement_entropy(s))
@@ -145,7 +145,7 @@ def test_criterion1_oracle_equivalence():
             plan = EvolutionPlan(coin, steps)
             walk = recorded_steps(oracle.up.copy(), oracle.down.copy(), plan, ring)
             next(walk)  # t = 0
-            for up, down in walk:
+            for up, down, _ in walk:
                 oracle = ring_evolve(oracle, coin, 1)
                 worst = max(worst, _amplitude_difference(oracle, WalkState(ring, up, down)))
     _report(
@@ -362,7 +362,7 @@ def test_criterion7_reflection_support():
         walk = recorded_steps(state.up, state.down, plan, window)
         leaked = [
             t
-            for t, (up, down) in zip(plan.record_times(), walk)
+            for t, (up, down, _) in zip(plan.record_times(), walk)
             if np.any(up[:cut] != 0.0) or np.any(down[:cut] != 0.0)
         ]
         ok = ok and not leaked

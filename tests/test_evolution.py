@@ -83,10 +83,64 @@ def test_light_cone_zeros_are_exact():
     state = spin_up_local(LatticeWindow(-40, 40))
     sites = state.window.sites()
     walk = recorded_steps(state.up, state.down, plan, state.window)
-    for t, (up, down) in zip(plan.record_times(), walk):
+    for t, (up, down, _) in zip(plan.record_times(), walk):
         outside = np.abs(sites) > t
         assert np.all(up[outside] == 0.0)
         assert np.all(down[outside] == 0.0)
+
+
+def _cone_start(window: LatticeWindow, rows: dict[int, tuple[int, int]]):
+    """``(k, N)`` amplitudes, nonzero in row ``k`` on the sites ``rows[k]`` (inclusive) alone."""
+    up = np.zeros((max(rows, default=0) + 1, window.size), dtype=np.complex128)
+    for k, (lo, hi) in rows.items():
+        up[k, window.index(lo) : window.index(hi) + 1] = np.linspace(0.3, 0.9, hi - lo + 1) + 0.2j
+    return up, (0.5 - 0.4j) * up
+
+
+@pytest.mark.parametrize(
+    "window, rows, coin, steps",
+    [
+        (LatticeWindow(-20, 20), {0: (4, 5), 1: (7, 7)}, CoinSpec.hadamard(), 12),
+        (LatticeWindow(-26, 26), {0: (-6, 6)}, CoinSpec.not_defect(-3), 20),
+        (LatticeWindow(-11, 40), {0: (-10, 10)}, CoinSpec.not_defect(-11), 30),
+        (LatticeWindow(-5, 5), {}, CoinSpec.hadamard(), 6),
+    ],
+    ids=["off_centre_interior", "defect_inside_cone", "defect_on_window_edge", "all_zero"],
+)
+def test_live_is_the_start_range_grown_one_site_per_step(window, rows, coin, steps):
+    # the run's window: the fig2 geometry clips it at the mirror, one site left of the start
+    for lo, hi in rows.values():
+        assert window.contains(reachable_window((lo, hi), coin, steps))
+    up, down = _cone_start(window, rows)
+    if rows:
+        lo = window.index(min(lo for lo, _ in rows.values()))
+        hi = window.index(max(hi for _, hi in rows.values())) + 1
+    plan = EvolutionPlan(coin, steps)
+    for t, (up, down, live) in zip(plan.record_times(), recorded_steps(up, down, plan, window)):
+        expected = slice(max(lo - t, 0), min(hi + t, window.size)) if rows else slice(0, 0)
+        assert live == expected
+        occupied = np.flatnonzero(np.any(up != 0, axis=0) | np.any(down != 0, axis=0))
+        assert occupied.size == 0 or live.start <= occupied[0] <= occupied[-1] < live.stop
+
+
+def test_off_centre_overflow_raises_at_the_full_window_time():
+    # the time the amplitude first leaves the window, found on a padded window
+    window, start, steps = LatticeWindow(-3, 6), (3, 4), 8
+    padded = LatticeWindow(-20, 20)
+    plan = EvolutionPlan(CoinSpec.hadamard(), steps)
+    outside = (padded.sites() < window.j_min) | (padded.sites() > window.j_max)
+    walk = recorded_steps(*_cone_start(padded, {0: start}), plan, padded)
+    leaves = next(
+        t
+        for t, (up, down, _) in zip(plan.record_times(), walk)
+        if np.any(up[:, outside] != 0) or np.any(down[:, outside] != 0)
+    )
+    assert leaves == 3  # the right front reaches site 6 at t = 2, the left one site -3 at t = 6
+    walk = recorded_steps(*_cone_start(window, {0: start}), plan, window)
+    for t in range(leaves):
+        assert next(walk)[2].stop == min(window.index(start[1]) + 1 + t, window.size)
+    with pytest.raises(WindowOverflowError, match=f"t={leaves}"):
+        next(walk)
 
 
 def test_norm_conserved_per_step():
@@ -94,7 +148,7 @@ def test_norm_conserved_per_step():
     state = build_initial_state(QubitParams(1.2, 3.4), InitialStateSpec.gaussian(2.0, 8), window)
     plan = EvolutionPlan(CoinSpec.not_defect(-9), 50)
     norm0 = distribution(state).total()
-    for up, down in recorded_steps(state.up, state.down, plan, window):
+    for up, down, _ in recorded_steps(state.up, state.down, plan, window):
         assert abs(distribution(WalkState(window, up, down)).total() - norm0) <= 50 * 1e-14
 
 
@@ -125,7 +179,7 @@ def test_overflow_guard_at_a_defect_on_the_window_edge(defect, spin, overflows):
         with pytest.raises(WindowOverflowError):
             next(walk)
     else:
-        up, down = next(walk)
+        up, down, _ = next(walk)
         flipped, site = (up, defect + 1) if spin == "down" else (down, defect - 1)
         assert flipped[window.index(site)] == 1.0
         assert np.count_nonzero(up) + np.count_nonzero(down) == 1
@@ -198,7 +252,7 @@ def test_recorded_steps_schedule():
     for _ in range(plan.steps):
         states.append(stepped(states[-1], plan.coin))
     seen = []  # the time of each yield, found among the stepped states
-    for up, down in recorded_steps(state.up.copy(), state.down.copy(), plan, state.window):
+    for up, down, _ in recorded_steps(state.up.copy(), state.down.copy(), plan, state.window):
         seen += [
             t
             for t, s in enumerate(states)
@@ -216,7 +270,7 @@ def test_recorded_steps_alternate_two_buffer_pairs():
     up, down = start.up.copy(), start.down.copy()
     expected = start
     walk = recorded_steps(up, down, plan, start.window)
-    for t, (new_up, new_down) in zip(plan.record_times(), walk):
+    for t, (new_up, new_down, _) in zip(plan.record_times(), walk):
         assert (new_up is up) == (new_down is down) == (t % 2 == 0)
         if t > expected.t:
             expected = stepped(expected, plan.coin, t - expected.t)
@@ -328,7 +382,7 @@ def test_step_is_linear(pair, c1, c2):
     s1, s2 = pair
     up, down = np.stack((s1, s2, c1 * s1 + c2 * s2), axis=1)
     plan = EvolutionPlan(CoinSpec.not_defect(0), 5, record_every=5)
-    *_, (up, down) = recorded_steps(up, down, plan, LINEARITY_WINDOW)
+    *_, (up, down, _) = recorded_steps(up, down, plan, LINEARITY_WINDOW)
     assert np.abs(up[2] - (c1 * up[0] + c2 * up[1])).max() <= 1e-12
     assert np.abs(down[2] - (c1 * down[0] + c2 * down[1])).max() <= 1e-12
 
@@ -344,6 +398,6 @@ def test_reflection_never_crosses_defect(sigma0, seed):
     plan = EvolutionPlan(CoinSpec.not_defect(defect), 40)
     state = build_initial_state(qubit, init, LatticeWindow(-60, 60))
     cut = state.window.index(defect)
-    for up, down in recorded_steps(state.up, state.down, plan, state.window):
+    for up, down, _ in recorded_steps(state.up, state.down, plan, state.window):
         assert np.all(up[:cut] == 0.0)
         assert np.all(down[:cut] == 0.0)

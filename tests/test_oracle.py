@@ -97,7 +97,7 @@ def test_engine_matches_oracle_small():
             plan = EvolutionPlan(coin, steps)
             walk = recorded_steps(oracle.up.copy(), oracle.down.copy(), plan, ring)
             next(walk)  # t = 0
-            for up, down in walk:
+            for up, down, _ in walk:
                 oracle = ring_evolve(oracle, coin, 1)
                 assert np.abs(oracle.up - up).max() <= 1e-12
                 assert np.abs(oracle.down - down).max() <= 1e-12
