@@ -6,7 +6,9 @@ without the reflecting defect, and the envelope-width sweep); a preset
 fixes every physics field, so combining it with physics flags is an
 error.  A preset is a table of flag lists (``PRESETS``): each sub-run is
 built and validated by ``parse_config`` like any command line, with the
-library's own pre-run checks (``ensemble.check_run``).  ``execute``
+library's own pre-run checks (``ensemble.check_run``).  Every physics
+flag is one row of ``_FLAGS``, which gives the parser, the defaults, the
+applies-only-to rules and the manifest's flag list.  ``execute``
 returns the library's ``WalkRecord`` or ``EnsembleResult``.  All numeric
 output is CSV written by ``_write_csv``, the one place the number format
 lives: integers as they are, floats to 17 significant digits, which
@@ -21,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -50,10 +52,39 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_STEPS = 3000
-DEFAULT_ALPHA = 0.75 * math.pi
-DEFAULT_BETA = 0.0
-DEFAULT_GRID_STEP = 0.1
+
+class _Flag(NamedTuple):
+    """One physics flag: what it parses, its default and the choice it needs."""
+
+    kind: type | tuple[str, ...]  # the parser's type, or the flag's choices
+    default: object  # None: the flag has no default
+    only: tuple[str, str] | None  # (flag, choice): the flag applies only under that choice
+    help: str
+
+
+_GAUSSIAN, _SINGLE, _ENSEMBLE = ("initial", "gaussian"), ("mode", "single"), ("mode", "ensemble")
+# every physics flag, by its parser dest, in parser order, which is also the
+# manifest's; a preset fixes all of them
+_FLAGS = {
+    "mode": _Flag(("single", "ensemble"), "single", None, "one walk, or an ensemble over a qubit grid"),
+    "initial": _Flag(("local", "gaussian"), "local", None, "position envelope of the initial state"),
+    "sigma0": _Flag(float, None, _GAUSSIAN, "Gaussian envelope width (lattice units)"),
+    "truncation_radius": _Flag(int, DEFAULT_TRUNCATION_RADIUS, _GAUSSIAN, "Gaussian support half-width"),
+    "renormalize": _Flag(("true", "false"), "false", _GAUSSIAN, "rescale the envelope to unit norm"),
+    "alpha": _Flag(float, 0.75 * math.pi, _SINGLE, "Bloch polar angle in [0, pi]"),
+    "beta": _Flag(float, 0.0, _SINGLE, "Bloch azimuthal angle in [0, 2*pi]"),
+    "alpha_step": _Flag(float, 0.1, _ENSEMBLE, "grid step over alpha"),
+    "beta_step": _Flag(float, 0.1, _ENSEMBLE, "grid step over beta"),
+    "coin": _Flag(("hadamard", "defect"), "hadamard", None, "Hadamard coin, or with a spin-flip defect"),
+    "defect_site": _Flag(int, None, ("coin", "defect"), "lattice site of the spin-flip defect"),
+    "steps": _Flag(int, 3000, None, "number of time steps"),
+    "record_every": _Flag(int, 1, None, "stride between recorded observable rows"),
+    "fit_start": _Flag(int, None, None, "first step of the dispersion fit; default max(0, steps - 2000)"),
+    "fit_end": _Flag(int, None, None, "last step of the dispersion fit; default steps"),
+}
+# (flag, choice) -> the flag that choice needs; it has no default
+_REQUIRED = {_GAUSSIAN: "sigma0", ("coin", "defect"): "defect_site"}
+
 PRESET_DEFECT_SITE = -101
 
 _INITIALS = (
@@ -118,6 +149,16 @@ class PresetConfig:
     output_dir: Path
 
 
+def _option(name: str) -> str:
+    """The command-line spelling of the parser dest ``name``."""
+    return "--" + name.replace("_", "-")
+
+
+def _applies(flag: _Flag, values: dict) -> bool:
+    """Whether ``flag`` applies under the flag ``values`` that precede it in ``_FLAGS``."""
+    return flag.only is None or values[flag.only[0]] == flag.only[1]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qwalk1d",
@@ -125,104 +166,59 @@ def _build_parser() -> argparse.ArgumentParser:
             "Discrete-time quantum walk on a line: single walks or qubit-grid "
             "ensembles, Hadamard coin with an optional spin-flip defect."
         ),
-        epilog=(
-            "Defaults: mode=single, initial=local, coin=hadamard, steps=3000, "
-            "record-every=1, alpha=3*pi/4, beta=0, alpha-step=beta-step=0.1, "
-            f"truncation-radius={DEFAULT_TRUNCATION_RADIUS}, renormalize=false, "
-            "fit window = last 2000 steps, output-dir=results."
-        ),
     )
     p.add_argument("--preset", choices=PRESETS, help="bundled experiment; fixes all physics flags")
-    p.add_argument("--mode", choices=("single", "ensemble"))
-    p.add_argument("--initial", choices=("local", "gaussian"))
-    p.add_argument("--sigma0", type=float, help="Gaussian envelope width (lattice units)")
-    p.add_argument("--truncation-radius", type=int, help="Gaussian support half-width in sites")
-    p.add_argument("--renormalize", choices=("true", "false"), help="rescale the truncated envelope to unit norm")
-    p.add_argument("--alpha", type=float, help="Bloch polar angle in [0, pi] (single mode)")
-    p.add_argument("--beta", type=float, help="Bloch azimuthal angle in [0, 2*pi] (single mode)")
-    p.add_argument("--alpha-step", type=float, help="grid step over alpha (ensemble mode)")
-    p.add_argument("--beta-step", type=float, help="grid step over beta (ensemble mode)")
-    p.add_argument("--coin", choices=("hadamard", "defect"))
-    p.add_argument("--defect-site", type=int, help="lattice site of the spin-flip defect")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--record-every", type=int, help="stride between recorded observable rows")
-    p.add_argument("--fit-start", type=int, help="first time step of the dispersion fit window")
-    p.add_argument("--fit-end", type=int, help="last time step of the dispersion fit window")
+    for name, flag in _FLAGS.items():
+        text = flag.help if flag.default is None else f"{flag.help}; default {flag.default}"
+        if flag.only is not None:
+            text += f"; only with {_option(flag.only[0])} {flag.only[1]}"
+        kind = {"choices": flag.kind} if isinstance(flag.kind, tuple) else {"type": flag.kind}
+        p.add_argument(_option(name), **kind, help=text)
     p.add_argument("--workers", type=int, help="accepted but unused: every run uses one process")
-    p.add_argument("--output-dir", type=Path)
+    p.add_argument("--output-dir", type=Path, default=Path("results"), help="default %(default)s")
     return p
 
 
 _PARSER = _build_parser()  # parse_args leaves it unchanged, so every call shares it
 
 
-# flags a preset leaves open; every other flag sets physics the preset fixes
-_OPERATIONAL_FLAGS = ("preset", "workers", "output_dir")
-
-
 def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
     """Parse flags into a validated RunConfig or PresetConfig (raises ConfigError)."""
     ns = _PARSER.parse_args(argv)
-    output_dir = ns.output_dir if ns.output_dir is not None else Path("results")
-
     if ns.workers is not None and ns.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {ns.workers}")
+    given = {name: value for name in _FLAGS if (value := getattr(ns, name)) is not None}
 
     if ns.preset is not None:
-        given = [
-            name for name, value in vars(ns).items()
-            if name not in _OPERATIONAL_FLAGS and value is not None
-        ]
         if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ConfigError(
-                f"preset '{ns.preset}' fixes all physics fields; remove {flags}"
-            )
-        return PresetConfig(ns.preset, output_dir)
+            flags = ", ".join(map(_option, given))
+            raise ConfigError(f"preset '{ns.preset}' fixes all physics fields; remove {flags}")
+        return PresetConfig(ns.preset, ns.output_dir)
 
-    mode = ns.mode or "single"
-    gaussian = ns.initial == "gaussian"
-    if not gaussian:
-        for flag, value in (
-            ("--sigma0", ns.sigma0),
-            ("--truncation-radius", ns.truncation_radius),
-            ("--renormalize", ns.renormalize),
-        ):
-            if value is not None:
-                raise ConfigError(f"{flag} applies only to --initial gaussian")
-    elif ns.sigma0 is None:
-        raise ConfigError("--initial gaussian requires --sigma0")
-    defect = ns.coin == "defect"
-    if defect and ns.defect_site is None:
-        raise ConfigError("--coin defect requires --defect-site")
-    if not defect and ns.defect_site is not None:
-        raise ConfigError("--defect-site applies only to --coin defect")
-    if mode == "single" and (ns.alpha_step is not None or ns.beta_step is not None):
-        raise ConfigError("--alpha-step/--beta-step apply only to --mode ensemble")
-    if mode == "ensemble" and (ns.alpha is not None or ns.beta is not None):
-        raise ConfigError("--alpha/--beta apply only to --mode single")
+    values = {}  # every flag's value: given, else its default; None where it does not apply
+    for name, flag in _FLAGS.items():
+        if _applies(flag, values):
+            values[name] = given.get(name, flag.default)
+        elif name in given:
+            raise ConfigError(f"{_option(name)} applies only to {_option(flag.only[0])} {flag.only[1]}")
+        else:
+            values[name] = None
+    for (name, choice), needed in _REQUIRED.items():
+        if values[name] == choice and values[needed] is None:
+            raise ConfigError(f"{_option(name)} {choice} requires {_option(needed)}")
 
-    steps = _or_default(ns.steps, DEFAULT_STEPS)
-    record_every = _or_default(ns.record_every, 1)
+    steps, record_every = values["steps"], values["record_every"]
     fit_start, fit_end = default_fit_window(steps)
-    fit_window = (_or_default(ns.fit_start, fit_start), _or_default(ns.fit_end, fit_end))
-    qubit = None
-    alpha_step = beta_step = None
+    fit_window = (given.get("fit_start", fit_start), given.get("fit_end", fit_end))
     try:  # every value is checked by the type that owns it, before any compute
-        if gaussian:
-            radius = _or_default(ns.truncation_radius, DEFAULT_TRUNCATION_RADIUS)
-            initial = InitialStateSpec.gaussian(ns.sigma0, radius, ns.renormalize == "true")
-        else:
-            initial = InitialStateSpec.local()
-        coin = CoinSpec.not_defect(ns.defect_site) if defect else CoinSpec.hadamard()
+        initial = InitialStateSpec(
+            values["sigma0"], values["truncation_radius"], values["renormalize"] == "true"
+        )
+        coin = CoinSpec(values["defect_site"])
         check_run(initial, EvolutionPlan(coin, steps, record_every), fit_window)
-        if mode == "single":
-            alpha, beta = _or_default(ns.alpha, DEFAULT_ALPHA), _or_default(ns.beta, DEFAULT_BETA)
-            qubit = QubitParams(alpha, beta)
-        else:
-            alpha_step = _or_default(ns.alpha_step, DEFAULT_GRID_STEP)
-            beta_step = _or_default(ns.beta_step, DEFAULT_GRID_STEP)
-            make_qubit_grid(alpha_step, beta_step)
+        qubit = QubitParams(values["alpha"], values["beta"]) if values["mode"] == "single" else None
+        if qubit is None:
+            make_qubit_grid(values["alpha_step"], values["beta_step"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -232,15 +228,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
         steps=steps,
         record_every=record_every,
         fit_window=fit_window,
-        output_dir=output_dir,
+        output_dir=ns.output_dir,
         qubit=qubit,
-        alpha_step=alpha_step,
-        beta_step=beta_step,
+        alpha_step=values["alpha_step"],
+        beta_step=values["beta_step"],
     )
-
-
-def _or_default(value, default):
-    return default if value is None else value
 
 
 def canonical_argv(config: RunConfig | PresetConfig) -> list[str]:
@@ -248,31 +240,29 @@ def canonical_argv(config: RunConfig | PresetConfig) -> list[str]:
     if config.preset is not None:
         argv = ["--preset", config.preset]
     else:
-        gaussian = config.initial.sigma0 is not None
-        argv = ["--mode", config.mode, "--initial", "gaussian" if gaussian else "local"]
-        if gaussian:
-            argv += [
-                "--sigma0", repr(config.initial.sigma0),
-                "--truncation-radius", str(config.initial.truncation_radius),
-                "--renormalize", "true" if config.initial.renormalize else "false",
-            ]
-        if config.mode == "single":
-            assert config.qubit is not None
-            argv += ["--alpha", repr(config.qubit.alpha), "--beta", repr(config.qubit.beta)]
-        else:
-            argv += ["--alpha-step", repr(config.alpha_step), "--beta-step", repr(config.beta_step)]
-        defect = config.coin.defect_site is not None
-        argv += ["--coin", "defect" if defect else "hadamard"]
-        if defect:
-            argv += ["--defect-site", str(config.coin.defect_site)]
-        argv += [
-            "--steps", str(config.steps),
-            "--record-every", str(config.record_every),
-            "--fit-start", str(config.fit_window[0]),
-            "--fit-end", str(config.fit_window[1]),
-        ]
-    argv += ["--output-dir", str(config.output_dir)]
-    return argv
+        initial, coin, fit_window = config.initial, config.coin, config.fit_window
+        values = {
+            "mode": config.mode,
+            "initial": "local" if initial.sigma0 is None else "gaussian",
+            "sigma0": initial.sigma0,
+            "truncation_radius": initial.truncation_radius,
+            "renormalize": "true" if initial.renormalize else "false",
+            "alpha": getattr(config.qubit, "alpha", None),
+            "beta": getattr(config.qubit, "beta", None),
+            "alpha_step": config.alpha_step,
+            "beta_step": config.beta_step,
+            "coin": "hadamard" if coin.defect_site is None else "defect",
+            "defect_site": coin.defect_site,
+            "steps": config.steps,
+            "record_every": config.record_every,
+            "fit_start": fit_window[0],
+            "fit_end": fit_window[1],
+        }
+        argv = []
+        for name, flag in _FLAGS.items():
+            if values[name] is not None and _applies(flag, values):
+                argv += [_option(name), str(values[name])]
+    return argv + ["--output-dir", str(config.output_dir)]
 
 
 def expand_runs(config: RunConfig | PresetConfig) -> list[tuple[str, RunConfig]]:

@@ -178,7 +178,8 @@ class InitialStateSpec:
     ``sigma0=None`` (the default) is the local state: all weight on site 0,
     with no truncation radius and no renormalization.  A width ``sigma0``
     samples the Gaussian ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)``
-    on integer sites with ``|j| <= truncation_radius`` and zero outside.  With
+    on integer sites with ``|j| <= truncation_radius`` (by default
+    :data:`DEFAULT_TRUNCATION_RADIUS`) and zero outside.  With
     ``renormalize=False`` (the default) the envelope keeps the continuum
     normalization constant; the squared-norm deficit from truncating is
     reported by :meth:`norm_deficit` instead of being corrected, and an
@@ -201,8 +202,8 @@ class InitialStateSpec:
             return
         if not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")
-        radius = _integer(self.truncation_radius, "truncation_radius", 1)
-        object.__setattr__(self, "truncation_radius", radius)
+        radius = DEFAULT_TRUNCATION_RADIUS if self.truncation_radius is None else self.truncation_radius
+        object.__setattr__(self, "truncation_radius", _integer(radius, "truncation_radius", 1))
         check_site_count(2 * self.truncation_radius + 1, "the Gaussian envelope spans")
         # sigma0 far from the lattice scale overflows the samples or underflows all to zero
         try:
@@ -226,7 +227,7 @@ class InitialStateSpec:
     def gaussian(
         cls,
         sigma0: float,
-        truncation_radius: int = DEFAULT_TRUNCATION_RADIUS,
+        truncation_radius: int | None = None,
         renormalize: bool = False,
     ) -> "InitialStateSpec":
         return cls(float(sigma0), truncation_radius, renormalize)

@@ -584,3 +584,65 @@ def test_criterion10_trojan_packet_ensemble(full_ensembles):
         ok and not plain,
         f"{detail}; defect-free ensemble {plain_detail}, rejected: {not plain}",
     )
+
+
+def _sigma0_law(sweep) -> tuple[bool, str]:
+    """Whether ``sweep``, rows of (sigma0, slope, final entropy), follows slope ~ sigma0^-4.
+
+    Over sigma0 >= 2, slope * sigma0^4 must lie within 5% of its mean there;
+    every row below sigma0 = 2 (the local state, sigma0 = 0, and sigma0 = 1)
+    must lie outside that band; and slopes and final entropies must fall
+    strictly from row to row.
+    """
+    sigma0, slopes, entropies = (np.array(column, dtype=np.float64) for column in zip(*sweep))
+    products = slopes * sigma0**4
+    law = sigma0 >= 2.0
+    mean = products[law].mean()
+    deviation = products / mean - 1.0
+    ok = (
+        bool(np.all(np.abs(deviation[law]) <= 0.05))
+        and bool(np.all(np.abs(deviation[~law]) > 0.05))
+        and bool(np.all(np.diff(slopes) < 0.0))
+        and bool(np.all(np.diff(entropies) < 0.0))
+    )
+    rows = ", ".join(f"{s:g}: {p:.4g} ({d:+.1%})" for s, p, d in zip(sigma0, products, deviation))
+    return ok, f"slope*sigma0^4 by sigma0 {rows}; mean {mean:.5f} over sigma0 >= 2"
+
+
+def _ensemble_sweep(coin: CoinSpec, sigmas) -> list[tuple[float, float, float]]:
+    grid = make_qubit_grid(0.1, 0.1)
+    rows = []
+    for sigma0 in sigmas:
+        result = run_ensemble(grid, InitialStateSpec.gaussian(sigma0), EvolutionPlan(coin, STEPS))
+        rows.append((sigma0, result.slope, result.mean_entropy[-1]))
+    return rows
+
+
+@pytest.mark.slow
+def test_criterion11_sigma0_law(fig3_preset):
+    """The fig3 sweep's slope falls as sigma0^-4 once the envelope is delocalized.
+
+    Measured on ``fig3_summary.csv`` against :func:`_sigma0_law`'s tolerances:
+    slope * sigma0^4 lies within -2.0% and +1.5% of its mean, 0.11854, over
+    sigma0 = 2..10 (band 5%); sigma0 = 1 reads -35.6% and sigma0 = 0 -100%
+    (both must lie outside the band); slopes and final entropies fall
+    strictly over all eleven rows.
+
+    Two controls must fail, each a full-grid 3000-step ensemble sweep.  The
+    defect-free walk does not decay: at sigma0 = 4 and 8 its slopes read
+    0.53732 and 0.53729, products 137.6 and 2201.  A mirror inside the
+    envelope, r = -10, at sigma0 = 2, 6 and 10 gives products 0.270, 385.5
+    and 5125, its slope growing with sigma0.
+    """
+    code, root = fig3_preset
+    assert code == 0
+    summary = _csv_columns(root / "fig3_summary.csv")
+    ok, detail = _sigma0_law(zip(summary["sigma0"], summary["slope"], summary["final_entropy"]))
+    plain, plain_detail = _sigma0_law(_ensemble_sweep(COINS["hadamard"], (4.0, 8.0)))
+    inside, inside_detail = _sigma0_law(_ensemble_sweep(CoinSpec.not_defect(-10), (2.0, 6.0, 10.0)))
+    _report(
+        "criterion 11 (slope ~ sigma0^-4)",
+        ok and not plain and not inside,
+        f"{detail}; rejects the defect-free walk ({plain_detail}): {not plain}, "
+        f"a mirror at -10 ({inside_detail}): {not inside}",
+    )

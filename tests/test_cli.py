@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk1d import CoinSpec, InitialStateSpec, cli
+from qwalk1d import CoinSpec, InitialStateSpec, QubitParams, cli
 from qwalk1d.cli import (
+    _FLAGS,
     ConfigError,
     PresetConfig,
     RunConfig,
@@ -51,6 +52,72 @@ PRESET_LABELS = {
     "fig1": INITIAL_LABELS,
     "fig2": [f"{i}_{c}" for i in INITIAL_LABELS for c in ("hadamard", "defect")],
     "fig3": [f"sigma0_{s}" for s in range(0, 11)],
+}
+
+
+CI_RUN = "--steps 10 --record-every 3 --fit-start 0 --fit-end 10"
+# configs whose manifests are pinned: the default, the two of the CI's
+# installed-package step, and the presets (their sub-runs are added)
+PINNED_ARGS = {
+    "default": "",
+    "ci_single": f"{CI_RUN} --output-dir single",
+    "ci_ensemble": f"{CI_RUN} --mode ensemble --alpha-step 0.5 --beta-step 0.5 --output-dir ensemble",
+    "fig1": "--preset fig1 --output-dir out",
+    "fig2": "--preset fig2 --output-dir out",
+    "fig3": "--preset fig3 --output-dir out",
+}
+# canonical_argv of each config and preset sub-run, flag for flag, as every
+# manifest.json holds it; the sub-runs differ only in these fragments
+_QUBIT = "--alpha 2.356194490192345 --beta 0.0"
+_GRID = "--alpha-step 0.1 --beta-step 0.1"
+_HADAMARD = "--coin hadamard"
+_DEFECT = "--coin defect --defect-site -101"
+_FULL = "--steps 3000 --record-every 1 --fit-start 1000 --fit-end 3000"
+
+
+def _gaussian(sigma0: str) -> str:
+    return f"--initial gaussian --sigma0 {sigma0} --truncation-radius 100 --renormalize false"
+
+
+PINNED_ARGV = {
+    "default": f"--mode single --initial local {_QUBIT} {_HADAMARD} {_FULL} --output-dir results",
+    "ci_single": f"--mode single --initial local {_QUBIT} {_HADAMARD} {CI_RUN} --output-dir single",
+    "ci_ensemble": (
+        f"--mode ensemble --initial local --alpha-step 0.5 --beta-step 0.5 {_HADAMARD} {CI_RUN} "
+        "--output-dir ensemble"
+    ),
+    "fig1": "--preset fig1 --output-dir out",
+    "fig1/local": f"--mode single --initial local {_QUBIT} {_HADAMARD} {_FULL} --output-dir out/local",
+    **{
+        f"fig1/gaussian_sigma{s}": (
+            f"--mode single {_gaussian(f'{s}.0')} {_QUBIT} {_HADAMARD} {_FULL} "
+            f"--output-dir out/gaussian_sigma{s}"
+        )
+        for s in (1, 10)
+    },
+    "fig2": "--preset fig2 --output-dir out",
+    **{
+        f"fig2/local_{c}": (
+            f"--mode ensemble --initial local {_GRID} {coin} {_FULL} --output-dir out/local_{c}"
+        )
+        for c, coin in (("hadamard", _HADAMARD), ("defect", _DEFECT))
+    },
+    **{
+        f"fig2/gaussian_sigma{s}_{c}": (
+            f"--mode ensemble {_gaussian(f'{s}.0')} {_GRID} {coin} {_FULL} "
+            f"--output-dir out/gaussian_sigma{s}_{c}"
+        )
+        for s in (1, 10)
+        for c, coin in (("hadamard", _HADAMARD), ("defect", _DEFECT))
+    },
+    "fig3": "--preset fig3 --output-dir out",
+    "fig3/sigma0_0": f"--mode ensemble --initial local {_GRID} {_DEFECT} {_FULL} --output-dir out/sigma0_0",
+    **{
+        f"fig3/sigma0_{s}": (
+            f"--mode ensemble {_gaussian(f'{s}.0')} {_GRID} {_DEFECT} {_FULL} --output-dir out/sigma0_{s}"
+        )
+        for s in range(1, 11)
+    },
 }
 
 
@@ -126,7 +193,33 @@ class TestParseConfig:
     def test_physics_flag_values_cover_the_parser(self):
         operational = {"help", "preset", "workers", "output_dir"}
         dests = [a.dest for a in _build_parser()._actions if a.dest not in operational]
+        assert dests == list(_FLAGS)
         assert dests == [flag[2:].replace("-", "_") for flag, _ in PHYSICS_FLAG_VALUES]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("--sigma0 2", "--sigma0 applies only to --initial gaussian"),
+            ("--truncation-radius 50", "--truncation-radius applies only to --initial gaussian"),
+            ("--initial gaussian", "--initial gaussian requires --sigma0"),
+            ("--coin defect", "--coin defect requires --defect-site"),
+            ("--defect-site 3", "--defect-site applies only to --coin defect"),
+            ("--alpha-step 0.5", "--alpha-step applies only to --mode ensemble"),
+            ("--mode ensemble --beta 1.0", "--beta applies only to --mode single"),
+        ],
+    )
+    def test_rule_messages_name_one_flag(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse(args)
+
+    def test_help_lists_each_default_and_rule(self, capsys):
+        with pytest.raises(SystemExit):
+            parse("--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "default 3000" in text
+        assert "default 100; only with --initial gaussian" in text
+        assert "default 0.1; only with --mode ensemble" in text
+        assert "only with --coin defect" in text
 
     def test_unknown_flag_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +252,27 @@ class TestRoundTrip:
     def test_canonical_argv_round_trips(self, args):
         cfg = parse_config(args.split() if args else [])
         assert parse_config(canonical_argv(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "args, change",
+        [
+            ("--mode ensemble", {"alpha_step": np.float64(0.5), "beta_step": np.float64(0.25)}),
+            ("", {"qubit": QubitParams(np.float64(1.5), np.float64(0.25))}),
+            ("", {"initial": InitialStateSpec(np.float64(2.0), np.int64(50))}),
+        ],
+        ids=["grid_steps", "qubit", "sigma0"],
+    )
+    def test_numpy_scalars_round_trip(self, args, change):
+        cfg = dataclasses.replace(parse(args), **change)
+        assert parse_config(canonical_argv(cfg)) == cfg
+
+    def test_canonical_argv_is_pinned(self):
+        configs = {}
+        for name, args in PINNED_ARGS.items():
+            configs[name] = cfg = parse(args)
+            for label, sub in expand_runs(cfg) if cfg.preset else []:
+                configs[f"{name}/{label}"] = sub
+        assert {name: " ".join(canonical_argv(cfg)) for name, cfg in configs.items()} == PINNED_ARGV
 
     @pytest.mark.parametrize("workers", [[], ["--workers", "2"]], ids=["default", "workers2"])
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
@@ -410,9 +524,9 @@ class TestMain:
             assert line == label.removeprefix("sigma0_") + "," + summary[1]
 
     @pytest.mark.slow
-    def test_preset_fig3_summary_sweep(self, tmp_path):
-        out = tmp_path / "fig3"
-        assert main(["--preset", "fig3", "--output-dir", str(out)]) == 0
+    def test_preset_fig3_summary_sweep(self, fig3_preset):
+        code, out = fig3_preset
+        assert code == 0
         header, rows = read_csv(out / "fig3_summary.csv")
         assert header == ["sigma0", "slope", "final_entropy", "qubit_count", "norm_deficit"]
         assert [int(r[0]) for r in rows] == list(range(0, 11))

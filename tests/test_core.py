@@ -25,7 +25,7 @@ from qwalk1d import (
     coin_matrix,
     distribution,
 )
-from qwalk1d.core import _product_states
+from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _product_states
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 NOT = np.array([[0, 1], [1, 0]])
@@ -131,6 +131,14 @@ class TestInitialStateSpec:
             InitialStateSpec(truncation_radius=5)
         with pytest.raises(ValueError, match="renormalize"):
             InitialStateSpec(renormalize=True)
+
+    def test_constructor_and_factory_share_the_default_radius(self):
+        built = InitialStateSpec(2.0)
+        assert built == InitialStateSpec.gaussian(2.0)
+        assert built.truncation_radius == DEFAULT_TRUNCATION_RADIUS == 100
+        assert built.support() == (-100, 100)
+        with pytest.raises(ValueError, match="truncation radius"):
+            InitialStateSpec(None, DEFAULT_TRUNCATION_RADIUS)
 
     def test_truncation_radius_must_be_an_integer(self):
         with pytest.raises(ValueError):
