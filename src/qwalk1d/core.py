@@ -107,7 +107,7 @@ def _check_bloch_angles(alphas: np.ndarray, betas: np.ndarray) -> None:
             raise ValueError(f"{name} must lie in [0, {text}], got {values[outside][0]}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LatticeWindow:
     """Contiguous range of lattice sites ``j_min..j_max`` (both inclusive)."""
 
@@ -272,8 +272,9 @@ class WalkState:
     ``up[i]`` and ``down[i]`` hold the spin-up and spin-down amplitudes of
     site ``window.j_min + i``.  Outside the reachable light cone both
     fields are exactly zero, which every step preserves bit for bit;
-    ``evolution.recorded_steps`` tracks that cone and steps only it, and a
-    final state keeps the full window.
+    ``evolution.recorded_steps`` copies them into ghost-padded buffers of
+    its own, never writing a state's arrays, tracks that cone and steps
+    only it, and a final state keeps the full window.
     """
 
     window: LatticeWindow

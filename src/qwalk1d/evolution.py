@@ -12,23 +12,20 @@ contribution degenerates to a pure swap:
     a(r+1, t+1) = b(r, t)
     b(r-1, t+1) = a(r, t)
 
-The update is double buffered: the t-arrays are read before the t+1
-arrays are written, because each output site reads both neighbors.
 A run's window is sized before its first step, from the light cone
-(:func:`reachable_window`, called by ``ensemble.check_run``).  Amplitude
-that would still cross the window edge raises :class:`WindowOverflowError`
-instead of being clipped; clipping would silently destroy norm
-conservation.
+(:func:`reachable_window`, called by ``ensemble.check_run``).  Amplitude that
+would still cross the window edge raises :class:`WindowOverflowError` instead
+of being clipped; clipping would silently destroy norm conservation.
 
 :func:`recorded_steps` is the one loop that runs a plan, for single walks,
-ensembles and cross-checks alike: it steps ``(..., N)`` amplitude arrays
-with the one kernel, ``_advance``, and yields them at the plan's record
-times with their light cone ``live``.  The cone starts as the input's
-nonzero columns and grows one site per step on each side, clipped to the
-window; outside it the arrays are exactly zero, so only the cone is
-stepped, and callers reduce over it alone.  The arrays stay full width,
-and every site the cone covers is computed as a full-window step would,
-so the states are the same bit for bit.
+ensembles and cross-checks alike.  It copies ``(..., N)`` amplitudes into
+two buffer pairs, as every site reads both neighbours' old values, with two
+zero ghost sites each side of the window; steps the light cone ``live``
+with the one kernel, ``_advance``; and yields the window at the plan's
+record times.  The cone starts as the input's nonzero columns and grows
+one site per step each way, clipped to the window; outside it the arrays
+are exactly zero.  With the ghosts one stencil steps every site, edge
+sites included, bit for bit as a full-window step would.
 """
 
 from __future__ import annotations
@@ -102,53 +99,38 @@ def reachable_window(
 
 
 def _advance(
-    up, down, new_up, new_down, coin: CoinSpec, window: LatticeWindow, t: int, live: slice
+    up, down, new_up, new_down, defect: int | None, window: LatticeWindow, t: int, live: slice
 ) -> slice:
-    """Coin and shift ``(..., N)`` arrays from ``t`` into the distinct arrays ``new_*``.
+    """Coin and shift ``(..., N + 4)`` buffers from ``t`` into the distinct buffers ``new_*``.
 
-    The lattice runs along the last axis; leading axes are independent walks.
-    ``up`` and ``down`` must be exactly zero outside the cone ``live``, and
-    ``new_*`` outside the cone returned, ``live`` grown one site each way and
-    clipped to the window; only the returned cone of ``new_*`` is written.
+    Window site ``k`` is index ``k + 2`` of the last axis and ``defect`` the
+    NOT defect's index; two ghost sites flank each side.  ``up`` and ``down``
+    are exactly zero outside the cone ``live``, ``new_*`` outside the cone
+    returned: ``live`` grown one site each way, clipped to the window.  The
+    inner ghosts take what would leave it.
     """
-    n = window.size
     if live.start == live.stop:
         return live
-    lo, hi = max(live.start - 1, 0), min(live.stop + 1, n)
-    # Coin and shift in one pass, written straight into the t+1 arrays:
-    # new_up[j] = coined_up[j-1] and new_down[j] = coined_down[j+1].
-    a, b = max(lo, 1), min(hi, n - 1)
-    shifted_up, shifted_down = new_up[..., a:hi], new_down[..., lo:b]
-    np.add(up[..., a - 1 : hi - 1], down[..., a - 1 : hi - 1], out=shifted_up)
+    lo, hi = live.start - 1, live.stop + 1
+    # coin and shift in one pass: new_up[j] = coined_up[j-1], new_down[j] = coined_down[j+1]
+    shifted_up, shifted_down = new_up[..., lo:hi], new_down[..., lo:hi]
+    np.add(up[..., lo - 1 : hi - 1], down[..., lo - 1 : hi - 1], out=shifted_up)
     shifted_up *= SQRT1_2
-    np.subtract(up[..., lo + 1 : b + 1], down[..., lo + 1 : b + 1], out=shifted_down)
+    np.subtract(up[..., lo + 1 : hi + 1], down[..., lo + 1 : hi + 1], out=shifted_down)
     shifted_down *= SQRT1_2
-    # coined amplitude of the edge sites, which the shift would push out; only a
-    # cone that touches an edge has any
-    leaving_up = leaving_down = 0.0
-    if hi == n:
-        leaving_up = (up[..., -1] + down[..., -1]) * SQRT1_2
-        new_down[..., -1] = 0.0
-    if lo == 0:
-        leaving_down = (up[..., 0] - down[..., 0]) * SQRT1_2
-        new_up[..., 0] = 0.0
-    if coin.defect_site is not None and window.contains(coin.defect_site):
+    if defect is not None:
         # the NOT gate at the defect swaps the spins instead of mixing them
-        i = coin.defect_site - window.j_min
-        if i + 1 < n:
-            new_up[..., i + 1] = down[..., i]
-        elif hi == n:
-            leaving_up = down[..., i]
-        if i > 0:
-            new_down[..., i - 1] = up[..., i]
-        elif lo == 0:
-            leaving_down = up[..., i]
-
-    if (lo == 0 or hi == n) and (np.count_nonzero(leaving_up) or np.count_nonzero(leaving_down)):
-        raise WindowOverflowError(
-            f"amplitude would leave window [{window.j_min}, {window.j_max}] "
-            f"at t={t + 1}; size the window for the full run (see reachable_window)"
-        )
+        new_up[..., defect + 1] = down[..., defect]
+        new_down[..., defect - 1] = up[..., defect]
+    right = up.shape[-1] - 2  # the inner right ghost
+    if lo < 2 or hi > right:  # the grown cone reaches a ghost: check it, zero it, clip
+        if np.count_nonzero(new_down[..., 1]) or np.count_nonzero(new_up[..., right]):
+            raise WindowOverflowError(
+                f"amplitude would leave window [{window.j_min}, {window.j_max}] "
+                f"at t={t + 1}; size the window for the full run (see reachable_window)"
+            )
+        new_down[..., 1] = new_up[..., right] = 0.0
+        lo, hi = max(lo, 2), min(hi, right)
     return slice(lo, hi)
 
 
@@ -160,19 +142,22 @@ def recorded_steps(
     ``live`` is the light cone, a slice of the last axis outside which both
     arrays are exactly zero: at t=0 the range of the input's nonzero
     columns over all rows, then one site wider on each side per step,
-    clipped to the window.  An all-zero input's cone stays empty.  Only the cone is
-    stepped, and a caller reduces over it alone.  The arrays passed in are
-    one of two alternating full-width buffer pairs, so they are
-    overwritten; a yielded pair is valid until the generator resumes.
+    clipped to the window; an all-zero input's cone stays empty.  Only the
+    cone is stepped.  The input is never written: each yield is a view of
+    one of two alternating buffer pairs, valid until the generator resumes.
     """
-    spare = np.zeros_like(up), np.zeros_like(down)
     rows = tuple(range(up.ndim - 1))
-    occupied = np.flatnonzero(np.any(up != 0, axis=rows) | np.any(down != 0, axis=rows))
-    live = slice(int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else slice(0, 0)
+    occupied = np.flatnonzero(np.any(up != 0, axis=rows) | np.any(down != 0, axis=rows)) + 2
+    live = slice(int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else slice(2, 2)
+    buffers = np.zeros((4, *up.shape[:-1], window.size + 4), np.result_type(up, down))
+    buffers[0, ..., 2:-2], buffers[1, ..., 2:-2] = up, down
+    up, down, *spare = buffers  # two buffer pairs; the input is no longer referenced
+    r = plan.coin.defect_site
+    defect = r - window.j_min + 2 if r is not None and window.contains(r) else None
     t = 0
     for t_record in plan.record_times():
         while t < t_record:
-            live = _advance(up, down, *spare, plan.coin, window, t, live)
+            live = _advance(up, down, *spare, defect, window, t, live)
             (up, down), spare = spare, (up, down)
             t += 1
-        yield up, down, live
+        yield up[..., 2:-2], down[..., 2:-2], slice(live.start - 2, live.stop - 2)

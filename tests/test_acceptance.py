@@ -143,7 +143,7 @@ def test_criterion1_oracle_equivalence():
             assert ring.contains(reachable_window((0, 0), coin, steps))  # so nothing wraps
             oracle = build_initial_state(qubit, InitialStateSpec.local(), ring)
             plan = EvolutionPlan(coin, steps)
-            walk = recorded_steps(oracle.up.copy(), oracle.down.copy(), plan, ring)
+            walk = recorded_steps(oracle.up, oracle.down, plan, ring)
             next(walk)  # t = 0
             for up, down, _ in walk:
                 oracle = ring_evolve(oracle, coin, 1)

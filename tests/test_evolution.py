@@ -103,9 +103,16 @@ def _cone_start(window: LatticeWindow, rows: dict[int, tuple[int, int]]):
         (LatticeWindow(-20, 20), {0: (4, 5), 1: (7, 7)}, CoinSpec.hadamard(), 12),
         (LatticeWindow(-26, 26), {0: (-6, 6)}, CoinSpec.not_defect(-3), 20),
         (LatticeWindow(-11, 40), {0: (-10, 10)}, CoinSpec.not_defect(-11), 30),
+        (LatticeWindow(-40, 11), {0: (-10, 10)}, CoinSpec.not_defect(11), 30),
         (LatticeWindow(-5, 5), {}, CoinSpec.hadamard(), 6),
     ],
-    ids=["off_centre_interior", "defect_inside_cone", "defect_on_window_edge", "all_zero"],
+    ids=[
+        "off_centre_interior",
+        "defect_inside_cone",
+        "defect_on_window_edge",
+        "defect_on_right_window_edge",
+        "all_zero",
+    ],
 )
 def test_live_is_the_start_range_grown_one_site_per_step(window, rows, coin, steps):
     # the run's window: the fig2 geometry clips it at the mirror, one site left of the start
@@ -252,7 +259,7 @@ def test_recorded_steps_schedule():
     for _ in range(plan.steps):
         states.append(stepped(states[-1], plan.coin))
     seen = []  # the time of each yield, found among the stepped states
-    for up, down, _ in recorded_steps(state.up.copy(), state.down.copy(), plan, state.window):
+    for up, down, _ in recorded_steps(state.up, state.down, plan, state.window):
         seen += [
             t
             for t, s in enumerate(states)
@@ -263,19 +270,26 @@ def test_recorded_steps_schedule():
 
 
 def test_recorded_steps_alternate_two_buffer_pairs():
-    """The loop steps in its input arrays and one spare pair, so a caller copies what it keeps."""
+    """The loop steps in two buffer pairs of its own, so a caller copies what it keeps."""
     plan = EvolutionPlan(CoinSpec.not_defect(-2), 9, record_every=4)
     init = InitialStateSpec.gaussian(1.5, 4)
     start = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
     up, down = start.up.copy(), start.down.copy()
-    expected = start
+    expected, yields = start, []
     walk = recorded_steps(up, down, plan, start.window)
     for t, (new_up, new_down, _) in zip(plan.record_times(), walk):
-        assert (new_up is up) == (new_down is down) == (t % 2 == 0)
+        assert not np.shares_memory(new_up, new_down)
         if t > expected.t:
             expected = stepped(expected, plan.coin, t - expected.t)
         assert np.array_equal(new_up, expected.up) and np.array_equal(new_down, expected.down)
+        yields.append((t, new_up, new_down))
     assert expected.t == 9
+    # the pair stepped into at t is the one of t's parity; the input is never written
+    for t, up_t, down_t in yields:
+        for s, up_s, down_s in yields:
+            same = np.shares_memory(up_t, up_s), np.shares_memory(down_t, down_s)
+            assert same == (t % 2 == s % 2,) * 2
+    assert up.tobytes() == start.up.tobytes() and down.tobytes() == start.down.tobytes()
 
 
 def test_run_walk_single_step_matches_ring():
