@@ -70,7 +70,6 @@ _FLAGS = {
     "initial": _Flag(("local", "gaussian"), "local", None, "position envelope of the initial state"),
     "sigma0": _Flag(float, None, _GAUSSIAN, "Gaussian envelope width (lattice units)"),
     "truncation_radius": _Flag(int, DEFAULT_TRUNCATION_RADIUS, _GAUSSIAN, "Gaussian support half-width"),
-    "renormalize": _Flag(("true", "false"), "false", _GAUSSIAN, "rescale the envelope to unit norm"),
     "alpha": _Flag(float, 0.75 * math.pi, _SINGLE, "Bloch polar angle in [0, pi]"),
     "beta": _Flag(float, 0.0, _SINGLE, "Bloch azimuthal angle in [0, 2*pi]"),
     "alpha_step": _Flag(float, 0.1, _ENSEMBLE, "grid step over alpha"),
@@ -211,9 +210,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
     fit_start, fit_end = default_fit_window(steps)
     fit_window = (given.get("fit_start", fit_start), given.get("fit_end", fit_end))
     try:  # every value is checked by the type that owns it, before any compute
-        initial = InitialStateSpec(
-            values["sigma0"], values["truncation_radius"], values["renormalize"] == "true"
-        )
+        initial = InitialStateSpec(values["sigma0"], values["truncation_radius"])
         coin = CoinSpec(values["defect_site"])
         check_run(initial, EvolutionPlan(coin, steps, record_every), fit_window)
         qubit = QubitParams(values["alpha"], values["beta"]) if values["mode"] == "single" else None
@@ -246,7 +243,6 @@ def canonical_argv(config: RunConfig | PresetConfig) -> list[str]:
             "initial": "local" if initial.sigma0 is None else "gaussian",
             "sigma0": initial.sigma0,
             "truncation_radius": initial.truncation_radius,
-            "renormalize": "true" if initial.renormalize else "false",
             "alpha": getattr(config.qubit, "alpha", None),
             "beta": getattr(config.qubit, "beta", None),
             "alpha_step": config.alpha_step,

@@ -21,8 +21,6 @@ import numpy as np
 
 __all__ = [
     "SQRT1_2",
-    "HADAMARD_MATRIX",
-    "NOT_MATRIX",
     "QubitParams",
     "LatticeWindow",
     "CoinSpec",
@@ -33,9 +31,6 @@ __all__ = [
 ]
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQRT1_2
-NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 # Largest window a run may need; at its peak a linear ensemble holds at most about
 # _BYTES_PER_SITE bytes per site, ~0.7 GB at the cap (tracemalloc, recorded every
@@ -48,8 +43,8 @@ _BYTES_PER_SITE = 700
 # Gaussian support half-width, in sites, when none is given
 DEFAULT_TRUNCATION_RADIUS = 100
 
-# An unrenormalized envelope may exceed unit squared norm by lattice aliasing,
-# about 2 exp(-2 pi^2 sigma0^2): 5.4e-9 at sigma0 = 1, past this near sigma0 = 0.86.
+# A sampled envelope may exceed unit squared norm by lattice aliasing, about
+# 2 exp(-2 pi^2 sigma0^2): 5.4e-9 at sigma0 = 1, past this near sigma0 = 0.86.
 _NORM_EXCESS_LIMIT = 1e-6
 
 
@@ -65,6 +60,13 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a Python float; a bool or any non-real raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_site_count(sites: int, what: str) -> None:
@@ -91,6 +93,8 @@ class QubitParams:
     beta: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         _check_bloch_angles(np.array([self.alpha]), np.array([self.beta]))
 
 
@@ -167,8 +171,8 @@ class CoinSpec:
 def coin_matrix(spec: CoinSpec, j: int) -> np.ndarray:
     """2x2 unitary the coin applies at site ``j`` (a fresh array)."""
     if spec.defect_site is not None and j == spec.defect_site:
-        return NOT_MATRIX.copy()
-    return HADAMARD_MATRIX.copy()
+        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQRT1_2
 
 
 @dataclass(frozen=True)
@@ -176,30 +180,25 @@ class InitialStateSpec:
     """Position envelope of the initial state.
 
     ``sigma0=None`` (the default) is the local state: all weight on site 0,
-    with no truncation radius and no renormalization.  A width ``sigma0``
-    samples the Gaussian ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)``
-    on integer sites with ``|j| <= truncation_radius`` (by default
-    :data:`DEFAULT_TRUNCATION_RADIUS`) and zero outside.  With
-    ``renormalize=False`` (the default) the envelope keeps the continuum
-    normalization constant; the squared-norm deficit from truncating is
-    reported by :meth:`norm_deficit` instead of being corrected, and an
-    envelope too narrow for the lattice (squared norm above 1 + 1e-6) is
-    rejected.  The radius is capped by :data:`MAX_SITES` before sampling.
+    with no truncation radius.  A width ``sigma0`` samples the Gaussian
+    ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)`` on integer
+    sites with ``|j| <= truncation_radius`` (by default
+    :data:`DEFAULT_TRUNCATION_RADIUS`) and zero outside, keeping that
+    continuum constant: the truncation deficit is reported by
+    :meth:`norm_deficit`, never corrected, and an envelope too narrow for
+    the lattice (squared norm above 1 + 1e-6) is rejected.  The radius is
+    capped by :data:`MAX_SITES` before sampling.
     """
 
     sigma0: float | None = None
     truncation_radius: int | None = None
-    renormalize: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.renormalize, (bool, np.bool_)):
-            raise ValueError(f"renormalize must be a bool, got {self.renormalize!r}")
         if self.sigma0 is None:
             if self.truncation_radius is not None:
                 raise ValueError("a truncation radius applies only to a Gaussian (give sigma0)")
-            if self.renormalize:
-                raise ValueError("renormalize applies only to a Gaussian (give sigma0)")
             return
+        object.__setattr__(self, "sigma0", _real(self.sigma0, "sigma0"))
         if not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")
         radius = DEFAULT_TRUNCATION_RADIUS if self.truncation_radius is None else self.truncation_radius
@@ -216,7 +215,7 @@ class InitialStateSpec:
         if norm_sq > 1.0 + _NORM_EXCESS_LIMIT:
             raise ValueError(
                 f"sigma0={self.sigma0} samples to squared norm {norm_sq:.6g}, not a state; "
-                "renormalize the envelope (--renormalize true)"
+                "the lattice needs sigma0 above about 0.86"
             )
 
     @classmethod
@@ -224,13 +223,8 @@ class InitialStateSpec:
         return cls()
 
     @classmethod
-    def gaussian(
-        cls,
-        sigma0: float,
-        truncation_radius: int | None = None,
-        renormalize: bool = False,
-    ) -> "InitialStateSpec":
-        return cls(float(sigma0), truncation_radius, renormalize)
+    def gaussian(cls, sigma0: float, truncation_radius: int | None = None) -> "InitialStateSpec":
+        return cls(sigma0, truncation_radius)
 
     def support(self) -> tuple[int, int]:
         """Site range the envelope is sampled on: ``|j| <= truncation_radius``, or site 0.
@@ -249,10 +243,7 @@ class InitialStateSpec:
             return np.ones(1)
         sigma0 = self.sigma0
         j = np.arange(-self.truncation_radius, self.truncation_radius + 1, dtype=np.float64)
-        f = np.exp(-(j * j) / (4.0 * sigma0 * sigma0)) / (2.0 * math.pi * sigma0 * sigma0) ** 0.25
-        if self.renormalize:
-            f = f / math.sqrt(float(np.sum(f * f)))
-        return f
+        return np.exp(-(j * j) / (4.0 * sigma0 * sigma0)) / (2.0 * math.pi * sigma0 * sigma0) ** 0.25
 
     def norm_deficit(self) -> float:
         """``1 - sum_j f(j)^2``, the squared-norm error left by truncation.

@@ -44,6 +44,7 @@ from .core import (
     _coefficients,
     _integer,
     _product_states,
+    _real,
 )
 from .evolution import EvolutionPlan, reachable_window, recorded_steps
 from .observables import PositionDistribution, _prob, _row_observables, entropy_bits_vec
@@ -117,12 +118,8 @@ def make_qubit_grid(alpha_step: float, beta_step: float) -> QubitGrid:
     (resp. 2*pi), endpoint included when it lands exactly: 2016 qubits at
     step 0.1, and at most :data:`MAX_QUBITS`.
     """
-    if not (math.isfinite(alpha_step) and alpha_step > 0.0):
-        raise ValueError(f"alpha_step must be positive, got {alpha_step}")
-    if not (math.isfinite(beta_step) and beta_step > 0.0):
-        raise ValueError(f"beta_step must be positive, got {beta_step}")
-    alphas = _step_multiples(alpha_step, math.pi)
-    betas = _step_multiples(beta_step, 2.0 * math.pi)
+    alphas = _step_multiples(alpha_step, math.pi, "alpha_step")
+    betas = _step_multiples(beta_step, 2.0 * math.pi, "beta_step")
     if alphas.size * betas.size > MAX_QUBITS:
         count = (math.pi / alpha_step + 1.0) * (2.0 * math.pi / beta_step + 1.0)
         raise ValueError(
@@ -133,11 +130,14 @@ def make_qubit_grid(alpha_step: float, beta_step: float) -> QubitGrid:
     return QubitGrid(np.repeat(alphas, betas.size), np.tile(betas, alphas.size))
 
 
-def _step_multiples(step: float, bound: float) -> np.ndarray:
-    """Every ``i * step <= bound`` (products, not sums, so points reproduce).
+def _step_multiples(step: float, bound: float, what: str) -> np.ndarray:
+    """Every ``i * step <= bound``, ``step`` a positive real (products, so points reproduce).
 
     One spare multiple covers a rounded quotient; past the cap the axis is cut.
     """
+    step = _real(step, what)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"{what} must be positive, got {step}")
     values = np.arange(math.floor(min(bound / step, MAX_QUBITS)) + 2) * step
     return values[values <= bound]
 

@@ -1,9 +1,9 @@
 """Observables of a walk state.
 
 Everything here is a pure function of its inputs.  States whose total
-probability differs from 1 (e.g. a truncated Gaussian envelope kept
-unrenormalized) are handled by normalizing internally, so dispersion and
-entropy stay well defined without touching the amplitudes.
+probability differs from 1 (e.g. a truncated Gaussian envelope, whose
+deficit is reported, not corrected) are handled by normalizing internally,
+so dispersion and entropy stay well defined without touching the amplitudes.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ PHYSICS_FLAG_VALUES = [
     ("--initial", "gaussian"),
     ("--sigma0", "2"),
     ("--truncation-radius", "50"),
-    ("--renormalize", "true"),
     ("--alpha", "1"),
     ("--beta", "1"),
     ("--alpha-step", "0.5"),
@@ -56,12 +55,13 @@ PRESET_LABELS = {
 
 
 CI_RUN = "--steps 10 --record-every 3 --fit-start 0 --fit-end 10"
-# configs whose manifests are pinned: the default, the two of the CI's
+# configs whose manifests are pinned: the default, the three of the CI's
 # installed-package step, and the presets (their sub-runs are added)
 PINNED_ARGS = {
     "default": "",
     "ci_single": f"{CI_RUN} --output-dir single",
     "ci_ensemble": f"{CI_RUN} --mode ensemble --alpha-step 0.5 --beta-step 0.5 --output-dir ensemble",
+    "ci_gaussian": f"{CI_RUN} --initial gaussian --sigma0 2 --truncation-radius 20 --output-dir gaussian",
     "fig1": "--preset fig1 --output-dir out",
     "fig2": "--preset fig2 --output-dir out",
     "fig3": "--preset fig3 --output-dir out",
@@ -76,7 +76,7 @@ _FULL = "--steps 3000 --record-every 1 --fit-start 1000 --fit-end 3000"
 
 
 def _gaussian(sigma0: str) -> str:
-    return f"--initial gaussian --sigma0 {sigma0} --truncation-radius 100 --renormalize false"
+    return f"--initial gaussian --sigma0 {sigma0} --truncation-radius 100"
 
 
 PINNED_ARGV = {
@@ -85,6 +85,10 @@ PINNED_ARGV = {
     "ci_ensemble": (
         f"--mode ensemble --initial local --alpha-step 0.5 --beta-step 0.5 {_HADAMARD} {CI_RUN} "
         "--output-dir ensemble"
+    ),
+    "ci_gaussian": (
+        "--mode single --initial gaussian --sigma0 2.0 --truncation-radius 20 "
+        f"{_QUBIT} {_HADAMARD} {CI_RUN} --output-dir gaussian"
     ),
     "fig1": "--preset fig1 --output-dir out",
     "fig1/local": f"--mode single --initial local {_QUBIT} {_HADAMARD} {_FULL} --output-dir out/local",
@@ -139,15 +143,13 @@ class TestParseConfig:
         assert cfg.output_dir == Path("results")
 
     def test_gaussian_flags(self):
-        cfg = parse("--initial gaussian --sigma0 10 --truncation-radius 80 --renormalize true")
+        cfg = parse("--initial gaussian --sigma0 10 --truncation-radius 80")
         assert cfg.initial.sigma0 == 10.0
         assert cfg.initial.truncation_radius == 80
-        assert cfg.initial.renormalize is True
 
     def test_gaussian_radius_default_is_100(self):
         cfg = parse("--initial gaussian --sigma0 2")
         assert cfg.initial.truncation_radius == 100
-        assert cfg.initial.renormalize is False
 
     def test_ensemble_mode(self):
         cfg = parse("--mode ensemble --alpha-step 0.5 --beta-step 0.5 --steps 100")
@@ -167,7 +169,6 @@ class TestParseConfig:
             "--initial gaussian",  # sigma0 missing
             "--initial gaussian --sigma0 -1",
             "--sigma0 2",  # local takes no sigma0
-            "--renormalize true",
             "--coin defect",  # defect site missing
             "--defect-site 3",  # hadamard takes no defect site
             "--alpha 9",  # out of [0, pi]

@@ -24,6 +24,7 @@ from qwalk1d import (
     build_initial_state,
     coin_matrix,
     distribution,
+    make_qubit_grid,
 )
 from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _product_states
 
@@ -58,6 +59,35 @@ class TestQubitParams:
         assert state.up[0] == pytest.approx(math.cos(0.375 * math.pi), abs=1e-15)
         expected = complex(math.cos(0.5), math.sin(0.5)) * math.sin(0.375 * math.pi)
         assert state.down[0] == pytest.approx(expected, abs=1e-15)
+
+
+REAL_INPUTS = {
+    "alpha": lambda x: QubitParams(x, 0.0),
+    "beta": lambda x: QubitParams(0.0, x),
+    "sigma0": lambda x: InitialStateSpec(x),
+    "sigma0_factory": lambda x: InitialStateSpec.gaussian(x),
+    "alpha_step": lambda x: make_qubit_grid(x, 0.1),
+    "beta_step": lambda x: make_qubit_grid(0.1, x),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(True), "1.0", 1j], ids=["bool", "numpy_bool", "str", "complex"]
+)
+@pytest.mark.parametrize("name", REAL_INPUTS)
+def test_real_inputs_reject_non_reals(name, value):
+    # a bool would reach a manifest as "True", which no flag parses back
+    with pytest.raises(ValueError, match=f"{name.removesuffix('_factory')} must be a real number"):
+        REAL_INPUTS[name](value)
+
+
+def test_real_inputs_are_stored_as_python_floats():
+    qubit = QubitParams(np.float32(0.5), np.int64(1))
+    assert (qubit.alpha, qubit.beta) == (0.5, 1.0)
+    assert type(qubit.alpha) is float and type(qubit.beta) is float
+    sigma0 = InitialStateSpec.gaussian(np.float32(2.5)).sigma0
+    assert sigma0 == 2.5 and type(sigma0) is float
+    assert len(make_qubit_grid(np.float32(0.5), 1)) == 7 * 7
 
 
 class TestLatticeWindow:
@@ -129,8 +159,6 @@ class TestInitialStateSpec:
             InitialStateSpec.gaussian(1.0, truncation_radius=0)
         with pytest.raises(ValueError, match="truncation radius"):
             InitialStateSpec(truncation_radius=5)
-        with pytest.raises(ValueError, match="renormalize"):
-            InitialStateSpec(renormalize=True)
 
     def test_constructor_and_factory_share_the_default_radius(self):
         built = InitialStateSpec(2.0)
@@ -149,24 +177,13 @@ class TestInitialStateSpec:
         assert radius == 7 and type(radius) is int
         assert InitialStateSpec(2.0, np.int64(7)).support() == (-7, 7)
 
-    def test_renormalize_must_be_a_bool(self):
-        # a string is truthy, so "false" would renormalize
-        with pytest.raises(ValueError, match="renormalize must be a bool"):
-            InitialStateSpec.gaussian(1.0, 100, "false")
-        with pytest.raises(ValueError, match="renormalize must be a bool"):
-            InitialStateSpec(renormalize=0)
-        assert InitialStateSpec.gaussian(1.0, 100, np.bool_(True)).norm_deficit() == pytest.approx(
-            0.0, abs=1e-15
-        )
-
-    @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("sigma0", [1e-300, 1e300])
-    def test_envelope_must_be_finite_with_nonzero_norm(self, sigma0, renormalize):
+    def test_envelope_must_be_finite_with_nonzero_norm(self, sigma0):
         # 1e-300 divides by zero when sampled; 1e300 samples to all zeros
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma0"):
-                InitialStateSpec.gaussian(sigma0, renormalize=renormalize)
+                InitialStateSpec.gaussian(sigma0)
 
     def test_radius_capped_before_sampling(self):
         tracemalloc.start()
@@ -181,10 +198,8 @@ class TestInitialStateSpec:
     @pytest.mark.parametrize("sigma0", [0.001, 0.5, 0.8])
     def test_unrenormalized_envelope_above_unit_norm_rejected(self, sigma0):
         # aliasing lifts sum f^2 above 1 by ~2 exp(-2 pi^2 sigma0^2): 6.5e-6 at 0.8
-        with pytest.raises(ValueError, match="renormalize"):
+        with pytest.raises(ValueError, match="not a state; the lattice needs sigma0 above about 0.86"):
             InitialStateSpec.gaussian(sigma0)
-        init = InitialStateSpec.gaussian(sigma0, renormalize=True)
-        assert abs(init.norm_deficit()) <= 1e-12
 
     def test_gaussian_envelope_values(self):
         f = InitialStateSpec.gaussian(10.0, 100).envelope()
@@ -202,12 +217,6 @@ class TestInitialStateSpec:
         assert init.norm_deficit() == pytest.approx(DEFICIT_SIGMA50_R100, abs=1e-9)
         small = InitialStateSpec.gaussian(2.0, 7)
         assert small.norm_deficit() == pytest.approx(DEFICIT_SIGMA2_R7, abs=1e-12)
-
-    def test_renormalize_zeroes_the_deficit(self):
-        init = InitialStateSpec.gaussian(50.0, 100, renormalize=True)
-        assert abs(init.norm_deficit()) <= 1e-12
-        f = init.envelope()
-        assert np.sum(f * f) == pytest.approx(1.0, abs=1e-14)
 
     def test_sigma10_radius100_deficit_is_tiny(self):
         # exact value is 8.8e-24; in double precision it reads as ~0

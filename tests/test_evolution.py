@@ -406,12 +406,16 @@ def test_step_is_linear(pair, c1, c2):
 def test_reflection_never_crosses_defect(sigma0, seed):
     """Amplitude starting right of the defect stays right of it, exactly."""
     rng = np.random.default_rng(seed)
-    qubit = QubitParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+    alpha, beta = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
     defect = -11
-    init = InitialStateSpec.gaussian(sigma0, 10, renormalize=True)
     plan = EvolutionPlan(CoinSpec.not_defect(defect), 40)
-    state = build_initial_state(qubit, init, LatticeWindow(-60, 60))
-    cut = state.window.index(defect)
-    for up, down, _ in recorded_steps(state.up, state.down, plan, state.window):
+    window = LatticeWindow(-60, 60)
+    # raw Gaussian samples over |j| <= 10: reflection is linear, so their scale is free
+    j = window.sites()
+    f = np.where(np.abs(j) <= 10, np.exp(-(j * j) / (4.0 * sigma0 * sigma0)), 0.0)
+    up = np.cos(alpha / 2) * f
+    down = np.exp(1j * beta) * np.sin(alpha / 2) * f
+    cut = window.index(defect)
+    for up, down, _ in recorded_steps(up, down, plan, window):
         assert np.all(up[:cut] == 0.0)
         assert np.all(down[:cut] == 0.0)
