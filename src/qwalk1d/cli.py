@@ -6,13 +6,13 @@ without the reflecting defect, and the envelope-width sweep); a preset
 fixes every physics field, so combining it with physics flags is an
 error.  A preset is a table of flag lists (``PRESETS``): each sub-run is
 built and validated by ``parse_config`` like any command line, with the
-library's own pre-run checks (``ensemble.check_run``).  Every physics
-flag is one row of ``_FLAGS``, which gives the parser, the defaults, the
-applies-only-to rules and the manifest's flag list.  ``execute``
-returns the library's ``WalkRecord`` or ``EnsembleResult``.  All numeric
-output is CSV written by ``_write_csv``, the one place the number format
-lives: integers as they are, floats to 17 significant digits, which
-round-trips double precision exactly.
+library's own pre-run checks (``ensemble.check_run``, which fills a fit
+bound left out).  Every physics flag is one row of ``_FLAGS``: parser,
+default, applies-only-to rule, whether its choice requires it (no
+default) and the manifest's flag list.  ``emit_results`` writes what
+``execute`` returns as CSV and returns its summary row; ``_write_csv``
+is the one place the number format lives: integers as they are, floats
+to 17 significant digits, which round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .ensemble import (
     EnsembleResult,
     WalkRecord,
     check_run,
-    default_fit_window,
     make_qubit_grid,
     run_ensemble,
     run_walk,
@@ -81,8 +80,6 @@ _FLAGS = {
     "fit_start": _Flag(int, None, None, "first step of the dispersion fit; default max(0, steps - 2000)"),
     "fit_end": _Flag(int, None, None, "last step of the dispersion fit; default steps"),
 }
-# (flag, choice) -> the flag that choice needs; it has no default
-_REQUIRED = {_GAUSSIAN: "sigma0", ("coin", "defect"): "defect_site"}
 
 PRESET_DEFECT_SITE = -101
 
@@ -202,17 +199,16 @@ def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
             raise ConfigError(f"{_option(name)} applies only to {_option(flag.only[0])} {flag.only[1]}")
         else:
             values[name] = None
-    for (name, choice), needed in _REQUIRED.items():
-        if values[name] == choice and values[needed] is None:
-            raise ConfigError(f"{_option(name)} {choice} requires {_option(needed)}")
+    for name, flag in _FLAGS.items():  # a choice's flag without a default must be given
+        if flag.only is not None and values[name] is None and _applies(flag, values):
+            raise ConfigError(f"{_option(flag.only[0])} {flag.only[1]} requires {_option(name)}")
 
     steps, record_every = values["steps"], values["record_every"]
-    fit_start, fit_end = default_fit_window(steps)
-    fit_window = (given.get("fit_start", fit_start), given.get("fit_end", fit_end))
     try:  # every value is checked by the type that owns it, before any compute
         initial = InitialStateSpec(values["sigma0"], values["truncation_radius"])
         coin = CoinSpec(values["defect_site"])
-        check_run(initial, EvolutionPlan(coin, steps, record_every), fit_window)
+        plan = EvolutionPlan(coin, steps, record_every)
+        _, fit_window = check_run(initial, plan, (values["fit_start"], values["fit_end"]))
         qubit = QubitParams(values["alpha"], values["beta"]) if values["mode"] == "single" else None
         if qubit is None:
             make_qubit_grid(values["alpha_step"], values["beta_step"])
@@ -287,11 +283,8 @@ def execute(config: RunConfig) -> WalkRecord | EnsembleResult:
 _SUMMARY_HEADER = "slope,final_entropy,qubit_count,norm_deficit"
 
 
-def emit_results(
-    result: WalkRecord | EnsembleResult,
-    output_dir: Path,
-) -> None:
-    """Write distribution, time-series and summary CSV files.
+def emit_results(result: WalkRecord | EnsembleResult, output_dir: Path) -> tuple:
+    """Write distribution, time-series and summary CSV files; return the summary row.
 
     Every site of the final window is emitted, including exact zeros
     inside the light cone, so the files are rectangular and directly
@@ -302,22 +295,18 @@ def emit_results(
     if isinstance(result, WalkRecord):
         dist, times = distribution(result.final_state), result.times
         series = ("t,sigma,entropy,norm", times, result.sigma, result.entropy, result.norm)
+        summary = (result.slope, result.entropy[-1], 1, result.norm_deficit)
     else:
         dist, times = result.mean_distribution, result.times
         series = ("t,mean_sigma,mean_entropy", times, result.mean_dispersion, result.mean_entropy)
+        summary = (result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit)
     _write_csv(
         output_dir / f"distribution_t{int(times[-1])}.csv",
         "j,p_up,p_down,p_total", dist.window.sites(), dist.p_up, dist.p_down, dist.p_total,
     )
     _write_csv(output_dir / "timeseries.csv", *series)
-    _write_csv(output_dir / "summary.csv", _SUMMARY_HEADER, *([value] for value in _summary(result)))
-
-
-def _summary(result: WalkRecord | EnsembleResult) -> tuple:
-    """The values of ``_SUMMARY_HEADER`` for one run."""
-    if isinstance(result, WalkRecord):
-        return result.slope, result.entropy[-1], 1, result.norm_deficit
-    return result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit
+    _write_csv(output_dir / "summary.csv", _SUMMARY_HEADER, *([value] for value in summary))
+    return summary
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
@@ -346,16 +335,15 @@ def main(argv: list[str] | None = None) -> int:
     try:  # a ConfigError is a ValueError, so a bad configuration exits here too
         config = parse_config(argv)
         _write_manifest(config, config.output_dir)
-        sigma_summary = []  # fig3: sigma0, then the run's summary values
+        sigma_summary = []  # fig3: sigma0, then the run's summary row
         for label, run in expand_runs(config):
-            result = execute(run)
             run_dir = run.output_dir
-            emit_results(result, run_dir)
+            summary = emit_results(execute(run), run_dir)
             if label:
                 _write_manifest(run, run_dir)
             if config.preset == "fig3":
                 sigma0 = 0 if run.initial.sigma0 is None else int(run.initial.sigma0)
-                sigma_summary.append((sigma0, *_summary(result)))
+                sigma_summary.append((sigma0, *summary))
             print(f"{label or 'run'}: wrote results to {run_dir}", flush=True)
         if sigma_summary:
             _write_csv(

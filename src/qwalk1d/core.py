@@ -93,13 +93,26 @@ class QubitParams:
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        _check_bloch_angles(np.array([self.alpha]), np.array([self.beta]))
+        alphas, betas = _check_bloch_angles(np.array([self.alpha]), np.array([self.beta]))
+        object.__setattr__(self, "alpha", float(alphas[0]))
+        object.__setattr__(self, "beta", float(betas[0]))
 
 
-def _check_bloch_angles(alphas: np.ndarray, betas: np.ndarray) -> None:
-    """Raise ValueError unless all angles are finite, alphas in [0, pi] and betas in [0, 2*pi]."""
+def _check_bloch_angles(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angles as float64 arrays: the one Bloch-angle rule of a qubit and a grid.
+
+    Else ValueError: two 1-D arrays of equal length, of an integer or real-float
+    dtype (:func:`_real`'s message), finite, alphas in [0, pi], betas in [0, 2*pi].
+    """
+    if alphas.ndim != 1 or alphas.shape != betas.shape:
+        raise ValueError(
+            f"Bloch angles need two 1-D arrays of equal length, "
+            f"got shapes {alphas.shape} and {betas.shape}"
+        )
+    for name, values in (("alpha", alphas), ("beta", betas)):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be a real number, got {values!r}")
+    alphas, betas = alphas.astype(np.float64, copy=False), betas.astype(np.float64, copy=False)
     if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
         raise ValueError("Bloch angles must be finite")
     for name, values, bound, text in (
@@ -109,6 +122,7 @@ def _check_bloch_angles(alphas: np.ndarray, betas: np.ndarray) -> None:
         outside = (values < 0.0) | (values > bound)
         if outside.any():
             raise ValueError(f"{name} must lie in [0, {text}], got {values[outside][0]}")
+    return alphas, betas
 
 
 @dataclass(frozen=True)

@@ -87,23 +87,17 @@ class QubitGrid:
     """Initial qubits as Bloch angles: qubit ``n`` is ``(alphas[n], betas[n])``.
 
     Averaging and reduction follow this order.  Two non-empty 1-D arrays of
-    equal length, each angle in the range :class:`QubitParams` requires.
+    equal length, stored as float64 and checked by the rule :class:`QubitParams`
+    passes (``core._check_bloch_angles``).
     """
 
     alphas: np.ndarray
     betas: np.ndarray
 
     def __post_init__(self) -> None:
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        betas = np.asarray(self.betas, dtype=np.float64)
-        if alphas.ndim != 1 or alphas.shape != betas.shape:
-            raise ValueError(
-                f"a qubit grid needs two 1-D angle arrays of equal length, "
-                f"got shapes {alphas.shape} and {betas.shape}"
-            )
+        alphas, betas = _check_bloch_angles(np.asarray(self.alphas), np.asarray(self.betas))
         if alphas.size == 0:
             raise ValueError("qubit grid is empty")
-        _check_bloch_angles(alphas, betas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
 
@@ -358,20 +352,19 @@ def _qubit_sums(
     return series_sum, p_sum, up, down
 
 
-def default_fit_window(steps: int) -> tuple[int, int]:
-    """The fit window a run uses unless told otherwise: the last 2000 steps."""
-    return (max(0, steps - 2000), steps)
-
-
 def check_run(
-    init: InitialStateSpec, plan: EvolutionPlan, fit_window: tuple[int, int] | None = None
+    init: InitialStateSpec, plan: EvolutionPlan, fit_window: tuple[int | None, int | None] | None = None
 ) -> tuple[LatticeWindow, tuple[int, int]]:
-    """A run's window and fit window (by default the last 2000 steps), checked before any walk.
+    """A run's window and fit window, checked before any walk.
 
-    The light-cone cap comes first, so no record schedule is sized past ``MAX_SITES``.
+    The fit window defaults to the last 2000 steps: a bound left out (``None``)
+    is ``max(0, steps - 2000)`` or ``steps``.  The light-cone cap comes first,
+    so no record schedule is sized past ``MAX_SITES``.
     """
     window = reachable_window(init.support(), plan.coin, plan.steps)
-    start, end = default_fit_window(plan.steps) if fit_window is None else fit_window
+    start, end = (None, None) if fit_window is None else fit_window
+    start = max(0, plan.steps - 2000) if start is None else start
+    end = plan.steps if end is None else end
     times = plan.record_times()
     fit_dispersion_slope(times, times, (start, end))
     return window, (int(start), int(end))

@@ -146,6 +146,10 @@ def recorded_steps(
     cone is stepped.  The input is never written: each yield is a view of
     one of two alternating buffer pairs, valid until the generator resumes.
     """
+    if up.shape != down.shape or up.shape[-1:] != (window.size,):
+        raise ValueError(
+            f"up and down must share shape (..., {window.size}), got {up.shape} and {down.shape}"
+        )
     rows = tuple(range(up.ndim - 1))
     occupied = np.flatnonzero(np.any(up != 0, axis=rows) | np.any(down != 0, axis=rows)) + 2
     live = slice(int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else slice(2, 2)

@@ -60,8 +60,6 @@ def entanglement_entropy(state: WalkState) -> float:
     """
     p_up = _prob(state.up)
     trace = np.sum(p_up + _prob(state.down))
-    if not trace > 0.0:
-        raise ValueError(f"trace must be positive, got {trace}")
     coherence = _row_dot(np.conjugate(state.down), state.up)
     return float(entropy_bits_vec(np.sum(p_up), _prob(coherence), trace))
 
@@ -81,8 +79,11 @@ def _coin_eigenvalues(up_weight, coherence_sq, trace):
     ``lambda_pm = 1/2 +- sqrt(1/4 - A(1-A) + |B|^2)``.  The radicand equals
     ``(A - 1/2)^2 + |B|^2``, so it is non-negative up to rounding (clamped
     at zero) and at most 1/4 for a valid state; a radicand above
-    ``RADICAND_CEILING``, or NaN, raises.  This is the only corrupted-input rule.
+    ``RADICAND_CEILING``, or NaN, raises, as does a trace that is not
+    positive (or NaN) at any element.  These are the only corrupted-input rules.
     """
+    if not np.all(np.greater(trace, 0.0)):  # before dividing, so a zero trace stays quiet
+        raise ValueError(f"trace must be positive, got {np.min(trace)}")
     a = np.asarray(up_weight, dtype=np.float64) / trace
     b2 = np.asarray(coherence_sq, dtype=np.float64) / (trace * trace)
     radicand = 0.25 - a * (1.0 - a) + b2

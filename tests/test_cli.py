@@ -344,7 +344,7 @@ class TestEmission:
 
     def test_timeseries_and_summary_single(self, tmp_path):
         cfg = parse("--steps 4 --record-every 2 --fit-start 0 --fit-end 4")
-        emit_results(execute(cfg), tmp_path)
+        summary = emit_results(execute(cfg), tmp_path)
         header, rows = read_csv(tmp_path / "timeseries.csv")
         assert header == ["t", "sigma", "entropy", "norm"]
         assert [int(r[0]) for r in rows] == [0, 2, 4]
@@ -356,18 +356,20 @@ class TestEmission:
         assert len(rows) == 1
         assert int(rows[0][2]) == 1
         assert float(rows[0][3]) == 0.0
+        assert list(map(float, rows[0])) == list(map(float, summary))  # the row it returns
 
     def test_ensemble_timeseries_header(self, tmp_path):
         cfg = parse(
             "--mode ensemble --alpha-step 1.5 --beta-step 3.0 --steps 6 "
             "--fit-start 0 --fit-end 6"
         )
-        emit_results(execute(cfg), tmp_path)
+        summary = emit_results(execute(cfg), tmp_path)
         header, rows = read_csv(tmp_path / "timeseries.csv")
         assert header == ["t", "mean_sigma", "mean_entropy"]
         assert len(rows) == 7
         header, rows = read_csv(tmp_path / "summary.csv")
         assert int(rows[0][2]) == 9  # 3 alphas x 3 betas
+        assert list(map(float, rows[0])) == list(map(float, summary))  # the row it returns
 
     def test_p_total_equals_sum_as_printed(self, tmp_path):
         cfg = parse("--steps 12 --fit-start 0 --fit-end 12")

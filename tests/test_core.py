@@ -68,6 +68,8 @@ REAL_INPUTS = {
     "sigma0_factory": lambda x: InitialStateSpec.gaussian(x),
     "alpha_step": lambda x: make_qubit_grid(x, 0.1),
     "beta_step": lambda x: make_qubit_grid(0.1, x),
+    "alpha_grid": lambda x: QubitGrid(np.array([x]), np.array([0.0])),
+    "beta_grid": lambda x: QubitGrid(np.array([0.0]), np.array([x])),
 }
 
 
@@ -77,7 +79,8 @@ REAL_INPUTS = {
 @pytest.mark.parametrize("name", REAL_INPUTS)
 def test_real_inputs_reject_non_reals(name, value):
     # a bool would reach a manifest as "True", which no flag parses back
-    with pytest.raises(ValueError, match=f"{name.removesuffix('_factory')} must be a real number"):
+    what = name.removesuffix("_factory").removesuffix("_grid")
+    with pytest.raises(ValueError, match=f"{what} must be a real number"):
         REAL_INPUTS[name](value)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ def test_recorded_steps_alternate_two_buffer_pairs():
     assert up.tobytes() == start.up.tobytes() and down.tobytes() == start.down.tobytes()
 
 
+@pytest.mark.parametrize(
+    "up_shape, down_shape", [((2, 5), (5,)), ((2, 4), (2, 4)), ((5,), (6,))],
+    ids=["one_down_row", "last_axis_not_window", "unequal"],
+)
+def test_recorded_steps_refuse_amplitudes_off_the_window(up_shape, down_shape):
+    # one down row would otherwise be broadcast into every up row, silently
+    plan = EvolutionPlan(CoinSpec.hadamard(), 1)
+    walk = recorded_steps(np.zeros(up_shape), np.zeros(down_shape), plan, LatticeWindow(-2, 2))
+    with pytest.raises(ValueError, match=re.escape(f"must share shape (..., 5), got {up_shape}")):
+        next(walk)
+
+
 def test_run_walk_single_step_matches_ring():
     plan = EvolutionPlan(CoinSpec.hadamard(), 1)
     qubit, init = QubitParams(0.7, 0.2), InitialStateSpec.local()
@@ -349,6 +362,10 @@ def test_plan_and_window_accept_numpy_integers():
     assert window.size == 6
     state = WalkState.zero(LatticeWindow(-4, 4), np.int64(1))
     _, fit_window = check_run(InitialStateSpec.local(), plan, (np.int64(0), np.int32(5)))
+    # a bound left out takes the last-2000-steps default
+    (_, default_start), (_, default_end) = (
+        check_run(InitialStateSpec.local(), plan, bounds) for bounds in ((None, 5), (0, None))
+    )
     stored = {
         "steps": plan.steps,
         "record_every": plan.record_every,
@@ -362,8 +379,11 @@ def test_plan_and_window_accept_numpy_integers():
         "ring_time": ring_evolve(state, CoinSpec.hadamard(), np.int64(2)).t,
         "fit_start": fit_window[0],
         "fit_end": fit_window[1],
+        "default_fit_start": default_start[0],
+        "default_fit_end": default_end[1],
     }
     assert {name: type(value) for name, value in stored.items()} == dict.fromkeys(stored, int)
+    assert default_start == default_end == (0, 5)
     assert stored["ring_time"] == 3 and stored["gaussian_radius"] == 7
 
 

@@ -169,6 +169,11 @@ class TestReducedCoin:
         for up, down in [([0.0], [0.0]), ([math.nan], [0.0]), ([0.6], [0.8 * math.nan])]:
             with pytest.raises(ValueError, match="trace must be positive"):
                 entanglement_entropy(state_from(up, down))
+        # the vector form holds every element to the same rule, before it divides
+        for trace in ([0.0], [-1.0], [math.nan], [1.0, 0.0]):
+            zeros = np.zeros(len(trace))
+            with pytest.raises(ValueError, match="trace must be positive"):
+                entropy_bits_vec(zeros, zeros, np.array(trace))
 
     def test_zero_state_rejected_without_a_warning(self):
         # RuntimeWarnings are errors in this suite, so the 0/0 moments must stay quiet
