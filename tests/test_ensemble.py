@@ -91,7 +91,7 @@ class TestRunWalk:
         rec = run_walk(QubitParams(1.0, 0.5), InitialStateSpec.local(), plan, fit_window=(4, 16))
         assert list(rec.times) == [0, 4, 8, 12, 16, 20]
         assert rec.sigma.shape == rec.entropy.shape == rec.norm.shape == (6,)
-        assert rec.final_state.t == 20
+        assert rec.final_state.window == LatticeWindow(-20, 20)
         assert rec.sigma[0] == 0.0
         assert np.abs(rec.norm - 1.0).max() <= 1e-12
         assert rec.slope == fit_dispersion_slope(rec.times, rec.sigma, (4, 16))
@@ -139,7 +139,6 @@ class TestRunWalk:
         assert np.array_equal(rec.sigma, sigma)
         assert np.array_equal(rec.entropy, entropy)
         assert np.array_equal(rec.norm, norm)
-        assert rec.final_state.t == state.t == 50
         assert rec.final_state.window == state.window
         assert np.array_equal(rec.final_state.up, state.up)
         assert np.array_equal(rec.final_state.down, state.down)
@@ -324,7 +323,7 @@ def test_array_holders_compare_by_identity():
     record = run_walk(QubitParams(0.5, 0.5), InitialStateSpec.local(), plan)
     result = run_ensemble(make_qubit_grid(1.0, 2.0), InitialStateSpec.local(), plan)
     state = record.final_state
-    twin = WalkState(state.window, state.up.copy(), state.down.copy(), state.t)
+    twin = WalkState(state.window, state.up.copy(), state.down.copy())
     for value in (record, result, state, distribution(state)):
         assert (value == value) is True
         assert hash(value) == hash(value)

@@ -37,20 +37,20 @@ SIGMA0_1_R100 = 0.99999989438385846417
 def point_mass(j: int, window: LatticeWindow | None = None) -> PositionDistribution:
     window = window or LatticeWindow(j - 2, j + 2)
     p = np.zeros(window.size)
-    p[window.index(j)] = 1.0
+    p[j - window.j_min] = 1.0
     return PositionDistribution(window, p, np.zeros_like(p))
 
 
 def dist_from(values: dict[int, float], window: LatticeWindow) -> PositionDistribution:
     p = np.zeros(window.size)
     for j, v in values.items():
-        p[window.index(j)] = v
+        p[j - window.j_min] = v
     return PositionDistribution(window, p, np.zeros_like(p))
 
 
 def two_step_local_state() -> WalkState:
     state = WalkState.zero(LatticeWindow(-2, 2))
-    state.up[state.window.index(0)] = 1.0
+    state.up[-state.window.j_min] = 1.0
     return stepped(state, CoinSpec.hadamard(), 2)
 
 
@@ -70,16 +70,16 @@ class TestDistribution:
     def test_point_mass_at_t0(self):
         state = build_initial_state(QubitParams(0.0, 0.0), InitialStateSpec.local())
         d = distribution(state)
-        assert d.p_total[d.window.index(0)] == 1.0
+        assert d.p_total[-d.window.j_min] == 1.0
         assert d.total() == pytest.approx(1.0, abs=1e-15)
 
     def test_two_step_table(self):
         d = distribution(two_step_local_state())
-        idx = d.window.index
-        assert d.p_total[idx(-2)] == pytest.approx(0.25, abs=1e-15)
-        assert d.p_total[idx(0)] == pytest.approx(0.5, abs=1e-15)
-        assert d.p_total[idx(2)] == pytest.approx(0.25, abs=1e-15)
-        assert d.p_total[idx(1)] == 0.0
+        origin = -d.window.j_min
+        assert d.p_total[origin - 2] == pytest.approx(0.25, abs=1e-15)
+        assert d.p_total[origin] == pytest.approx(0.5, abs=1e-15)
+        assert d.p_total[origin + 2] == pytest.approx(0.25, abs=1e-15)
+        assert d.p_total[origin + 1] == 0.0
 
     def test_total_is_sitewise_sum(self):
         state = build_initial_state(QubitParams(1.0, 2.0), InitialStateSpec.gaussian(2.0, 6))
@@ -140,7 +140,7 @@ class TestReducedCoin:
 
     def test_one_step_no_sitewise_overlap(self):
         state = WalkState.zero(LatticeWindow(-1, 1))
-        state.up[state.window.index(0)] = 1.0
+        state.up[-state.window.j_min] = 1.0
         out = stepped(state, CoinSpec.hadamard())
         _, up_weight, coherence = coin_sums(out.up, out.down)
         assert up_weight == pytest.approx(0.5, abs=1e-15)
@@ -326,15 +326,13 @@ class TestEntropy:
         state = run_walk(QubitParams(1.1, 0.7), init, plan).final_state
         base = entanglement_entropy(state)
 
-        phased = WalkState(
-            state.window, state.up * np.exp(0.3j), state.down * np.exp(0.3j), state.t
-        )
+        phased = WalkState(state.window, state.up * np.exp(0.3j), state.down * np.exp(0.3j))
         assert entanglement_entropy(phased) == pytest.approx(
             base, abs=1e-13
         )
 
         shifted_window = LatticeWindow(state.window.j_min + 17, state.window.j_max + 17)
-        shifted = WalkState(shifted_window, state.up.copy(), state.down.copy(), state.t)
+        shifted = WalkState(shifted_window, state.up.copy(), state.down.copy())
         assert entanglement_entropy(shifted) == pytest.approx(
             base, abs=1e-13
         )
@@ -392,8 +390,10 @@ class TestPeaks:
         assert outer_lobes(point_mass(3, window)) == ((3, 1.0), (3, 1.0))
 
     def test_zero_total_raises(self):
-        with pytest.raises(ValueError):
-            outer_lobes(dist_from({}, LatticeWindow(-2, 2)))
+        # a NaN total is refused too, and the message says which total it was
+        for value, total in ((0.0, "0.0"), (math.nan, "nan")):
+            with pytest.raises(ValueError, match=f"positive total probability, got {total}$"):
+                outer_lobes(dist_from({0: value}, LatticeWindow(-2, 2)))
 
 
 @pytest.mark.parametrize("rows, sites", [(1, 6201), (16, 702), (16, 2201)])
