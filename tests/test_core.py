@@ -284,6 +284,24 @@ class TestWalkState:
         with pytest.raises(ValueError):
             WalkState(LatticeWindow(0, 2), np.zeros(3, complex), np.zeros(2, complex))
 
+    def test_fields_are_window_and_amplitudes(self):
+        assert [f.name for f in dataclasses.fields(WalkState)] == ["window", "up", "down"]
+
+    def test_zero_is_empty_over_its_window(self):
+        state = WalkState.zero(LatticeWindow(-2, 3))
+        for amplitudes in (state.up, state.down):
+            assert amplitudes.dtype == np.complex128 and amplitudes.shape == (6,)
+            assert not amplitudes.any()
+        state.up[0] = 1.0  # the two components are separate arrays
+        assert not state.down.any()
+
+    def test_amplitudes_are_stored_as_contiguous_complex(self):
+        strided = np.arange(6.0)[::2]
+        state = WalkState(LatticeWindow(0, 2), [1, 0, 0], strided)
+        for amplitudes, expected in ((state.up, [1, 0, 0]), (state.down, [0, 2, 4])):
+            assert amplitudes.dtype == np.complex128 and amplitudes.flags.c_contiguous
+            assert amplitudes.tolist() == expected
+
 
 # the package and every submodule but the `python -m` entry point, which exports nothing
 PUBLIC_MODULES = ["qwalk1d"] + [

@@ -327,6 +327,7 @@ INTEGER_INPUTS = {
     "steps": lambda v: EvolutionPlan(CoinSpec.hadamard(), v),
     "record_every": lambda v: EvolutionPlan(CoinSpec.hadamard(), 6, record_every=v),
     "window_bound": lambda v: LatticeWindow(v, 3),
+    "window_max": lambda v: LatticeWindow(-3, v),
     "defect_site": lambda v: CoinSpec(v),
     "not_defect": lambda v: CoinSpec.not_defect(v),
     "truncation_radius": lambda v: InitialStateSpec(2.0, v),

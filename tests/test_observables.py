@@ -390,10 +390,12 @@ class TestPeaks:
         assert outer_lobes(point_mass(3, window)) == ((3, 1.0), (3, 1.0))
 
     def test_zero_total_raises(self):
-        # a NaN total is refused too, and the message says which total it was
-        for value, total in ((0.0, "0.0"), (math.nan, "nan")):
-            with pytest.raises(ValueError, match=f"positive total probability, got {total}$"):
-                outer_lobes(dist_from({0: value}, LatticeWindow(-2, 2)))
+        with pytest.raises(ValueError, match="positive total probability, got 0.0$"):
+            outer_lobes(dist_from({}, LatticeWindow(-2, 2)))
+
+    def test_nan_total_is_named_in_the_error(self):
+        with pytest.raises(ValueError, match="positive total probability, got nan$"):
+            outer_lobes(dist_from({0: math.nan}, LatticeWindow(-2, 2)))
 
 
 @pytest.mark.parametrize("rows, sites", [(1, 6201), (16, 702), (16, 2201)])
