@@ -306,8 +306,15 @@ def build_initial_state(
 
 
 def _coefficients(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spin coefficients ``cos(alpha/2)`` and ``e^{i beta} sin(alpha/2)`` of each qubit."""
-    return np.cos(0.5 * alphas), np.exp(1j * betas) * np.sin(0.5 * alphas)
+    """Spin coefficients ``cos(alpha/2)`` and ``e^{i beta} sin(alpha/2)`` of each qubit.
+
+    The one dtype rule of a walk: when every beta is 0 (-0.0 included), ``s`` is
+    the float64 ``sin(alpha/2)``, and the walks it starts run real end to end;
+    ``(1+0j) * x`` has real part exactly ``x``, so their amplitudes are the same
+    bits.  Any nonzero beta makes ``s`` complex128 for every qubit.
+    """
+    c, s = np.cos(0.5 * alphas), np.sin(0.5 * alphas)
+    return c, (np.exp(1j * betas) * s if betas.any() else s)
 
 
 def _product_states(
@@ -315,7 +322,8 @@ def _product_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes ``(k, N)`` of the states ``c_i |up> + s_i |down>`` over the envelope.
 
-    Real when ``c`` and ``s`` are (the linear path's basis pair), else complex.
+    Real when ``c`` and ``s`` are (the linear path's basis pair, and any qubits
+    whose betas are all 0, by :func:`_coefficients`), else complex.
     ``window`` must cover :meth:`InitialStateSpec.support`.
     """
     lo, hi = init.support()

@@ -23,7 +23,10 @@ moments, spin-up weight and coherence.  The mean distribution is one
 Hermitian form (:func:`_form`) with the qubit-averaged weights.  The
 "direct" method, the independent cross-check, evolves every qubit in
 fixed-size batches through the one per-qubit driver whose one-qubit case
-is :func:`run_walk`.  Both run in one process, sum each record over its
+is :func:`run_walk`.  Its amplitudes are float64 when every beta of the
+run is 0, as for the single walks of fig1, and complex128 otherwise
+(``core._coefficients`` holds that one dtype rule; the paper's grids
+are complex).  Both run in one process, sum each record over its
 light cone alone (``recorded_steps``'s ``live``) and reduce in a fixed
 order, so results are bitwise reproducible.
 """

@@ -60,7 +60,7 @@ def entanglement_entropy(state: WalkState) -> float:
     """
     p_up = _prob(state.up)
     trace = np.sum(p_up + _prob(state.down))
-    coherence = _row_dot(np.conjugate(state.down), state.up)
+    coherence = _row_dot(state.down.conj(), state.up)
     return float(entropy_bits_vec(np.sum(p_up), _prob(coherence), trace))
 
 
@@ -115,7 +115,7 @@ def _row_observables(up, down, sites):
     p_up, p_total = _prob(up), _prob(down)
     p_total += p_up
     norm, _, sigma = _position_moments(p_total, sites)
-    return norm, sigma, p_up.sum(axis=-1), _row_dot(np.conjugate(down), up)
+    return norm, sigma, p_up.sum(axis=-1), _row_dot(down.conj(), up)
 
 
 def _position_moments(p_total, sites):
@@ -134,13 +134,17 @@ def _row_dot(x, y):
 
 
 def _prob(z):
-    """``|z|^2`` as ``z.real**2 + z.imag**2``, the one ``|z|^2``.
+    """``|z|^2`` as ``z * z`` for a real ``z``, else ``z.real**2 + z.imag**2``: the one ``|z|^2``.
 
     Every distribution, and the squared coherence of single walks and ``direct``
     batches, comes from it; the linear ensemble path applies the same formula
-    to its coherence's real and imaginary rows.  The sum is taken in place,
-    which saves the single-walk kernel an array per call.
+    to its coherence's real and imaginary rows.  A real input builds no zero
+    imaginary array, and gives the bits a complex one with zero imaginary parts
+    would.  The complex sum is taken in place, which saves the kernel an array
+    per call.
     """
+    if z.dtype.kind != "c":
+        return z * z
     p = z.real**2
     p += z.imag**2
     return p

@@ -25,7 +25,7 @@ from qwalk1d import (
     distribution,
     make_qubit_grid,
 )
-from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _product_states
+from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _coefficients, _product_states
 from oracle import coin_matrix
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -277,6 +277,28 @@ class TestBuildInitialState:
         f = init.envelope()
         weight = np.abs(state.up) ** 2 + np.abs(state.down) ** 2
         assert np.abs(weight - f * f).max() <= 1e-15
+
+
+class TestCoefficients:
+    ALPHAS = np.linspace(0.0, math.pi, 9)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_betas_give_real_sines(self, zero):
+        """All betas 0 give a float64 ``s``, exactly the real part the complex rule gives."""
+        alphas = self.ALPHAS
+        c, s = _coefficients(alphas, np.full(alphas.size, zero))
+        assert c.dtype == s.dtype == np.float64
+        assert np.array_equal(c, np.cos(alphas / 2))
+        assert np.array_equal(s, np.sin(alphas / 2))
+        assert np.array_equal(s, (np.exp(1j * np.zeros(alphas.size)) * np.sin(alphas / 2)).real)
+
+    @pytest.mark.parametrize("at, beta", [(0, 5e-324), (4, 1.0), (8, 2 * math.pi)])
+    def test_one_nonzero_beta_makes_every_s_complex(self, at, beta):
+        alphas, betas = self.ALPHAS, np.zeros(self.ALPHAS.size)
+        betas[at] = beta
+        c, s = _coefficients(alphas, betas)
+        assert c.dtype == np.float64 and s.dtype == np.complex128
+        assert np.array_equal(s, np.exp(1j * betas) * np.sin(alphas / 2))
 
 
 class TestWalkState:

@@ -20,9 +20,12 @@ from qwalk1d import (
     entanglement_entropy,
     fit_dispersion_slope,
     make_qubit_grid,
+    recorded_steps,
     run_ensemble,
     run_walk,
 )
+from qwalk1d.core import _coefficients
+from qwalk1d.ensemble import _qubit_sums
 from qwalk1d.observables import _position_moments
 from walks import stepped
 
@@ -211,16 +214,27 @@ class TestRunEnsemble:
         assert np.abs(res.mean_dispersion - sigma_sum / n).max() <= 1e-11
         assert res.qubit_count == n
 
-    # both grids end in a partial direct batch: 25 = 16 + 9, 91 = 5 * 16 + 11
+    # every grid ends in a partial direct batch: 25 = 16 + 9, 91 = 5 * 16 + 11, 7; the
+    # 7 qubits of beta step 7.0 all have beta 0, so direct steps them in float64
     @pytest.mark.parametrize(
-        "grid_steps", [(0.7, 1.3), (0.5, 0.5)], ids=["25_qubits", "91_qubits"]
+        "grid_steps, dtype",
+        [((0.7, 1.3), np.complex128), ((0.5, 0.5), np.complex128), ((0.5, 7.0), np.float64)],
+        ids=["25_qubits", "91_qubits", "7_real_qubits"],
     )
-    def test_linear_matches_direct_with_defect(self, grid_steps):
+    def test_linear_matches_direct_with_defect(self, grid_steps, dtype, monkeypatch):
         grid = make_qubit_grid(*grid_steps)
         init = InitialStateSpec.gaussian(2.0, 6)
         plan = EvolutionPlan(CoinSpec.not_defect(-8), 50)
         lin = run_ensemble(grid, init, plan)
+        stepped_dtypes = set()
+
+        def spy(up, down, *args):
+            stepped_dtypes.add(up.dtype)
+            return recorded_steps(up, down, *args)
+
+        monkeypatch.setattr(qwalk1d.ensemble, "recorded_steps", spy)
         direct = run_ensemble(grid, init, plan, method="direct")
+        assert stepped_dtypes == {np.dtype(dtype)}
         assert np.abs(lin.mean_entropy - direct.mean_entropy).max() <= 1e-12
         assert np.abs(lin.mean_dispersion - direct.mean_dispersion).max() <= 1e-11
         for part in ("p_up", "p_down", "p_total"):
@@ -315,6 +329,33 @@ class TestRunEnsemble:
                     fit_window=(0, 5000), method=method,
                 )
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "coin", [CoinSpec.hadamard(), CoinSpec.not_defect(-101)], ids=["hadamard", "defect"]
+)
+@pytest.mark.parametrize(
+    "init",
+    [InitialStateSpec.local(), InitialStateSpec.gaussian(1.0), InitialStateSpec.gaussian(10.0)],
+    ids=["local", "sigma1", "sigma10"],
+)
+def test_real_walk_matches_its_complex_twin(init, coin):
+    """fig1's qubit (3pi/4, 0) walks in float64, bit for bit as in complex128 but for entropy.
+
+    Its coherence is a real dot rather than a complex one, which rounds differently.
+    """
+    plan = EvolutionPlan(coin, 300)
+    window, _ = qwalk1d.ensemble.check_run(init, plan)
+    c, s = _coefficients(np.array([0.75 * math.pi]), np.array([0.0]))
+    (sigma, entropy, norm), p, up, down = _qubit_sums(init, plan, window, c, s)
+    (sigma_z, entropy_z, norm_z), p_z, up_z, down_z = _qubit_sums(
+        init, plan, window, c, s.astype(complex)
+    )
+    assert up.dtype == np.float64 and up_z.dtype == np.complex128
+    assert np.array_equal(up, up_z) and np.array_equal(down, down_z)
+    assert np.array_equal(p, p_z)
+    assert np.array_equal(sigma, sigma_z) and np.array_equal(norm, norm_z)
+    assert np.abs(entropy - entropy_z).max() <= 1e-14
 
 
 def test_array_holders_compare_by_identity():
