@@ -27,7 +27,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TRUNCATION_RADIUS, CoinSpec, InitialStateSpec, QubitParams
+from .core import CoinSpec, InitialStateSpec, QubitParams
 from .ensemble import (
     EnsembleResult,
     WalkRecord,
@@ -68,7 +68,6 @@ _FLAGS = {
     "mode": _Flag(("single", "ensemble"), "single", None, "one walk, or an ensemble over a qubit grid"),
     "initial": _Flag(("local", "gaussian"), "local", None, "position envelope of the initial state"),
     "sigma0": _Flag(float, None, _GAUSSIAN, "Gaussian envelope width (lattice units)"),
-    "truncation_radius": _Flag(int, DEFAULT_TRUNCATION_RADIUS, _GAUSSIAN, "Gaussian support half-width"),
     "alpha": _Flag(float, 0.75 * math.pi, _SINGLE, "Bloch polar angle in [0, pi]"),
     "beta": _Flag(float, 0.0, _SINGLE, "Bloch azimuthal angle in [0, 2*pi]"),
     "alpha_step": _Flag(float, 0.1, _ENSEMBLE, "grid step over alpha"),
@@ -205,7 +204,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
 
     steps, record_every = values["steps"], values["record_every"]
     try:  # every value is checked by the type that owns it, before any compute
-        initial = InitialStateSpec(values["sigma0"], values["truncation_radius"])
+        initial = InitialStateSpec(values["sigma0"])
         coin = CoinSpec(values["defect_site"])
         plan = EvolutionPlan(coin, steps, record_every)
         _, fit_window = check_run(initial, plan, (values["fit_start"], values["fit_end"]))
@@ -238,7 +237,6 @@ def canonical_argv(config: RunConfig | PresetConfig) -> list[str]:
             "mode": config.mode,
             "initial": "local" if initial.sigma0 is None else "gaussian",
             "sigma0": initial.sigma0,
-            "truncation_radius": initial.truncation_radius,
             "alpha": getattr(config.qubit, "alpha", None),
             "beta": getattr(config.qubit, "beta", None),
             "alpha_step": config.alpha_step,

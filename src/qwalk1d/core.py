@@ -39,7 +39,8 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 MAX_SITES = 1_000_000
 _BYTES_PER_SITE = 700
 
-# Gaussian support half-width, in sites, when none is given
+# Least Gaussian support half-width, in sites, when none is given; a wider envelope
+# is cut at 10 sigma0, losing at most erfc(10/sqrt(2)) ~ 1.5e-23 of its squared norm
 DEFAULT_TRUNCATION_RADIUS = 100
 
 # A sampled envelope may exceed unit squared norm by lattice aliasing, about
@@ -182,12 +183,13 @@ class InitialStateSpec:
     ``sigma0=None`` (the default) is the local state: all weight on site 0,
     with no truncation radius.  A width ``sigma0`` samples the Gaussian
     ``f(j) = exp(-j^2 / (4 sigma0^2)) / (2 pi sigma0^2)^(1/4)`` on integer
-    sites with ``|j| <= truncation_radius`` (by default
-    :data:`DEFAULT_TRUNCATION_RADIUS`) and zero outside, keeping that
+    sites with ``|j| <= truncation_radius`` and zero outside, keeping that
     continuum constant: the truncation deficit is reported by
     :meth:`norm_deficit`, never corrected, and an envelope too narrow for
-    the lattice (squared norm above 1 + 1e-6) is rejected.  The radius is
-    capped by :data:`MAX_SITES` before sampling.
+    the lattice (squared norm above 1 + 1e-6) is rejected.  A radius left
+    out is ``max(DEFAULT_TRUNCATION_RADIUS, ceil(10 sigma0))``, a 10-sigma
+    cut that is 100 for every sigma0 <= 10; a given one is used as it is.
+    Either is capped by :data:`MAX_SITES` before sampling.
     """
 
     sigma0: float | None = None
@@ -201,7 +203,9 @@ class InitialStateSpec:
         object.__setattr__(self, "sigma0", _real(self.sigma0, "sigma0"))
         if not math.isfinite(self.sigma0) or self.sigma0 <= 0.0:
             raise ValueError(f"Gaussian shape requires sigma0 > 0, got {self.sigma0}")
-        radius = DEFAULT_TRUNCATION_RADIUS if self.truncation_radius is None else self.truncation_radius
+        radius = self.truncation_radius
+        if radius is None:  # capped first: the ceil of an infinite product overflows
+            radius = max(DEFAULT_TRUNCATION_RADIUS, math.ceil(min(10.0 * self.sigma0, MAX_SITES)))
         object.__setattr__(self, "truncation_radius", _integer(radius, "truncation_radius", 1))
         check_site_count(2 * self.truncation_radius + 1, "the Gaussian envelope spans")
         # sigma0 far from the lattice scale overflows the samples or underflows all to zero
@@ -261,8 +265,10 @@ class WalkState:
     """Walk amplitudes over a window.
 
     ``up[i]`` and ``down[i]`` hold the spin-up and spin-down amplitudes of
-    site ``window.j_min + i``.  Outside the reachable light cone both
-    fields are exactly zero, which every step preserves bit for bit;
+    site ``window.j_min + i``: float64 when both inputs are real (integers
+    included), else complex128, so a real walk's state stays real
+    (:func:`_coefficients` decides which).  Outside the reachable light
+    cone both fields are exactly zero, which every step preserves bit for bit;
     ``evolution.recorded_steps`` copies them into ghost-padded buffers of
     its own, never writing a state's arrays, tracks that cone and steps
     only it, and a final state keeps the full window.
@@ -273,8 +279,10 @@ class WalkState:
     down: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.up = np.ascontiguousarray(self.up, dtype=np.complex128)
-        self.down = np.ascontiguousarray(self.down, dtype=np.complex128)
+        up, down = np.asarray(self.up), np.asarray(self.down)
+        dtype = np.result_type(up, down, np.float64)
+        self.up = np.ascontiguousarray(up, dtype=dtype)
+        self.down = np.ascontiguousarray(down, dtype=dtype)
         if self.up.shape != (self.window.size,) or self.down.shape != (self.window.size,):
             raise ValueError(
                 f"amplitude arrays must have shape ({self.window.size},), "

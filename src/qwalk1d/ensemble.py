@@ -343,8 +343,8 @@ def _qubit_sums(
     p_sum = np.zeros((2, window.size))
     for lo in range(0, c.size, _BLOCK):
         up, down = _product_states(init, window, c[lo : lo + _BLOCK], s[lo : lo + _BLOCK])
-        # the four row sums per record time; all but the last, the coherence, are real
-        sums = np.empty((4, times.size, up.shape[0]), dtype=np.complex128)
+        # the four row sums per record time, in the batch's dtype; all but the coherence are real
+        sums = np.empty((4, times.size, up.shape[0]), dtype=up.dtype)
         for slot, (up, down, live) in enumerate(recorded_steps(up, down, plan, window)):
             sums[:, slot] = _row_observables(up[:, live], down[:, live], sites[live])
         norm, sigma, up_weight = sums[:3].real

@@ -119,13 +119,13 @@ def _row_observables(up, down, sites):
 
 
 def _position_moments(p_total, sites):
-    """Norm, mean and dispersion about the mean of each row of site probabilities."""
+    """Norm, mean and dispersion of each row of site probabilities (a radicand of non-negatives)."""
     norm = p_total.sum(axis=-1)
     mean = _row_dot(p_total, sites) / norm
     centered = sites - mean[..., None]
     centered *= centered
     radicand = _row_dot(p_total, centered) / norm
-    return norm, mean, np.sqrt(np.maximum(radicand, 0.0))
+    return norm, mean, np.sqrt(radicand)
 
 
 def _row_dot(x, y):

@@ -32,7 +32,6 @@ PHYSICS_FLAG_VALUES = [
     ("--mode", "ensemble"),
     ("--initial", "gaussian"),
     ("--sigma0", "2"),
-    ("--truncation-radius", "50"),
     ("--alpha", "1"),
     ("--beta", "1"),
     ("--alpha-step", "0.5"),
@@ -61,7 +60,7 @@ PINNED_ARGS = {
     "default": "",
     "ci_single": f"{CI_RUN} --output-dir single",
     "ci_ensemble": f"{CI_RUN} --mode ensemble --alpha-step 0.5 --beta-step 0.5 --output-dir ensemble",
-    "ci_gaussian": f"{CI_RUN} --initial gaussian --sigma0 2 --truncation-radius 20 --output-dir gaussian",
+    "ci_gaussian": f"{CI_RUN} --initial gaussian --sigma0 2 --output-dir gaussian",
     "fig1": "--preset fig1 --output-dir out",
     "fig2": "--preset fig2 --output-dir out",
     "fig3": "--preset fig3 --output-dir out",
@@ -76,7 +75,7 @@ _FULL = "--steps 3000 --record-every 1 --fit-start 1000 --fit-end 3000"
 
 
 def _gaussian(sigma0: str) -> str:
-    return f"--initial gaussian --sigma0 {sigma0} --truncation-radius 100"
+    return f"--initial gaussian --sigma0 {sigma0}"
 
 
 PINNED_ARGV = {
@@ -87,7 +86,7 @@ PINNED_ARGV = {
         "--output-dir ensemble"
     ),
     "ci_gaussian": (
-        "--mode single --initial gaussian --sigma0 2.0 --truncation-radius 20 "
+        "--mode single --initial gaussian --sigma0 2.0 "
         f"{_QUBIT} {_HADAMARD} {CI_RUN} --output-dir gaussian"
     ),
     "fig1": "--preset fig1 --output-dir out",
@@ -143,9 +142,10 @@ class TestParseConfig:
         assert cfg.output_dir == Path("results")
 
     def test_gaussian_flags(self):
-        cfg = parse("--initial gaussian --sigma0 10 --truncation-radius 80")
-        assert cfg.initial.sigma0 == 10.0
-        assert cfg.initial.truncation_radius == 80
+        cfg = parse("--initial gaussian --sigma0 20")
+        assert cfg.initial.sigma0 == 20.0
+        assert cfg.initial.truncation_radius == 200  # the radius follows sigma0
+        assert cfg.initial == InitialStateSpec(20.0)
 
     def test_gaussian_radius_default_is_100(self):
         cfg = parse("--initial gaussian --sigma0 2")
@@ -201,7 +201,6 @@ class TestParseConfig:
         "args, message",
         [
             ("--sigma0 2", "--sigma0 applies only to --initial gaussian"),
-            ("--truncation-radius 50", "--truncation-radius applies only to --initial gaussian"),
             ("--initial gaussian", "--initial gaussian requires --sigma0"),
             ("--coin defect", "--coin defect requires --defect-site"),
             ("--defect-site 3", "--defect-site applies only to --coin defect"),
@@ -218,7 +217,8 @@ class TestParseConfig:
             parse("--help")
         text = " ".join(capsys.readouterr().out.split())
         assert "default 3000" in text
-        assert "default 100; only with --initial gaussian" in text
+        assert "(lattice units); only with --initial gaussian" in text
+        assert "radius" not in text
         assert "default 0.1; only with --mode ensemble" in text
         assert "only with --coin defect" in text
 
@@ -226,6 +226,13 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             parse("--frobnicate 3")
         assert exc.value.code != 0
+
+    def test_truncation_radius_is_an_unknown_flag(self, capsys):
+        """The Gaussian's support follows sigma0; the command line sets no radius."""
+        with pytest.raises(SystemExit) as exc:
+            parse("--initial gaussian --sigma0 2 --truncation-radius 5")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --truncation-radius 5" in capsys.readouterr().err
 
     def test_preset_allows_operational_flags(self):
         cfg = parse("--preset fig1 --workers 2 --output-dir out")
@@ -259,7 +266,7 @@ class TestRoundTrip:
         [
             ("--mode ensemble", {"alpha_step": np.float64(0.5), "beta_step": np.float64(0.25)}),
             ("", {"qubit": QubitParams(np.float64(1.5), np.float64(0.25))}),
-            ("", {"initial": InitialStateSpec(np.float64(2.0), np.int64(50))}),
+            ("", {"initial": InitialStateSpec(np.float64(20.0))}),
         ],
         ids=["grid_steps", "qubit", "sigma0"],
     )
@@ -433,10 +440,10 @@ class TestMain:
         [
             "--steps 20 --record-every 20 --fit-start 5 --fit-end 20",  # one recorded time in the fit
             "--initial gaussian --sigma0 1e-300",  # envelope divides by zero
-            "--initial gaussian --sigma0 1e300",  # envelope is all zeros
+            "--initial gaussian --sigma0 1e300",  # a radius capped at MAX_SITES
             "--mode ensemble --alpha-step 1e-4 --beta-step 1e-4",  # ~2e9 qubits
             "--steps 2000000000",  # a 4e9-site window
-            "--initial gaussian --sigma0 1 --truncation-radius 2000000000",  # a 4e9-site envelope
+            "--initial gaussian --sigma0 1e6",  # a 2e7-site envelope
             "--initial gaussian --sigma0 0.001",  # samples to squared norm 398.9
         ],
     )

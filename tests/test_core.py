@@ -177,11 +177,33 @@ class TestInitialStateSpec:
 
     @pytest.mark.parametrize("sigma0", [1e-300, 1e300])
     def test_envelope_must_be_finite_with_nonzero_norm(self, sigma0):
-        # 1e-300 divides by zero when sampled; 1e300 samples to all zeros
+        # 1e-300 divides by zero when sampled; 1e300 samples to all zeros (a radius
+        # left out would follow 1e300 past MAX_SITES before sampling)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma0"):
-                InitialStateSpec.gaussian(sigma0)
+                InitialStateSpec.gaussian(sigma0, 100)
+
+    @pytest.mark.parametrize(
+        "sigma0, radius", [(0.9, 100), (1.0, 100), (10.0, 100), (10.5, 105), (20.0, 200), (50.0, 500)]
+    )
+    def test_radius_left_out_cuts_at_ten_sigma(self, sigma0, radius):
+        """A radius left out is max(DEFAULT_TRUNCATION_RADIUS, ceil(10 sigma0))."""
+        init = InitialStateSpec(sigma0)
+        assert init.truncation_radius == radius and type(init.truncation_radius) is int
+        assert init == InitialStateSpec.gaussian(sigma0) == InitialStateSpec(sigma0, radius)
+
+    def test_given_radius_is_used_as_given(self):
+        assert InitialStateSpec(20.0, 40).truncation_radius == 40
+        # sigma0=50 loses DEFICIT_SIGMA50_R100 (4.4%) at radius 100, and nothing a
+        # double resolves at the 500 its own cut takes
+        assert abs(InitialStateSpec(50.0).norm_deficit()) < 1e-14
+
+    @pytest.mark.parametrize("sigma0", [1e6, 1e308, np.finfo(np.float64).max])
+    def test_radius_from_a_huge_sigma0_is_capped_before_ceil(self, sigma0):
+        # 10 * 1e308 is inf, whose ceil raises OverflowError unless capped first
+        with pytest.raises(ValueError, match="MAX_SITES"):
+            InitialStateSpec(sigma0)
 
     def test_radius_capped_before_sampling(self):
         tracemalloc.start()
@@ -317,12 +339,24 @@ class TestWalkState:
         state.up[0] = 1.0  # the two components are separate arrays
         assert not state.down.any()
 
-    def test_amplitudes_are_stored_as_contiguous_complex(self):
+    def test_amplitudes_are_stored_contiguous_in_at_least_float64(self):
         strided = np.arange(6.0)[::2]
-        state = WalkState(LatticeWindow(0, 2), [1, 0, 0], strided)
+        state = WalkState(LatticeWindow(0, 2), [1, 0, 0], strided)  # integers become float64
         for amplitudes, expected in ((state.up, [1, 0, 0]), (state.down, [0, 2, 4])):
-            assert amplitudes.dtype == np.complex128 and amplitudes.flags.c_contiguous
+            assert amplitudes.dtype == np.float64 and amplitudes.flags.c_contiguous
             assert amplitudes.tolist() == expected
+        mixed = WalkState(LatticeWindow(0, 1), np.ones(2, np.float32), np.array([0, 1j], np.complex64))
+        assert mixed.up.dtype == mixed.down.dtype == np.complex128
+
+    @pytest.mark.parametrize("beta, dtype", [(0.0, np.float64), (0.5, np.complex128)])
+    def test_initial_state_keeps_its_coefficients_dtype(self, beta, dtype):
+        """``build_initial_state`` is the one-row case of ``_product_states``, dtype included."""
+        init = InitialStateSpec.gaussian(2.0, 8)
+        state = build_initial_state(QubitParams(1.0, beta), init)
+        c, s = _coefficients(np.array([1.0]), np.array([beta]))
+        up, down = _product_states(init, state.window, c, s)
+        assert state.up.dtype == state.down.dtype == up.dtype == np.dtype(dtype)
+        assert np.array_equal(state.up, up[0]) and np.array_equal(state.down, down[0])
 
 
 # the package and every submodule but the `python -m` entry point, which exports nothing

@@ -353,6 +353,9 @@ def test_real_walk_matches_its_complex_twin(init, coin):
     )
     assert up.dtype == np.float64 and up_z.dtype == np.complex128
     assert np.array_equal(up, up_z) and np.array_equal(down, down_z)
+    final = run_walk(QubitParams(0.75 * math.pi, 0.0), init, plan).final_state
+    assert final.up.dtype == final.down.dtype == np.float64  # the state keeps the walk's dtype
+    assert np.array_equal(final.up, up[0]) and np.array_equal(final.down, down[0])
     assert np.array_equal(p, p_z)
     assert np.array_equal(sigma, sigma_z) and np.array_equal(norm, norm_z)
     assert np.abs(entropy - entropy_z).max() <= 1e-14
