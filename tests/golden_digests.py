@@ -1,8 +1,12 @@
-"""SHA-256 digests of every preset sub-run's CSVs at CI scale, and the values behind them.
+"""SHA-256 digests of every preset sub-run's CSVs, and the values behind them.
 
-Each ``cli.PRESETS`` sub-run is run through ``cli.main`` with ``--steps 300``
-(ensembles also with ``--alpha-step 0.5 --beta-step 0.5``), and each of the
-three CSVs it writes is hashed.  Row sums are BLAS dots, and the linear
+At CI scale each ``cli.PRESETS`` sub-run is run through ``cli.main`` with
+``--steps 300`` (ensembles also with ``--alpha-step 0.5 --beta-step 0.5``), and
+each of the three CSVs it writes is hashed: 60 files.  At full scale
+(``--full``) each preset is run as it ships, ``--preset fig1|fig2|fig3``, and
+its 61 CSVs are hashed, ``fig3_summary.csv`` included; only there does the
+cone's front decay far enough (2^-1500 at 3000 steps) for underflow and
+subnormal amplitudes to reach a byte.  Row sums are BLAS dots, and the linear
 ensemble path's sums are GEMMs (one Gram per record, one per-qubit product per
 record block); an OpenBLAS built for several CPUs picks its dot and GEMM kernels
 at load time, so the runs happen in a child process with the core pinned
@@ -14,10 +18,12 @@ features it enabled are recorded next to its version.  Bytes can be compared
 only where all three match; the slope, final sigma and final entropy of each
 sub-run can be compared anywhere.
 
-Regenerate ``tests/data/golden_digests.json`` after a change that moves bytes
-on purpose, and list the moved files in CHANGES.md:
+Regenerate ``tests/data/golden_digests.json`` (CI scale) and
+``tests/data/golden_digests_full.json`` (full scale) after a change that moves
+bytes on purpose, and list the moved files in CHANGES.md:
 
     python tests/golden_digests.py --write
+    python tests/golden_digests.py --write --full
 """
 
 from __future__ import annotations
@@ -35,13 +41,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden_digests.json"
+GOLDEN_FULL = ROOT / "tests" / "data" / "golden_digests_full.json"
 PINNED_CORE = "Haswell"
 CI_SCALE = ["--steps", "300"]
 CI_GRID = ["--alpha-step", "0.5", "--beta-step", "0.5"]
 
 
-def measure() -> dict:
-    """Run every sub-run in a child process with the BLAS kernel pinned.
+def measure(full: bool = False) -> dict:
+    """Run every sub-run, at full scale if ``full``, in a child process with the BLAS kernel pinned.
 
     Falls back to the default kernel if the pinned one cannot run here; the
     recorded ``blas_core`` then says which one did.
@@ -51,7 +58,7 @@ def measure() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for pin in ({"OPENBLAS_CORETYPE": PINNED_CORE}, {}):
         proc = subprocess.run(
-            [sys.executable, __file__, "--child"],
+            [sys.executable, __file__, "--child", *(["--full"] if full else [])],
             env={**env, **pin}, capture_output=True, text=True, check=False,
         )
         if proc.returncode == 0:
@@ -62,7 +69,7 @@ def measure() -> dict:
     return {"blas_core": core and core.group(1), **json.loads(proc.stdout)}
 
 
-def _run_all() -> dict:
+def _run_all(full: bool) -> dict:
     """The child's work: run, hash and read back every sub-run in a temporary directory."""
     import numpy as np
 
@@ -73,24 +80,33 @@ def _run_all() -> dict:
 
     from qwalk1d.cli import PRESETS, main
 
-    runs, digests = {}, {}
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
         for preset, subruns in PRESETS.items():
-            for label, flags in subruns:
-                name = f"{preset}/{label}"
-                argv = [*flags, *CI_SCALE, *(CI_GRID if "ensemble" in flags else [])]
+            if full:
+                commands = [(preset, ["--preset", preset])]
+            else:
+                commands = [
+                    (f"{preset}/{label}", [*flags, *CI_SCALE, *(CI_GRID if "ensemble" in flags else [])])
+                    for label, flags in subruns
+                ]
+            for name, argv in commands:
                 with contextlib.redirect_stdout(io.StringIO()):
-                    code = main([*argv, "--output-dir", str(Path(tmp, name))])
+                    code = main([*argv, "--output-dir", str(root / name)])
                 if code != 0:
                     raise RuntimeError(f"{name} exited with {code}")
-                for path in sorted(Path(tmp, name).glob("*.csv")):
-                    digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-                summary = _last_row(Path(tmp, name, "summary.csv"))
-                runs[name] = {
-                    "slope": summary[0],
-                    "final_sigma": _last_row(Path(tmp, name, "timeseries.csv"))[1],
-                    "final_entropy": summary[1],
-                }
+        digests = {
+            path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*.csv"))
+        }
+        for summary_path in sorted(root.rglob("summary.csv")):
+            summary = _last_row(summary_path)
+            runs[summary_path.parent.relative_to(root).as_posix()] = {
+                "slope": summary[0],
+                "final_sigma": _last_row(summary_path.with_name("timeseries.csv"))[1],
+                "final_entropy": summary[1],
+            }
     return {
         "numpy": np.__version__,
         "numpy_simd": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
@@ -104,10 +120,13 @@ def _last_row(path: Path) -> list[float]:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--child"]:
-        print(json.dumps(_run_all()))
-    elif sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(json.dumps(measure(), indent=1, sort_keys=True) + "\n")
-        print(f"wrote {GOLDEN}")
+    args = sys.argv[1:]
+    full = args[1:] == ["--full"]
+    if args[:1] == ["--child"] and len(args) == 1 + full:
+        print(json.dumps(_run_all(full)))
+    elif args[:1] == ["--write"] and len(args) == 1 + full:
+        golden = GOLDEN_FULL if full else GOLDEN
+        golden.write_text(json.dumps(measure(full), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {golden}")
     else:
-        sys.exit(f"usage: python {Path(__file__).name} --write")
+        sys.exit(f"usage: python {Path(__file__).name} --write [--full]")
