@@ -4,10 +4,14 @@ The package covers the full pipeline: initial states (local or truncated
 Gaussian envelopes under any Bloch qubit), fast recurrence-based
 evolution, observables (position statistics and spin-position
 entanglement entropy), qubit-grid ensembles with averaged series and
-dispersion-slope fits, and a CSV-emitting command line.  It holds only
-what a run reaches; the per-site ring walk that cross-checks the engine
-lives with the tests.  The package exports exactly the ``__all__`` of
-each module below.
+dispersion-slope fits, and a CSV-emitting command line.  A single walk
+and an ensemble return one result type, and the per-site ring walk that
+cross-checks the engine lives with the tests.  No run returns a state or
+calls the single-state API (``WalkState``, ``build_initial_state``,
+``distribution``, ``entanglement_entropy``) or ``outer_lobes``; they stay
+public because library users build, step and inspect states and lobes
+with them, and ``perfbench/run.py`` reads ``WalkState.zero``.  The
+package exports exactly the ``__all__`` of each module below.
 """
 
 from . import core, ensemble, evolution, observables

@@ -28,16 +28,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .core import CoinSpec, InitialStateSpec, QubitParams
-from .ensemble import (
-    EnsembleResult,
-    WalkRecord,
-    check_run,
-    make_qubit_grid,
-    run_ensemble,
-    run_walk,
-)
+from .ensemble import EnsembleResult, check_run, make_qubit_grid, run_ensemble, run_walk
 from .evolution import EvolutionPlan
-from .observables import distribution
 
 __all__ = [
     "ConfigError",
@@ -269,7 +261,7 @@ def expand_runs(config: RunConfig | PresetConfig) -> list[tuple[str, RunConfig]]
     ]
 
 
-def execute(config: RunConfig) -> WalkRecord | EnsembleResult:
+def execute(config: RunConfig) -> EnsembleResult:
     """Run one concrete (non-preset) configuration."""
     plan = EvolutionPlan(config.coin, config.steps, config.record_every)
     if config.mode == "single":
@@ -281,23 +273,24 @@ def execute(config: RunConfig) -> WalkRecord | EnsembleResult:
 _SUMMARY_HEADER = "slope,final_entropy,qubit_count,norm_deficit"
 
 
-def emit_results(result: WalkRecord | EnsembleResult, output_dir: Path) -> tuple:
+def emit_results(result: EnsembleResult, output_dir: Path) -> tuple:
     """Write distribution, time-series and summary CSV files; return the summary row.
 
     Every site of the final window is emitted, including exact zeros
     inside the light cone, so the files are rectangular and directly
-    plottable.  Rows are ordered by j (distributions) or t (series).
+    plottable.  Rows are ordered by j (distributions) or t (series).  A
+    single walk (one qubit, with a norm series) writes ``t,sigma,entropy,norm``,
+    every other run ``t,mean_sigma,mean_entropy``.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, WalkRecord):
-        dist, times = distribution(result.final_state), result.times
-        series = ("t,sigma,entropy,norm", times, result.sigma, result.entropy, result.norm)
-        summary = (result.slope, result.entropy[-1], 1, result.norm_deficit)
+    dist, times = result.mean_distribution, result.times
+    means = (times, result.mean_dispersion, result.mean_entropy)
+    if result.qubit_count == 1 and result.norm is not None:
+        series = ("t,sigma,entropy,norm", *means, result.norm)
     else:
-        dist, times = result.mean_distribution, result.times
-        series = ("t,mean_sigma,mean_entropy", times, result.mean_dispersion, result.mean_entropy)
-        summary = (result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit)
+        series = ("t,mean_sigma,mean_entropy", *means)
+    summary = (result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit)
     _write_csv(
         output_dir / f"distribution_t{int(times[-1])}.csv",
         "j,p_up,p_down,p_total", dist.window.sites(), dist.p_up, dist.p_down, dist.p_total,

@@ -22,13 +22,15 @@ coefficient rows with the qubits' weights gives every qubit's norm,
 moments, spin-up weight and coherence.  The mean distribution is one
 Hermitian form (:func:`_form`) with the qubit-averaged weights.  The
 "direct" method, the independent cross-check, evolves every qubit in
-fixed-size batches through the one per-qubit driver whose one-qubit case
-is :func:`run_walk`.  Its amplitudes are float64 when every beta of the
-run is 0, as for the single walks of fig1, and complex128 otherwise
-(``core._coefficients`` holds that one dtype rule; the paper's grids
-are complex).  Both run in one process, sum each record over its
-light cone alone (``recorded_steps``'s ``live``) and reduce in a fixed
-order, so results are bitwise reproducible.
+fixed-size batches through the one per-qubit driver, and also gives the
+qubit-mean norm series.  :func:`run_walk` is its one-qubit run, so a
+single walk and an ensemble return one type, :class:`EnsembleResult`.
+Its amplitudes are float64 when every beta of the run is 0, as for the
+single walks of fig1, and complex128 otherwise (``core._coefficients``
+holds that one dtype rule; the paper's grids are complex).  Both run in
+one process, sum each record over its light cone alone
+(``recorded_steps``'s ``live``) and reduce in a fixed order, so results
+are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .core import (
     InitialStateSpec,
     LatticeWindow,
     QubitParams,
-    WalkState,
     _check_bloch_angles,
     _coefficients,
     _integer,
@@ -54,7 +55,6 @@ from .observables import PositionDistribution, _prob, _row_observables, entropy_
 
 __all__ = [
     "QubitGrid",
-    "WalkRecord",
     "EnsembleResult",
     "make_qubit_grid",
     "run_walk",
@@ -140,47 +140,24 @@ def _step_multiples(step: float, bound: float, what: str) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class WalkRecord:
-    """Per-step observables of one walk plus its final state, slope and norm deficit."""
-
-    times: np.ndarray
-    sigma: np.ndarray
-    entropy: np.ndarray
-    norm: np.ndarray
-    final_state: WalkState
-    slope: float
-    norm_deficit: float
-
-
-def run_walk(
-    qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan, *,
-    fit_window: tuple[int, int] | None = None,
-) -> WalkRecord:
-    """One walk's series and slope, checked by :func:`check_run`: the one-qubit ``direct`` run."""
-    window, fit_window = check_run(init, plan, fit_window)
-    c, s = _coefficients(np.array([qubit.alpha]), np.array([qubit.beta]))
-    (sigma, entropy, norm), _, up, down = _qubit_sums(init, plan, window, c, s)
-    final = WalkState(window, up[0], down[0])
-    times = plan.record_times()
-    slope = fit_dispersion_slope(times, sigma, fit_window)
-    return WalkRecord(times, sigma, entropy, norm, final, slope, init.norm_deficit())
-
-
-@dataclass(eq=False)
 class EnsembleResult:
-    """Grid-averaged observables.
+    """Grid-averaged observables of an ensemble or, on one qubit, of a single walk.
 
     ``mean_dispersion`` and ``mean_entropy`` are arithmetic means of the
     per-qubit series (the dispersion of each walk is averaged, not the
-    dispersion of the averaged distribution).  ``mean_distribution`` is
-    the averaged spin-resolved probability field at the final step.
-    ``slope`` is the least-squares slope of ``mean_dispersion`` over
-    the run's fit window.
+    dispersion of the averaged distribution).  ``norm`` is the mean of the
+    per-qubit norm series on the ``direct`` path, and ``None`` on the
+    linear one.  ``mean_distribution`` is the averaged spin-resolved
+    probability field at the final step.  ``slope`` is the least-squares
+    slope of ``mean_dispersion`` over the run's fit window.  The one-qubit
+    ``direct`` run, :func:`run_walk`, divides each sum by 1.0, so its means
+    are that walk's own numbers, bit for bit.
     """
 
     times: np.ndarray
     mean_dispersion: np.ndarray
     mean_entropy: np.ndarray
+    norm: np.ndarray | None
     mean_distribution: PositionDistribution
     slope: float
     qubit_count: int
@@ -208,17 +185,27 @@ def run_ensemble(
         raise ValueError(f"unknown ensemble method {method!r}")
     window, fit_window = check_run(init, plan, fit_window)
     run = _run_linear if method == "linear" else _run_direct
-    times, mean_sigma, mean_entropy, mean_dist = run(grid, init, plan, window)
+    times, mean_sigma, mean_entropy, norm, mean_dist = run(grid, init, plan, window)
     slope = fit_dispersion_slope(times, mean_sigma, fit_window)
     return EnsembleResult(
         times=times,
         mean_dispersion=mean_sigma,
         mean_entropy=mean_entropy,
+        norm=norm,
         mean_distribution=mean_dist,
         slope=slope,
         qubit_count=len(grid),
         norm_deficit=init.norm_deficit(),
     )
+
+
+def run_walk(
+    qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan, *,
+    fit_window: tuple[int, int] | None = None,
+) -> EnsembleResult:
+    """One walk from ``qubit``: the one-qubit ``direct`` run of :func:`run_ensemble`."""
+    grid = QubitGrid(np.array([qubit.alpha]), np.array([qubit.beta]))
+    return run_ensemble(grid, init, plan, fit_window=fit_window, method="direct")
 
 
 def _run_linear(
@@ -242,7 +229,7 @@ def _run_linear(
     # the qubit-averaged weights' Hermitian form, site by site, is the mean distribution
     p_up = _form(mean_w, _prob(au), _prob(ad), au * ad.conj())
     p_down = _form(mean_w, _prob(bu), _prob(bd), bu * bd.conj())
-    return times, mean_sigma, mean_entropy, PositionDistribution(window, p_up, p_down)
+    return times, mean_sigma, mean_entropy, None, PositionDistribution(window, p_up, p_down)
 
 
 def _basis_grams(init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow):
@@ -320,10 +307,10 @@ def _run_direct(
     grid: QubitGrid, init: InitialStateSpec, plan: EvolutionPlan, window: LatticeWindow
 ):
     c, s = _coefficients(grid.alphas, grid.betas)
-    (sigma, entropy, _), (p_up, p_down), _, _ = _qubit_sums(init, plan, window, c, s)
+    (sigma, entropy, norm), (p_up, p_down) = _qubit_sums(init, plan, window, c, s)
     n = float(len(grid))
     mean_dist = PositionDistribution(window, p_up / n, p_down / n)
-    return plan.record_times(), sigma / n, entropy / n, mean_dist
+    return plan.record_times(), sigma / n, entropy / n, norm / n, mean_dist
 
 
 def _qubit_sums(
@@ -332,10 +319,9 @@ def _qubit_sums(
 ):
     """Step the qubits ``c_i |up> + s_i |down>`` in batches of ``_BLOCK``; sum them in qubit order.
 
-    The one per-qubit driver: :func:`run_walk` is its one-qubit case.  Returns the
-    sums over qubits of the ``(sigma, entropy, norm)`` series, one column per record
-    time, and of the final ``(p_up, p_down)``, then the last batch's final ``up``
-    and ``down``.
+    The one per-qubit driver, behind ``direct`` runs and so behind :func:`run_walk`.
+    Returns the sums over qubits of the ``(sigma, entropy, norm)`` series, one
+    column per record time, and of the final ``(p_up, p_down)``.
     """
     sites = window.sites().astype(np.float64)
     times = plan.record_times()
@@ -352,7 +338,7 @@ def _qubit_sums(
         for i in range(up.shape[0]):  # sum in qubit order
             series_sum += (sigma[:, i], entropy[:, i], norm[:, i])
             p_sum += (_prob(up[i]), _prob(down[i]))
-    return series_sum, p_sum, up, down
+    return series_sum, p_sum
 
 
 def check_run(

@@ -1,27 +1,28 @@
 import pytest
 
-from qwalk1d.cli import main
-
-
-def _preset_run(tmp_path_factory, preset: str):
-    out = tmp_path_factory.mktemp("preset") / preset
-    return main(["--preset", preset, "--output-dir", str(out)]), out
+import golden_digests
 
 
 @pytest.fixture(scope="session")
-def fig2_preset(tmp_path_factory):
-    """Exit code and output directory of one ``--preset fig2`` run, shared by the session.
+def full_scale_presets(tmp_path_factory):
+    """``--preset fig1|fig2|fig3`` as they ship, run once for the session.
 
-    The six full-scale ensembles take seconds, so the CLI test and the
-    acceptance criteria read the same files instead of computing them twice.
+    The 20 full-scale sub-runs take seconds, so they run once, in the
+    pinned-BLAS child of :func:`golden_digests.measure`, which raises unless
+    every run exits 0.  Returns that measurement (the golden test compares
+    it) and the root of the output, one directory per preset.
     """
-    return _preset_run(tmp_path_factory, "fig2")
+    out = tmp_path_factory.mktemp("presets")
+    return golden_digests.measure(full=True, output_dir=out), out
 
 
 @pytest.fixture(scope="session")
-def fig3_preset(tmp_path_factory):
-    """Exit code and output directory of one ``--preset fig3`` run, shared by the session.
+def fig2_preset(full_scale_presets):
+    """The ``--preset fig2`` output: the CLI test and the acceptance criteria read its six ensembles."""
+    return full_scale_presets[1] / "fig2"
 
-    The CLI's sweep test and criterion 11 read the same eleven ensembles.
-    """
-    return _preset_run(tmp_path_factory, "fig3")
+
+@pytest.fixture(scope="session")
+def fig3_preset(full_scale_presets):
+    """The ``--preset fig3`` output: the CLI's sweep test and criterion 11 read its eleven ensembles."""
+    return full_scale_presets[1] / "fig3"

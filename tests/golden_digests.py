@@ -47,30 +47,34 @@ CI_SCALE = ["--steps", "300"]
 CI_GRID = ["--alpha-step", "0.5", "--beta-step", "0.5"]
 
 
-def measure(full: bool = False) -> dict:
+def measure(full: bool = False, output_dir: Path | None = None) -> dict:
     """Run every sub-run, at full scale if ``full``, in a child process with the BLAS kernel pinned.
 
-    Falls back to the default kernel if the pinned one cannot run here; the
-    recorded ``blas_core`` then says which one did.
+    The CSVs are written under ``output_dir`` (``<preset>/<label>/``), which is
+    kept, or under a temporary directory.  Falls back to the default kernel if
+    the pinned one cannot run here; the recorded ``blas_core`` then says which
+    one did.
     """
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["OPENBLAS_VERBOSE"] = "2"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    for pin in ({"OPENBLAS_CORETYPE": PINNED_CORE}, {}):
-        proc = subprocess.run(
-            [sys.executable, __file__, "--child", *(["--full"] if full else [])],
-            env={**env, **pin}, capture_output=True, text=True, check=False,
-        )
-        if proc.returncode == 0:
-            break
-    else:
-        raise RuntimeError(f"preset sub-runs failed:\n{proc.stderr}")
+    with contextlib.ExitStack() as stack:
+        out = output_dir or stack.enter_context(tempfile.TemporaryDirectory())
+        for pin in ({"OPENBLAS_CORETYPE": PINNED_CORE}, {}):
+            proc = subprocess.run(
+                [sys.executable, __file__, "--child", str(out), *(["--full"] if full else [])],
+                env={**env, **pin}, capture_output=True, text=True, check=False,
+            )
+            if proc.returncode == 0:
+                break
+        else:
+            raise RuntimeError(f"preset sub-runs failed:\n{proc.stderr}")
     core = re.search(r"^Core: (\S+)", proc.stderr, re.MULTILINE)
     return {"blas_core": core and core.group(1), **json.loads(proc.stdout)}
 
 
-def _run_all(full: bool) -> dict:
-    """The child's work: run, hash and read back every sub-run in a temporary directory."""
+def _run_all(full: bool, root: Path) -> dict:
+    """The child's work: run every sub-run under ``root``, hash its CSVs and read them back."""
     import numpy as np
 
     try:
@@ -80,38 +84,35 @@ def _run_all(full: bool) -> dict:
 
     from qwalk1d.cli import PRESETS, main
 
+    for preset, subruns in PRESETS.items():
+        if full:
+            commands = [(preset, ["--preset", preset])]
+        else:
+            commands = [
+                (f"{preset}/{label}", [*flags, *CI_SCALE, *(CI_GRID if "ensemble" in flags else [])])
+                for label, flags in subruns
+            ]
+        for name, argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--output-dir", str(root / name)])
+            if code != 0:
+                raise RuntimeError(f"{name} exited with {code}")
     runs = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for preset, subruns in PRESETS.items():
-            if full:
-                commands = [(preset, ["--preset", preset])]
-            else:
-                commands = [
-                    (f"{preset}/{label}", [*flags, *CI_SCALE, *(CI_GRID if "ensemble" in flags else [])])
-                    for label, flags in subruns
-                ]
-            for name, argv in commands:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = main([*argv, "--output-dir", str(root / name)])
-                if code != 0:
-                    raise RuntimeError(f"{name} exited with {code}")
-        digests = {
-            path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(root.rglob("*.csv"))
+    for summary_path in sorted(root.rglob("summary.csv")):
+        summary = _last_row(summary_path)
+        runs[summary_path.parent.relative_to(root).as_posix()] = {
+            "slope": summary[0],
+            "final_sigma": _last_row(summary_path.with_name("timeseries.csv"))[1],
+            "final_entropy": summary[1],
         }
-        for summary_path in sorted(root.rglob("summary.csv")):
-            summary = _last_row(summary_path)
-            runs[summary_path.parent.relative_to(root).as_posix()] = {
-                "slope": summary[0],
-                "final_sigma": _last_row(summary_path.with_name("timeseries.csv"))[1],
-                "final_entropy": summary[1],
-            }
     return {
         "numpy": np.__version__,
         "numpy_simd": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
         "runs": runs,
-        "digests": digests,
+        "digests": {
+            path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*.csv"))
+        },
     }
 
 
@@ -120,11 +121,11 @@ def _last_row(path: Path) -> list[float]:
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    full = args[1:] == ["--full"]
-    if args[:1] == ["--child"] and len(args) == 1 + full:
-        print(json.dumps(_run_all(full)))
-    elif args[:1] == ["--write"] and len(args) == 1 + full:
+    full = sys.argv[-1] == "--full"
+    args = sys.argv[1 : len(sys.argv) - full]
+    if len(args) == 2 and args[0] == "--child":
+        print(json.dumps(_run_all(full, Path(args[1]))))
+    elif args == ["--write"]:
         golden = GOLDEN_FULL if full else GOLDEN
         golden.write_text(json.dumps(measure(full), indent=1, sort_keys=True) + "\n")
         print(f"wrote {golden}")

@@ -29,14 +29,13 @@ from qwalk1d import (
     reachable_window,
     recorded_steps,
     run_ensemble,
-    run_walk,
 )
 from qwalk1d.cli import emit_results, main, parse_config
 from qwalk1d.core import SQRT1_2
 from qwalk1d.ensemble import check_run
 from qwalk1d.observables import _position_moments
 from oracle import ring_evolve
-from walks import stepped
+from walks import final_state, stepped
 
 DATA_DIR = Path(__file__).parent / "data"
 STEPS = 3000
@@ -114,9 +113,7 @@ def full_ensembles(fig2_preset):
     state, coin and step count.  The CSVs hold 17 significant digits, which
     round-trip double precision exactly, so the values read are the run's own.
     """
-    code, root = fig2_preset
-    assert code == 0
-    out = {}
+    root, out = fig2_preset, {}
     for ilabel, init in INITIAL_STATES.items():
         for clabel, coin in COINS.items():
             run_dir = root / f"{ilabel}_{clabel}"
@@ -160,13 +157,14 @@ def test_criterion1_full_scale_oracle():
     """Criterion 1 at full scale: the reference qubit, 3000 steps, every fig1 envelope x both coins.
 
     The ring is the run's window padded by one site on each side, so the
-    oracle holds the whole light cone without wrapping; the engine is
-    :func:`run_walk`, zero on the two padding sites.
+    oracle holds the whole light cone without wrapping; the engine is the
+    run's start stepped through ``recorded_steps`` (``walks.final_state``, the
+    amplitudes :func:`run_walk` ends on), zero on the two padding sites.
     """
     worst = 0.0
     for init in INITIAL_STATES.values():
         for coin in COINS.values():
-            final = run_walk(REFERENCE_QUBIT, init, EvolutionPlan(coin, STEPS)).final_state
+            final = final_state(REFERENCE_QUBIT, init, EvolutionPlan(coin, STEPS))
             ring = LatticeWindow(final.window.j_min - 1, final.window.j_max + 1)
             oracle = ring_evolve(build_initial_state(REFERENCE_QUBIT, init, ring), coin, STEPS)
             engine = WalkState(ring, np.pad(final.up, 1), np.pad(final.down, 1))
@@ -634,9 +632,7 @@ def test_criterion11_sigma0_law(fig3_preset):
     envelope, r = -10, at sigma0 = 2, 6 and 10 gives products 0.270, 385.5
     and 5125, its slope growing with sigma0.
     """
-    code, root = fig3_preset
-    assert code == 0
-    summary = _csv_columns(root / "fig3_summary.csv")
+    summary = _csv_columns(fig3_preset / "fig3_summary.csv")
     ok, detail = _sigma0_law(zip(summary["sigma0"], summary["slope"], summary["final_entropy"]))
     plain, plain_detail = _sigma0_law(_ensemble_sweep(COINS["hadamard"], (4.0, 8.0)))
     inside, inside_detail = _sigma0_law(_ensemble_sweep(CoinSpec.not_defect(-10), (2.0, 6.0, 10.0)))

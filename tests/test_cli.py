@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalk1d import CoinSpec, InitialStateSpec, QubitParams, cli
+from qwalk1d import (
+    CoinSpec,
+    EvolutionPlan,
+    InitialStateSpec,
+    QubitGrid,
+    QubitParams,
+    cli,
+    run_ensemble,
+    run_walk,
+)
 from qwalk1d.cli import (
     _FLAGS,
     ConfigError,
@@ -378,6 +387,28 @@ class TestEmission:
         assert int(rows[0][2]) == 9  # 3 alphas x 3 betas
         assert list(map(float, rows[0])) == list(map(float, summary))  # the row it returns
 
+    def test_timeseries_layout_follows_the_result(self, tmp_path):
+        """The walk layout is for one qubit with a norm series, the ensemble layout for the rest."""
+        init, plan = InitialStateSpec.local(), EvolutionPlan(CoinSpec.hadamard(), 4)
+        results = {
+            "walk": run_walk(QubitParams(1.0, 0.5), init, plan),
+            "direct_two_qubits": run_ensemble(
+                QubitGrid(np.array([1.0, 2.0]), np.array([0.5, 0.0])), init, plan, method="direct"
+            ),
+            "linear_one_qubit": run_ensemble(
+                QubitGrid(np.array([1.0]), np.array([0.5])), init, plan
+            ),
+        }
+        headers = {}
+        for name, result in results.items():
+            emit_results(result, tmp_path / name)
+            headers[name] = (tmp_path / name / "timeseries.csv").read_text().splitlines()[0]
+        assert headers == {
+            "walk": "t,sigma,entropy,norm",
+            "direct_two_qubits": "t,mean_sigma,mean_entropy",
+            "linear_one_qubit": "t,mean_sigma,mean_entropy",
+        }
+
     def test_p_total_equals_sum_as_printed(self, tmp_path):
         cfg = parse("--steps 12 --fit-start 0 --fit-end 12")
         emit_results(execute(cfg), tmp_path)
@@ -495,9 +526,8 @@ class TestMain:
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.slow
-    def test_preset_fig1_writes_subruns(self, tmp_path):
-        out = tmp_path / "fig1"
-        assert main(["--preset", "fig1", "--output-dir", str(out)]) == 0
+    def test_preset_fig1_writes_subruns(self, full_scale_presets):
+        out = full_scale_presets[1] / "fig1"  # the child that ran it raises on a nonzero exit
         for label in INITIAL_LABELS:
             run_dir = out / label
             assert (run_dir / "distribution_t3000.csv").exists()
@@ -510,8 +540,7 @@ class TestMain:
 
     @pytest.mark.slow
     def test_preset_fig2_writes_six_ensembles(self, fig2_preset):
-        code, out = fig2_preset
-        assert code == 0
+        out = fig2_preset
         for label in PRESET_LABELS["fig2"]:
             header, rows = read_csv(out / label / "timeseries.csv")
             assert header == ["t", "mean_sigma", "mean_entropy"]
@@ -535,9 +564,7 @@ class TestMain:
 
     @pytest.mark.slow
     def test_preset_fig3_summary_sweep(self, fig3_preset):
-        code, out = fig3_preset
-        assert code == 0
-        header, rows = read_csv(out / "fig3_summary.csv")
+        header, rows = read_csv(fig3_preset / "fig3_summary.csv")
         assert header == ["sigma0", "slope", "final_entropy", "qubit_count", "norm_deficit"]
         assert [int(r[0]) for r in rows] == list(range(0, 11))
         slopes = [float(r[1]) for r in rows]

@@ -6,7 +6,6 @@ import pkgutil
 import re
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from qwalk1d import (
 )
 from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _coefficients, _product_states
 from oracle import coin_matrix
+from readme_example import library_section, run_library_example
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 NOT = np.array([[0, 1], [1, 0]])
@@ -378,8 +378,7 @@ def test_public_exports_resolve(module_name):
 
 def _readme_library_names() -> set[str]:
     """Every identifier README's Library section names: ``qw.`` uses and backticked names."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    section = library_section()
     names = set(re.findall(r"\bqw\.([A-Za-z_][\w.]*)", section))
     return names | set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
 
@@ -418,3 +417,18 @@ def test_readme_library_section_matches_exports():
     known = _package_names() | set(dir(builtins))
     stale = sorted(name for name in named if not _resolves(name, known))
     assert not stale, f"README's Library section names what the package lacks: {stale}"
+
+
+@pytest.mark.slow
+def test_readme_library_example_runs(capsys):
+    """The section's example runs at full scale, and its two results are the documented type.
+
+    ``record``, the single walk, is a one-qubit result with a norm series;
+    ``result``, the 2016-qubit ensemble, takes the linear path, which has none.
+    """
+    example = run_library_example()
+    record, result = example["record"], example["result"]
+    assert isinstance(record, qwalk1d.EnsembleResult) and isinstance(result, qwalk1d.EnsembleResult)
+    assert record.qubit_count == 1 and record.norm.shape == record.times.shape == (3001,)
+    assert result.qubit_count == 2016 and result.norm is None
+    assert capsys.readouterr().out.count("\n") == 2  # its two print lines

@@ -27,7 +27,7 @@ from qwalk1d import (
 from qwalk1d.core import _coefficients
 from qwalk1d.ensemble import _qubit_sums
 from qwalk1d.observables import _position_moments
-from walks import stepped
+from walks import final_state, stepped
 
 
 class TestQubitGrid:
@@ -93,16 +93,17 @@ class TestRunWalk:
         plan = EvolutionPlan(CoinSpec.hadamard(), 20, record_every=4)
         rec = run_walk(QubitParams(1.0, 0.5), InitialStateSpec.local(), plan, fit_window=(4, 16))
         assert list(rec.times) == [0, 4, 8, 12, 16, 20]
-        assert rec.sigma.shape == rec.entropy.shape == rec.norm.shape == (6,)
-        assert rec.final_state.window == LatticeWindow(-20, 20)
-        assert rec.sigma[0] == 0.0
+        assert rec.mean_dispersion.shape == rec.mean_entropy.shape == rec.norm.shape == (6,)
+        assert rec.mean_distribution.window == LatticeWindow(-20, 20)
+        assert rec.mean_dispersion[0] == 0.0
         assert np.abs(rec.norm - 1.0).max() <= 1e-12
-        assert rec.slope == fit_dispersion_slope(rec.times, rec.sigma, (4, 16))
+        assert rec.slope == fit_dispersion_slope(rec.times, rec.mean_dispersion, (4, 16))
         assert rec.norm_deficit == 0.0
+        assert rec.qubit_count == 1
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_series_match_repeated_step(self, record_every):
-        """The recorded series and final state are those of one step applied t times.
+        """The recorded series and final distribution are those of one step applied t times.
 
         The series are the scalar formulas on the light cone, the start's nonzero
         range grown one site per step, bit for bit; on the full window they round
@@ -139,17 +140,33 @@ class TestRunWalk:
             if t < 50:
                 state = stepped(state, plan.coin)
         assert rec.times.tolist() == times
-        assert np.array_equal(rec.sigma, sigma)
-        assert np.array_equal(rec.entropy, entropy)
+        assert np.array_equal(rec.mean_dispersion, sigma)
+        assert np.array_equal(rec.mean_entropy, entropy)
         assert np.array_equal(rec.norm, norm)
-        assert rec.final_state.window == state.window
-        assert np.array_equal(rec.final_state.up, state.up)
-        assert np.array_equal(rec.final_state.down, state.down)
+        final, dist = final_state(qubit, init, plan), distribution(state)
+        assert final.window == state.window == rec.mean_distribution.window
+        assert np.array_equal(final.up, state.up)
+        assert np.array_equal(final.down, state.down)
+        assert np.array_equal(rec.mean_distribution.p_up, dist.p_up)
+        assert np.array_equal(rec.mean_distribution.p_down, dist.p_down)
+
+    @pytest.mark.parametrize(
+        "qubit", [QubitParams(0.75 * math.pi, 0.0), QubitParams(1.1, 0.4)], ids=["real", "complex"]
+    )
+    def test_distribution_squares_the_stepped_state(self, qubit):
+        """The run's distribution is ``distribution()`` of its final amplitudes, bit for bit."""
+        init, plan = InitialStateSpec.gaussian(2.0, 6), EvolutionPlan(CoinSpec.not_defect(-3), 40)
+        final = final_state(qubit, init, plan)
+        assert final.up.dtype == (np.float64 if qubit.beta == 0.0 else np.complex128)
+        got, expected = run_walk(qubit, init, plan).mean_distribution, distribution(final)
+        assert got.window == expected.window
+        assert np.array_equal(got.p_up, expected.p_up)
+        assert np.array_equal(got.p_down, expected.p_down)
 
     def test_initial_entropy_zero_for_product_state(self):
         plan = EvolutionPlan(CoinSpec.hadamard(), 2)
         rec = run_walk(QubitParams(2.0, 1.0), InitialStateSpec.gaussian(2.0, 10), plan)
-        assert rec.entropy[0] <= 1e-12
+        assert rec.mean_entropy[0] <= 1e-12
 
 
 class TestRunEnsemble:
@@ -180,21 +197,33 @@ class TestRunEnsemble:
         plan = EvolutionPlan(coin, 30)
         res = run_ensemble(grid, init, plan, fit_window=(0, 30), method=method)
         rec = run_walk(QubitParams(alpha, beta), init, plan, fit_window=(0, 30))
-        final, mean = distribution(rec.final_state), res.mean_distribution
+        final = distribution(final_state(QubitParams(alpha, beta), init, plan))
+        mean = res.mean_distribution
         assert final.window == mean.window
         assert rec.norm_deficit == res.norm_deficit
         if method == "direct":
-            assert np.array_equal(res.mean_entropy, rec.entropy)
-            assert np.array_equal(res.mean_dispersion, rec.sigma)
+            assert np.array_equal(res.mean_entropy, rec.mean_entropy)
+            assert np.array_equal(res.mean_dispersion, rec.mean_dispersion)
             assert np.array_equal(mean.p_up, final.p_up)
             assert np.array_equal(mean.p_down, final.p_down)
             assert res.slope == rec.slope
         else:
-            assert np.abs(res.mean_entropy - rec.entropy).max() <= 1e-12
-            assert np.abs(res.mean_dispersion - rec.sigma).max() <= 1e-12
+            assert np.abs(res.mean_entropy - rec.mean_entropy).max() <= 1e-12
+            assert np.abs(res.mean_dispersion - rec.mean_dispersion).max() <= 1e-12
             assert np.abs(mean.p_up - final.p_up).max() <= 1e-12
             assert np.abs(mean.p_down - final.p_down).max() <= 1e-12
             assert abs(res.slope - rec.slope) <= 1e-12
+
+    def test_direct_norm_is_the_qubit_mean_of_walk_norms(self):
+        """28 qubits, a full 16-qubit batch and a partial one; the linear path has no norm."""
+        grid = make_qubit_grid(0.8, 1.0)
+        init, plan = InitialStateSpec.gaussian(2.0, 6), EvolutionPlan(CoinSpec.not_defect(-3), 20)
+        assert len(grid) == 28
+        total = np.zeros(21)
+        for alpha, beta in zip(grid.alphas, grid.betas):  # in qubit order
+            total += run_walk(QubitParams(alpha, beta), init, plan).norm
+        assert np.array_equal(run_ensemble(grid, init, plan, method="direct").norm, total / 28.0)
+        assert run_ensemble(grid, init, plan).norm is None
 
     def test_linear_matches_brute_force_average(self):
         """Independent re-computation oracle for the two-basis-walk path."""
@@ -207,8 +236,8 @@ class TestRunEnsemble:
         sigma_sum = np.zeros(101)
         for alpha, beta in zip(grid.alphas, grid.betas):
             rec = run_walk(QubitParams(alpha, beta), init, plan)
-            entropy_sum += rec.entropy
-            sigma_sum += rec.sigma
+            entropy_sum += rec.mean_entropy
+            sigma_sum += rec.mean_dispersion
         n = len(grid)
         assert np.abs(res.mean_entropy - entropy_sum / n).max() <= 1e-12
         assert np.abs(res.mean_dispersion - sigma_sum / n).max() <= 1e-11
@@ -347,15 +376,18 @@ def test_real_walk_matches_its_complex_twin(init, coin):
     plan = EvolutionPlan(coin, 300)
     window, _ = qwalk1d.ensemble.check_run(init, plan)
     c, s = _coefficients(np.array([0.75 * math.pi]), np.array([0.0]))
-    (sigma, entropy, norm), p, up, down = _qubit_sums(init, plan, window, c, s)
-    (sigma_z, entropy_z, norm_z), p_z, up_z, down_z = _qubit_sums(
-        init, plan, window, c, s.astype(complex)
-    )
-    assert up.dtype == np.float64 and up_z.dtype == np.complex128
-    assert np.array_equal(up, up_z) and np.array_equal(down, down_z)
-    final = run_walk(QubitParams(0.75 * math.pi, 0.0), init, plan).final_state
+    (sigma, entropy, norm), p = _qubit_sums(init, plan, window, c, s)
+    (sigma_z, entropy_z, norm_z), p_z = _qubit_sums(init, plan, window, c, s.astype(complex))
+    qubit = QubitParams(0.75 * math.pi, 0.0)
+    start = build_initial_state(qubit, init, window)
+    final = final_state(qubit, init, plan)
+    twin = WalkState(window, start.up.astype(complex), start.down.astype(complex))
+    final_z = stepped(twin, coin, plan.steps)
     assert final.up.dtype == final.down.dtype == np.float64  # the state keeps the walk's dtype
-    assert np.array_equal(final.up, up[0]) and np.array_equal(final.down, down[0])
+    assert final_z.up.dtype == final_z.down.dtype == np.complex128
+    assert np.array_equal(final.up, final_z.up) and np.array_equal(final.down, final_z.down)
+    dist = distribution(final)
+    assert np.array_equal(p, (dist.p_up, dist.p_down))
     assert np.array_equal(p, p_z)
     assert np.array_equal(sigma, sigma_z) and np.array_equal(norm, norm_z)
     assert np.abs(entropy - entropy_z).max() <= 1e-14
@@ -366,7 +398,7 @@ def test_array_holders_compare_by_identity():
     plan = EvolutionPlan(CoinSpec.hadamard(), 4)
     record = run_walk(QubitParams(0.5, 0.5), InitialStateSpec.local(), plan)
     result = run_ensemble(make_qubit_grid(1.0, 2.0), InitialStateSpec.local(), plan)
-    state = record.final_state
+    state = final_state(QubitParams(0.5, 0.5), InitialStateSpec.local(), plan)
     twin = WalkState(state.window, state.up.copy(), state.down.copy())
     for value in (record, result, state, distribution(state)):
         assert (value == value) is True

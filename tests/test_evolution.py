@@ -25,7 +25,7 @@ from qwalk1d import (
 )
 from qwalk1d.ensemble import check_run
 from oracle import ring_evolve
-from walks import stepped
+from walks import final_state, stepped
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -229,12 +229,16 @@ def test_reachable_window_clips_at_defect():
 def test_walk_from_a_defect_on_the_support_edge():
     plan = EvolutionPlan(CoinSpec.not_defect(0), 10)
     qubit = QubitParams(0.75 * math.pi, 0.0)
-    record = run_walk(qubit, InitialStateSpec.local(), plan)
+    final = final_state(qubit, InitialStateSpec.local(), plan)
     padded = build_initial_state(qubit, InitialStateSpec.local(), LatticeWindow(-10, 10))
     reference = stepped(padded, plan.coin, plan.steps)
-    assert record.final_state.window == reference.window
-    assert np.array_equal(record.final_state.up, reference.up)
-    assert np.array_equal(record.final_state.down, reference.down)
+    assert final.window == reference.window
+    assert np.array_equal(final.up, reference.up)
+    assert np.array_equal(final.down, reference.down)
+    dist = run_walk(qubit, InitialStateSpec.local(), plan).mean_distribution
+    expected = distribution(reference)
+    assert np.array_equal(dist.p_up, expected.p_up)
+    assert np.array_equal(dist.p_down, expected.p_down)
 
 
 def test_run_walk_window_is_the_sampled_light_cone():
@@ -247,9 +251,9 @@ def test_run_walk_window_is_the_sampled_light_cone():
     occupied = start.window.sites()[(start.up != 0) | (start.down != 0)]
     assert (occupied.min(), occupied.max()) == (-54, 54)
     record = run_walk(qubit, init, plan)
-    assert record.final_state.window == LatticeWindow(-105, 105) == check_run(init, plan)[0]
+    assert record.mean_distribution.window == LatticeWindow(-105, 105) == check_run(init, plan)[0]
     local = run_walk(qubit, InitialStateSpec.local(), plan)
-    assert local.final_state.window == LatticeWindow(-5, 5)
+    assert local.mean_distribution.window == LatticeWindow(-5, 5)
 
 
 def test_recorded_steps_schedule():
@@ -307,7 +311,7 @@ def test_recorded_steps_refuse_amplitudes_off_the_window(up_shape, down_shape):
 def test_run_walk_single_step_matches_ring():
     plan = EvolutionPlan(CoinSpec.hadamard(), 1)
     qubit, init = QubitParams(0.7, 0.2), InitialStateSpec.local()
-    final = run_walk(qubit, init, plan).final_state
+    final = final_state(qubit, init, plan)
     # the three-site ring [-1, 1] holds the one-step light cone without wrapping
     oracle = ring_evolve(build_initial_state(qubit, init, final.window), plan.coin, 1)
     assert final.window == oracle.window == LatticeWindow(-1, 1)

@@ -3,13 +3,14 @@
 Two files, two scales: ``golden_digests.json`` holds the 60 CSVs of every
 sub-run at CI scale (300 steps, grid step 0.5), and ``golden_digests_full.json``
 the 61 CSVs of ``--preset fig1|fig2|fig3`` as they ship, where the cone's front
-underflows and a subnormal amplitude can move a byte.  The digests are compared
-only on the platform that made them (numpy version, numpy's enabled SIMD
-targets and the OpenBLAS core); elsewhere the stored slope, final sigma and
-final entropy of each sub-run are compared at 1e-12 relative.  Either way the
-test runs, and it prints which comparison it made.  A change that moves bytes
-on purpose regenerates the files with ``python tests/golden_digests.py --write``
-and ``--write --full``.
+underflows and a subnormal amplitude can move a byte (the session fixture
+``full_scale_presets`` runs them once, for this test and the acceptance tests).
+The digests are compared only on the platform that made them (numpy version,
+numpy's enabled SIMD targets and the OpenBLAS core); elsewhere the stored
+slope, final sigma and final entropy of each sub-run are compared at 1e-12
+relative.  Either way the test runs, and it prints which comparison it made.
+A change that moves bytes on purpose regenerates the files with
+``python tests/golden_digests.py --write`` and ``--write --full``.
 """
 
 import json
@@ -22,9 +23,8 @@ import golden_digests
 PLATFORM = ("numpy", "numpy_simd", "blas_core")
 
 
-def _compare(full: bool, count: int, capsys) -> None:
+def _compare(got: dict, full: bool, count: int, capsys) -> None:
     stored = json.loads((golden_digests.GOLDEN_FULL if full else golden_digests.GOLDEN).read_text())
-    got = golden_digests.measure(full)
     assert sorted(got["digests"]) == sorted(stored["digests"])
     assert len(stored["digests"]) == count
     if all(got[key] == stored[key] for key in PLATFORM):
@@ -45,9 +45,10 @@ def _compare(full: bool, count: int, capsys) -> None:
 
 
 def test_preset_csvs_match_golden_file(capsys):
-    _compare(False, 60, capsys)
+    _compare(golden_digests.measure(), False, 60, capsys)
 
 
 @pytest.mark.slow
-def test_full_scale_preset_csvs_match_golden_file(capsys):
-    _compare(True, 61, capsys)
+def test_full_scale_preset_csvs_match_golden_file(full_scale_presets, capsys):
+    """The session's one full-scale run of the presets, which the acceptance tests also read."""
+    _compare(full_scale_presets[0], True, 61, capsys)

@@ -17,7 +17,6 @@ from qwalk1d import (
     distribution,
     entanglement_entropy,
     outer_lobes,
-    run_walk,
 )
 from qwalk1d.core import SQRT1_2
 from qwalk1d.observables import (
@@ -27,7 +26,7 @@ from qwalk1d.observables import (
     _row_observables,
     entropy_bits_vec,
 )
-from walks import stepped
+from walks import final_state, stepped
 
 # sigma(0) of the truncated discrete Gaussian, 40-digit arithmetic
 SIGMA0_10_R100 = 10.0
@@ -323,7 +322,7 @@ class TestEntropy:
 
     def test_invariant_under_global_phase_and_translation(self):
         init, plan = InitialStateSpec.gaussian(2.0, 8), EvolutionPlan(CoinSpec.hadamard(), 6)
-        state = run_walk(QubitParams(1.1, 0.7), init, plan).final_state
+        state = final_state(QubitParams(1.1, 0.7), init, plan)
         base = entanglement_entropy(state)
 
         phased = WalkState(state.window, state.up * np.exp(0.3j), state.down * np.exp(0.3j))
