@@ -285,11 +285,11 @@ def emit_results(result: EnsembleResult, output_dir: Path) -> tuple:
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     dist, times = result.mean_distribution, result.times
-    means = (times, result.mean_dispersion, result.mean_entropy)
+    columns = (times, result.mean_dispersion, result.mean_entropy)
     if result.qubit_count == 1 and result.norm is not None:
-        series = ("t,sigma,entropy,norm", *means, result.norm)
+        series = ("t,sigma,entropy,norm", *columns, result.norm)
     else:
-        series = ("t,mean_sigma,mean_entropy", *means)
+        series = ("t,mean_sigma,mean_entropy", *columns)
     summary = (result.slope, result.mean_entropy[-1], result.qubit_count, result.norm_deficit)
     _write_csv(
         output_dir / f"distribution_t{int(times[-1])}.csv",
