@@ -8,10 +8,12 @@ dispersion-slope fits, and a CSV-emitting command line.  A single walk
 and an ensemble return one result type, and the per-site ring walk that
 cross-checks the engine lives with the tests.  No run returns a state or
 calls the single-state API (``WalkState``, ``build_initial_state``,
-``distribution``, ``entanglement_entropy``) or ``outer_lobes``; they stay
-public because library users build, step and inspect states and lobes
-with them, and ``perfbench/run.py`` reads ``WalkState.zero``.  The
-package exports exactly the ``__all__`` of each module below.
+``distribution``, ``entanglement_entropy``) or ``outer_lobes``.  They stay
+public because ``perfbench/run.py`` reads ``WalkState.zero``, the
+README's library example calls ``outer_lobes``, and the tests build, step
+and inspect states with the rest; removing or moving them waits for the
+benchmark's own change (ROADMAP item 1).  The package exports exactly the
+``__all__`` of each module below.
 """
 
 from . import core, ensemble, evolution, observables

@@ -37,6 +37,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,7 +75,14 @@ def measure(full: bool = False, output_dir: Path | None = None) -> dict:
 
 
 def _run_all(full: bool, root: Path) -> dict:
-    """The child's work: run every sub-run under ``root``, hash its CSVs and read them back."""
+    """The child's work: run every sub-run under ``root``, hash its CSVs and read them back.
+
+    The warnings that ``pyproject.toml`` makes errors under pytest are errors
+    here too, so a numpy overflow or a deprecation in any sub-run fails the
+    child, and :func:`measure` raises.
+    """
+    for category in (RuntimeWarning, DeprecationWarning, PendingDeprecationWarning):
+        warnings.simplefilter("error", category)
     import numpy as np
 
     try:

@@ -29,6 +29,7 @@ from qwalk1d import (
     reachable_window,
     recorded_steps,
     run_ensemble,
+    run_walk,
 )
 from qwalk1d.cli import emit_results, main, parse_config
 from qwalk1d.core import SQRT1_2
@@ -159,20 +160,29 @@ def test_criterion1_full_scale_oracle():
     The ring is the run's window padded by one site on each side, so the
     oracle holds the whole light cone without wrapping; the engine is the
     run's start stepped through ``recorded_steps`` (``walks.final_state``, the
-    amplitudes :func:`run_walk` ends on), zero on the two padding sites.
+    amplitudes :func:`run_walk` ends on), zero on the two padding sites.  The
+    run itself is held to the oracle too: :func:`run_walk`'s
+    ``mean_distribution`` against the oracle's distribution on the run's window.
     """
-    worst = 0.0
+    worst = worst_distribution = 0.0
     for init in INITIAL_STATES.values():
         for coin in COINS.values():
-            final = final_state(REFERENCE_QUBIT, init, EvolutionPlan(coin, STEPS))
+            plan = EvolutionPlan(coin, STEPS)
+            final = final_state(REFERENCE_QUBIT, init, plan)
             ring = LatticeWindow(final.window.j_min - 1, final.window.j_max + 1)
             oracle = ring_evolve(build_initial_state(REFERENCE_QUBIT, init, ring), coin, STEPS)
             engine = WalkState(ring, np.pad(final.up, 1), np.pad(final.down, 1))
             worst = max(worst, _amplitude_difference(oracle, engine))
+            run = run_walk(REFERENCE_QUBIT, init, plan).mean_distribution
+            assert run.window == final.window
+            expected = distribution(oracle)
+            for got, want in ((run.p_up, expected.p_up[1:-1]), (run.p_down, expected.p_down[1:-1])):
+                worst_distribution = max(worst_distribution, float(np.abs(got - want).max()))
     _report(
         "criterion 1 (full-scale oracle equivalence)",
-        worst <= 1e-12,
-        f"max sitewise amplitude difference at t={STEPS} {worst:.3e} (tolerance 1e-12)",
+        worst <= 1e-12 and worst_distribution <= 1e-12,
+        f"max sitewise amplitude difference at t={STEPS} {worst:.3e}, "
+        f"run_walk distribution difference {worst_distribution:.3e} (tolerance 1e-12)",
     )
 
 
