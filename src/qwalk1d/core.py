@@ -32,10 +32,11 @@ __all__ = [
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 # Largest window a run may need; at its peak a linear ensemble holds at most about
-# _BYTES_PER_SITE bytes per site, ~0.7 GB at the cap (tracemalloc, recorded every
-# step: 632 B per extra site where a defect clips the window to one site per record,
-# as on every fig2 and fig3 defect run, the per-record Grams (384 B) and weight rows
-# (192 B) dominating; 331-373 B on a free walk, about two sites per record).
+# _BYTES_PER_SITE bytes per site, ~0.7 GB at the cap (tracemalloc peak, sigma0 = 1,
+# recorded every step, 2000 against 4000 steps: 662 B per extra site where a defect
+# clips the window to one site per record, as on every fig2 and fig3 defect run, the
+# per-record Grams (384 B) and weight rows (192 B) dominating; 348 B on a free walk,
+# about two sites per record).
 MAX_SITES = 1_000_000
 _BYTES_PER_SITE = 700
 
@@ -269,9 +270,9 @@ class WalkState:
     included), else complex128, so a real walk's state stays real
     (:func:`_coefficients` decides which).  Outside the reachable light
     cone both fields are exactly zero, which every step preserves bit for bit;
-    ``evolution.recorded_steps`` copies them into ghost-padded buffers of
-    its own, never writing a state's arrays, tracks that cone and steps
-    only it, and a final state keeps the full window.
+    ``evolution.recorded_steps`` copies them into frames of its own, never
+    writing a state's arrays, tracks that cone and steps only it, and a
+    final state keeps the full window.
     """
 
     window: LatticeWindow

@@ -19,13 +19,11 @@ of being clipped; clipping would silently destroy norm conservation.
 
 :func:`recorded_steps` is the one loop that runs a plan, for single walks,
 ensembles and cross-checks alike.  It copies ``(..., N)`` amplitudes into
-two buffer pairs, as every site reads both neighbours' old values, with two
-zero ghost sites each side of the window; steps the light cone ``live``
-with the one kernel, ``_advance``; and yields the window at the plan's
-record times.  The cone starts as the input's nonzero columns and grows
-one site per step each way, clipped to the window; outside it the arrays
-are exactly zero.  With the ghosts one stencil steps every site, edge
-sites included, bit for bit as a full-window step would.
+one pair of frames, each moving with its spin, so the shift moves no data
+and a step is the coin alone, in place over the light cone ``live``; and it
+yields the window at the plan's record times.  The cone starts as the
+input's nonzero columns and grows one site per step each way, clipped to
+the window; outside it the arrays are exactly zero.
 """
 
 from __future__ import annotations
@@ -98,42 +96,6 @@ def reachable_window(
     return window
 
 
-def _advance(
-    up, down, new_up, new_down, defect: int | None, window: LatticeWindow, t: int, live: slice
-) -> slice:
-    """Coin and shift ``(..., N + 4)`` buffers from ``t`` into the distinct buffers ``new_*``.
-
-    Window site ``k`` is index ``k + 2`` of the last axis and ``defect`` the
-    NOT defect's index; two ghost sites flank each side.  ``up`` and ``down``
-    are exactly zero outside the cone ``live``, ``new_*`` outside the cone
-    returned: ``live`` grown one site each way, clipped to the window.  The
-    inner ghosts take what would leave it.
-    """
-    if live.start == live.stop:
-        return live
-    lo, hi = live.start - 1, live.stop + 1
-    # coin and shift in one pass: new_up[j] = coined_up[j-1], new_down[j] = coined_down[j+1]
-    shifted_up, shifted_down = new_up[..., lo:hi], new_down[..., lo:hi]
-    np.add(up[..., lo - 1 : hi - 1], down[..., lo - 1 : hi - 1], out=shifted_up)
-    shifted_up *= SQRT1_2
-    np.subtract(up[..., lo + 1 : hi + 1], down[..., lo + 1 : hi + 1], out=shifted_down)
-    shifted_down *= SQRT1_2
-    if defect is not None:
-        # the NOT gate at the defect swaps the spins instead of mixing them
-        new_up[..., defect + 1] = down[..., defect]
-        new_down[..., defect - 1] = up[..., defect]
-    right = up.shape[-1] - 2  # the inner right ghost
-    if lo < 2 or hi > right:  # the grown cone reaches a ghost: check it, zero it, clip
-        if np.count_nonzero(new_down[..., 1]) or np.count_nonzero(new_up[..., right]):
-            raise WindowOverflowError(
-                f"amplitude would leave window [{window.j_min}, {window.j_max}] "
-                f"at t={t + 1}; size the window for the full run (see reachable_window)"
-            )
-        new_down[..., 1] = new_up[..., right] = 0.0
-        lo, hi = max(lo, 2), min(hi, right)
-    return slice(lo, hi)
-
-
 def recorded_steps(
     up: np.ndarray, down: np.ndarray, plan: EvolutionPlan, window: LatticeWindow
 ) -> Iterator[tuple[np.ndarray, np.ndarray, slice]]:
@@ -143,25 +105,52 @@ def recorded_steps(
     arrays are exactly zero: at t=0 the range of the input's nonzero
     columns over all rows, then one site wider on each side per step,
     clipped to the window; an all-zero input's cone stays empty.  Only the
-    cone is stepped.  The input is never written: each yield is a view of
-    one of two alternating buffer pairs, valid until the generator resumes.
+    cone is stepped, in the dtype ``np.result_type(up, down, np.float64)``
+    that :class:`WalkState` also takes.  The input is never written: each
+    yield is a view of the loop's one frame pair, valid until the generator
+    resumes.
+
+    Spin up at window index ``k`` and time ``t`` is frame index ``k + T - t``
+    and spin down ``k + t``, with ``T = plan.steps``; each frame holds
+    ``N + T`` sites, under ``2N`` for every window :func:`reachable_window`
+    sizes.
     """
     if up.shape != down.shape or up.shape[-1:] != (window.size,):
         raise ValueError(
             f"up and down must share shape (..., {window.size}), got {up.shape} and {down.shape}"
         )
     rows = tuple(range(up.ndim - 1))
-    occupied = np.flatnonzero(np.any(up != 0, axis=rows) | np.any(down != 0, axis=rows)) + 2
-    live = slice(int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else slice(2, 2)
-    buffers = np.zeros((4, *up.shape[:-1], window.size + 4), np.result_type(up, down))
-    buffers[0, ..., 2:-2], buffers[1, ..., 2:-2] = up, down
-    up, down, *spare = buffers  # two buffer pairs; the input is no longer referenced
+    occupied = np.flatnonzero(np.any(up != 0, axis=rows) | np.any(down != 0, axis=rows))
+    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
+    n, steps = window.size, plan.steps
+    frames = np.zeros((2, *up.shape[:-1], n + steps), np.result_type(up, down, np.float64))
+    frames[0, ..., steps:], frames[1, ..., :n] = up, down
+    u, d = frames
+    scratch = np.empty_like(u[..., :n])
     r = plan.coin.defect_site
-    defect = r - window.j_min + 2 if r is not None and window.contains(r) else None
+    defect = r - window.j_min if r is not None and window.contains(r) else None
     t = 0
     for t_record in plan.record_times():
         while t < t_record:
-            live = _advance(up, down, *spare, defect, window, t, live)
-            (up, down), spare = spare, (up, down)
+            if lo < hi:
+                a, b = u[..., lo + steps - t : hi + steps - t], d[..., lo + t : hi + t]
+                swap = defect is not None and lo <= defect < hi
+                if swap:  # the NOT gate at the defect swaps the spins instead of mixing them
+                    flipped = b[..., defect - lo].copy(), a[..., defect - lo].copy()
+                coined = np.add(a, b, out=scratch[..., : hi - lo])
+                np.subtract(a, b, out=b)
+                b *= SQRT1_2
+                np.multiply(coined, SQRT1_2, out=a)
+                if swap:
+                    a[..., defect - lo], b[..., defect - lo] = flipped
+                # coined down at site 0 and coined up at site N - 1 would leave the window
+                if (lo == 0 and np.count_nonzero(b[..., 0])) or (
+                    hi == n and np.count_nonzero(a[..., -1])
+                ):
+                    raise WindowOverflowError(
+                        f"amplitude would leave window [{window.j_min}, {window.j_max}] "
+                        f"at t={t + 1}; size the window for the full run (see reachable_window)"
+                    )
+                lo, hi = max(lo - 1, 0), min(hi + 1, n)
             t += 1
-        yield up[..., 2:-2], down[..., 2:-2], slice(live.start - 2, live.stop - 2)
+        yield u[..., steps - t : steps - t + n], d[..., t : t + n], slice(lo, hi)

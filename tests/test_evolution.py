@@ -273,27 +273,94 @@ def test_recorded_steps_schedule():
     assert list(plan.record_times()) == [0, 3, 6, 7]
 
 
-def test_recorded_steps_alternate_two_buffer_pairs():
-    """The loop steps in two buffer pairs of its own, so a caller copies what it keeps."""
+def test_recorded_steps_yield_the_stepped_walk_and_never_write_the_input():
+    """Each yield is a view of the loop's own frames, so a caller copies what it keeps."""
     plan = EvolutionPlan(CoinSpec.not_defect(-2), 9, record_every=4)
     init = InitialStateSpec.gaussian(1.5, 4)
     start = build_initial_state(QubitParams(0.7, 0.2), init, check_run(init, plan)[0])
     up, down = start.up.copy(), start.down.copy()
-    expected, expected_t, yields = start, 0, []
+    expected, expected_t = start, 0
     walk = recorded_steps(up, down, plan, start.window)
     for t, (new_up, new_down, _) in zip(plan.record_times(), walk):
         assert not np.shares_memory(new_up, new_down)
         if t > expected_t:
             expected, expected_t = stepped(expected, plan.coin, t - expected_t), t
         assert np.array_equal(new_up, expected.up) and np.array_equal(new_down, expected.down)
-        yields.append((t, new_up, new_down))
     assert expected_t == 9
-    # the pair stepped into at t is the one of t's parity; the input is never written
-    for t, up_t, down_t in yields:
-        for s, up_s, down_s in yields:
-            same = np.shares_memory(up_t, up_s), np.shares_memory(down_t, down_s)
-            assert same == (t % 2 == s % 2,) * 2
     assert up.tobytes() == start.up.tobytes() and down.tobytes() == start.down.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dtype, walk_dtype",
+    [(np.int64, np.float64), (np.float32, np.float64), (np.complex64, np.complex128)],
+    ids=["int", "float32", "complex64"],
+)
+def test_recorded_steps_step_in_float64_or_complex128(dtype, walk_dtype):
+    # the dtype rule of WalkState: a narrower input steps as its exact widening would
+    plan = EvolutionPlan(CoinSpec.not_defect(1), 4)
+    window = reachable_window((-1, 1), plan.coin, plan.steps)
+    up = np.zeros((2, window.size), dtype=dtype)
+    origin = -window.j_min
+    up[0, origin], up[1, origin - 1 : origin + 2] = 1, (3, -2, 1)
+    down = (up[::-1] * (1j if np.iscomplexobj(up) else 1)).astype(dtype)
+    walk = recorded_steps(up, down, plan, window)
+    twin = recorded_steps(up.astype(walk_dtype), down.astype(walk_dtype), plan, window)
+    for (new_up, new_down, _), (twin_up, twin_down, _) in zip(walk, twin):
+        assert new_up.dtype == new_down.dtype == walk_dtype
+        assert new_up.tobytes() == twin_up.tobytes() and new_down.tobytes() == twin_down.tobytes()
+
+
+@st.composite
+def ring_cases(draw):
+    """A start, its plan and its :func:`reachable_window`, the defect anywhere near the cone."""
+    lo = draw(st.integers(-20, 20))
+    hi = lo + draw(st.integers(0, 5))
+    steps = draw(st.integers(1, 12))
+    # inside the support, on its edges, clipping either window edge, or past the cone
+    offset = draw(st.none() | st.integers(-steps - 2, hi - lo + steps + 2))
+    coin = CoinSpec() if offset is None else CoinSpec.not_defect(lo + offset)
+    plan = EvolutionPlan(coin, steps, record_every=draw(st.integers(1, steps)))
+    window = reachable_window((lo, hi), coin, steps)
+    rows = draw(st.integers(1, 3))
+    elements = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    up, down = np.zeros((2, rows, window.size), dtype=np.complex128)
+    size = rows * (hi - lo + 1)
+    for spin in (up, down):
+        values = draw(st.lists(elements, min_size=size, max_size=size))
+        spin[:, lo - window.j_min : hi - window.j_min + 1] = np.reshape(values, (rows, -1))
+    return up, down, plan, window
+
+
+@given(case=ring_cases())
+@settings(max_examples=60, deadline=None)
+def test_recorded_steps_match_the_ring_oracle(case):
+    up, down, plan, window = case
+    # a ring wider than the light cone on both sides, so nothing wraps
+    ring = LatticeWindow(window.j_min - plan.steps - 2, window.j_max + plan.steps + 2)
+    inside = slice(window.j_min - ring.j_min, window.j_max - ring.j_min + 1)
+    states = []
+    for row_up, row_down in zip(up, down):
+        state = WalkState.zero(ring)
+        state.up[inside], state.down[inside] = row_up, row_down
+        states.append(state)
+    occupied = np.flatnonzero(np.any(up != 0, axis=0) | np.any(down != 0, axis=0))
+    oracle_t = 0
+    for t, (new_up, new_down, live) in zip(
+        plan.record_times(), recorded_steps(up, down, plan, window)
+    ):
+        states = [ring_evolve(state, plan.coin, t - oracle_t) for state in states]
+        oracle_t = t
+        for row, state in enumerate(states):
+            assert np.abs(new_up[row] - state.up[inside]).max() <= 1e-12
+            assert np.abs(new_down[row] - state.down[inside]).max() <= 1e-12
+        if occupied.size:
+            lo, hi = max(occupied[0] - t, 0), min(occupied[-1] + 1 + t, window.size)
+        else:
+            lo = hi = 0
+        assert live == slice(lo, hi)
+        outside = np.ones(window.size, dtype=bool)
+        outside[live] = False
+        assert not np.any(new_up[:, outside]) and not np.any(new_down[:, outside])
 
 
 @pytest.mark.parametrize(
