@@ -6,14 +6,13 @@ evolution, observables (position statistics and spin-position
 entanglement entropy), qubit-grid ensembles with averaged series and
 dispersion-slope fits, and a CSV-emitting command line.  A single walk
 and an ensemble return one result type, and the per-site ring walk that
-cross-checks the engine lives with the tests.  No run returns a state or
-calls the single-state API (``WalkState``, ``build_initial_state``,
-``distribution``, ``entanglement_entropy``) or ``outer_lobes``.  They stay
-public because ``perfbench/run.py`` reads ``WalkState.zero``, the
-README's library example calls ``outer_lobes``, and the tests build, step
-and inspect states with the rest; removing or moving them waits for the
-benchmark's own change (ROADMAP item 1).  The package exports exactly the
-``__all__`` of each module below.
+cross-checks the engine, like the helpers that build and inspect single
+states, lives with the tests.  No run returns a state or calls
+``WalkState`` or ``outer_lobes``.  Each stays public for one reader:
+``perfbench/run.py`` reads ``WalkState.zero``, so its removal waits for the
+benchmark's own change (ROADMAP item 1), and the README's library example
+calls ``outer_lobes``, which measures a result's two lobes.  The package
+exports exactly the ``__all__`` of each module below.
 """
 
 from . import core, ensemble, evolution, observables

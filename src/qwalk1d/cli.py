@@ -27,7 +27,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .core import CoinSpec, InitialStateSpec, QubitParams
+from .core import CoinSpec, InitialStateSpec, QubitParams, _integer
 from .ensemble import EnsembleResult, check_run, make_qubit_grid, run_ensemble, run_walk
 from .evolution import EvolutionPlan
 
@@ -172,8 +172,11 @@ _PARSER = _build_parser()  # parse_args leaves it unchanged, so every call share
 def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
     """Parse flags into a validated RunConfig or PresetConfig (raises ConfigError)."""
     ns = _PARSER.parse_args(argv)
-    if ns.workers is not None and ns.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {ns.workers}")
+    if ns.workers is not None:  # run_ensemble's rule, checked before a preset returns
+        try:
+            _integer(ns.workers, "workers", 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     given = {name: value for name in _FLAGS if (value := getattr(ns, name)) is not None}
 
     if ns.preset is not None:

@@ -8,8 +8,8 @@ site.  Initial states place a qubit
 ``cos(alpha/2)|up> + e^{i beta} sin(alpha/2)|down>`` over either a delta
 distribution at the origin or a truncated Gaussian envelope, so an
 envelope is its optional width ``sigma0``.  One builder,
-:func:`_product_states`, lays any number of such qubits over an envelope;
-:func:`build_initial_state` is its one-row case.
+:func:`_product_states`, lays any number of such qubits over an envelope,
+and every run starts from it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "CoinSpec",
     "InitialStateSpec",
     "WalkState",
-    "build_initial_state",
 ]
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -267,12 +266,11 @@ class WalkState:
 
     ``up[i]`` and ``down[i]`` hold the spin-up and spin-down amplitudes of
     site ``window.j_min + i``: float64 when both inputs are real (integers
-    included), else complex128, so a real walk's state stays real
-    (:func:`_coefficients` decides which).  Outside the reachable light
-    cone both fields are exactly zero, which every step preserves bit for bit;
-    ``evolution.recorded_steps`` copies them into frames of its own, never
-    writing a state's arrays, tracks that cone and steps only it, and a
-    final state keeps the full window.
+    included), else complex128.  No run builds or returns one: runs step the
+    arrays of :func:`_product_states` through ``evolution.recorded_steps``,
+    which copies them into frames of its own and never writes its inputs.
+    The type stays public because ``perfbench/run.py`` reads the dtype of
+    :meth:`zero`.
     """
 
     window: LatticeWindow
@@ -294,24 +292,6 @@ class WalkState:
     def zero(cls, window: LatticeWindow) -> "WalkState":
         n = window.size
         return cls(window, np.zeros(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128))
-
-
-def build_initial_state(
-    qubit: QubitParams,
-    init: InitialStateSpec,
-    window: LatticeWindow | None = None,
-) -> WalkState:
-    """Product state of ``qubit`` over the envelope of ``init`` at t=0.
-
-    The one-row case of :func:`_product_states`.  When ``window`` is
-    omitted the state occupies :meth:`InitialStateSpec.support`; to evolve
-    it, pass the run's window (``ensemble.check_run``).
-    """
-    if window is None:
-        window = LatticeWindow(*init.support())
-    c, s = _coefficients(np.array([qubit.alpha]), np.array([qubit.beta]))
-    up, down = _product_states(init, window, c, s)
-    return WalkState(window, up[0], down[0])
 
 
 def _coefficients(alphas: np.ndarray, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

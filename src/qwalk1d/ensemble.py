@@ -178,11 +178,14 @@ def run_ensemble(
     ``method="linear"`` (default) evolves two basis walks and combines
     them per qubit; ``method="direct"`` evolves every qubit's state, in
     batches of a fixed size.  Both run in this process; ``workers`` is
-    accepted for callers that pass a worker count and has no effect.
+    accepted for callers that pass a worker count and has no effect, but a
+    given one must be an integer >= 1, as for the CLI's ``--workers``.
     Output is deterministic for both methods.
     """
     if method not in ("linear", "direct"):
         raise ValueError(f"unknown ensemble method {method!r}")
+    if workers is not None:
+        _integer(workers, "workers", 1)
     window, fit_window = check_run(init, plan, fit_window)
     run = _run_linear if method == "linear" else _run_direct
     times, mean_sigma, mean_entropy, norm, mean_dist = run(grid, init, plan, window)
@@ -227,8 +230,8 @@ def _run_linear(
         mean_entropy[records] = np.mean(entropy_bits_vec(up_weight, re**2 + im**2, norm), axis=1)
 
     # the qubit-averaged weights' Hermitian form, site by site, is the mean distribution
-    p_up = _form(mean_w, _prob(au), _prob(ad), au * ad.conj())
-    p_down = _form(mean_w, _prob(bu), _prob(bd), bu * bd.conj())
+    p_up = _form(mean_w, _prob(au), _prob(ad), au * ad)  # the basis pair is real
+    p_down = _form(mean_w, _prob(bu), _prob(bd), bu * bd)
     return times, mean_sigma, mean_entropy, None, PositionDistribution(window, p_up, p_down)
 
 

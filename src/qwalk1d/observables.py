@@ -1,6 +1,6 @@
-"""Observables of a walk state.
+"""Observables of walk amplitudes.
 
-Everything here is a pure function of its inputs.  States whose total
+Everything here is a pure function of its inputs.  Amplitudes whose total
 probability differs from 1 (e.g. a truncated Gaussian envelope, whose
 deficit is reported, not corrected) are handled by normalizing internally,
 so dispersion and entropy stay well defined without touching the amplitudes.
@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatticeWindow, WalkState
+from .core import LatticeWindow
 
 __all__ = [
     "PositionDistribution",
-    "distribution",
-    "entanglement_entropy",
     "outer_lobes",
 ]
 
@@ -46,26 +44,12 @@ class PositionDistribution:
         return float(np.sum(self.p_total))
 
 
-def distribution(state: WalkState) -> PositionDistribution:
-    return PositionDistribution(state.window, _prob(state.up), _prob(state.down))
-
-
-def entanglement_entropy(state: WalkState) -> float:
-    """Spin-position entanglement: the coin's von Neumann entropy in bits.
-
-    The position is traced out, leaving the coin matrix
-    ``[[sum|a|^2, sum a b*], [c.c., sum|b|^2]]``; this is
-    :func:`entropy_bits_vec` on that one matrix, summed as
-    :func:`_row_observables` sums one row, without its position moments.
-    """
-    p_up = _prob(state.up)
-    trace = np.sum(p_up + _prob(state.down))
-    coherence = _row_dot(state.down.conj(), state.up)
-    return float(entropy_bits_vec(np.sum(p_up), _prob(coherence), trace))
-
-
 def entropy_bits_vec(up_weight, coherence_sq, trace):
-    """Coin entropy in bits from ``sum|a|^2``, ``|sum a b*|^2`` and norm, over arrays."""
+    """Coin entropy in bits from ``sum|a|^2``, ``|sum a b*|^2`` and norm, over arrays.
+
+    Spin-position entanglement: tracing out the position leaves the coin matrix
+    ``[[sum|a|^2, sum a b*], [c.c., sum|b|^2]]``, whose von Neumann entropy this is.
+    """
     lam_plus, lam_minus = _coin_eigenvalues(up_weight, coherence_sq, trace)
     # 0.0 first, so that a pure coin state gives +0.0 rather than -0.0
     return 0.0 - _xlog2_vec(lam_plus) - _xlog2_vec(lam_minus)
@@ -105,8 +89,9 @@ def _row_observables(up, down, sites):
     """Norm, dispersion, ``sum|a|^2`` and ``sum a conj(b)`` of each row.
 
     The one set of formulas for single walks and ``direct`` batches; the norm
-    is the coin matrix's trace, and :func:`entanglement_entropy` is the same
-    sums on one state.  A row's numbers come from that row alone, bit for bit.
+    is the coin matrix's trace, and beside the linear path's Grams these are
+    the package's only coin sums.  A row's numbers come from that row alone,
+    bit for bit.
     Callers pass the sites of the batch's light cone (``recorded_steps``'s
     ``live``), so a row's range is its batch's cone.  Every qubit has
     ``max(|c|, |s|) >= 1/sqrt(2)``, so that cone is the envelope's nonzero

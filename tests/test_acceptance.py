@@ -21,9 +21,6 @@ from qwalk1d import (
     PositionDistribution,
     QubitParams,
     WalkState,
-    build_initial_state,
-    distribution,
-    entanglement_entropy,
     make_qubit_grid,
     outer_lobes,
     reachable_window,
@@ -36,7 +33,7 @@ from qwalk1d.core import SQRT1_2
 from qwalk1d.ensemble import check_run
 from qwalk1d.observables import _position_moments
 from oracle import ring_evolve
-from walks import final_state, stepped
+from walks import build_initial_state, distribution, entanglement_entropy, final_state, stepped
 
 DATA_DIR = Path(__file__).parent / "data"
 STEPS = 3000

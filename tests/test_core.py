@@ -20,13 +20,12 @@ from qwalk1d import (
     QubitGrid,
     QubitParams,
     WalkState,
-    build_initial_state,
-    distribution,
     make_qubit_grid,
 )
 from qwalk1d.core import DEFAULT_TRUNCATION_RADIUS, _coefficients, _product_states
 from oracle import coin_matrix
 from readme_example import library_section, run_library_example
+from walks import build_initial_state, distribution
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 NOT = np.array([[0, 1], [1, 0]])
@@ -347,16 +346,6 @@ class TestWalkState:
             assert amplitudes.tolist() == expected
         mixed = WalkState(LatticeWindow(0, 1), np.ones(2, np.float32), np.array([0, 1j], np.complex64))
         assert mixed.up.dtype == mixed.down.dtype == np.complex128
-
-    @pytest.mark.parametrize("beta, dtype", [(0.0, np.float64), (0.5, np.complex128)])
-    def test_initial_state_keeps_its_coefficients_dtype(self, beta, dtype):
-        """``build_initial_state`` is the one-row case of ``_product_states``, dtype included."""
-        init = InitialStateSpec.gaussian(2.0, 8)
-        state = build_initial_state(QubitParams(1.0, beta), init)
-        c, s = _coefficients(np.array([1.0]), np.array([beta]))
-        up, down = _product_states(init, state.window, c, s)
-        assert state.up.dtype == state.down.dtype == up.dtype == np.dtype(dtype)
-        assert np.array_equal(state.up, up[0]) and np.array_equal(state.down, down[0])
 
 
 # the package and every submodule but the `python -m` entry point, which exports nothing

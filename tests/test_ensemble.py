@@ -15,9 +15,6 @@ from qwalk1d import (
     QubitGrid,
     QubitParams,
     WalkState,
-    build_initial_state,
-    distribution,
-    entanglement_entropy,
     fit_dispersion_slope,
     make_qubit_grid,
     recorded_steps,
@@ -27,7 +24,7 @@ from qwalk1d import (
 from qwalk1d.core import _coefficients
 from qwalk1d.ensemble import _qubit_sums
 from qwalk1d.observables import _position_moments
-from walks import final_state, stepped
+from walks import build_initial_state, distribution, entanglement_entropy, final_state, stepped
 
 
 class TestQubitGrid:
@@ -357,6 +354,20 @@ class TestRunEnsemble:
                     make_qubit_grid(0.1, 0.1), InitialStateSpec.local(), plan,
                     fit_window=(0, 5000), method=method,
                 )
+        assert calls == []
+
+    @pytest.mark.parametrize("method", ["linear", "direct"])
+    @pytest.mark.parametrize("workers", [0, -7, "x", True, 2.5])
+    def test_workers_checked_before_any_walk(self, method, workers, monkeypatch):
+        """A given worker count is an integer >= 1, the CLI's ``--workers`` rule."""
+        calls = []
+        monkeypatch.setattr(qwalk1d.ensemble, "recorded_steps", lambda *args: calls.append(args))
+        plan = EvolutionPlan(CoinSpec.hadamard(), 10)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run_ensemble(
+                make_qubit_grid(1.0, 2.0), InitialStateSpec.local(), plan,
+                method=method, workers=workers,
+            )
         assert calls == []
 
 

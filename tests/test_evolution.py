@@ -14,8 +14,6 @@ from qwalk1d import (
     QubitParams,
     WalkState,
     WindowOverflowError,
-    build_initial_state,
-    distribution,
     fit_dispersion_slope,
     make_qubit_grid,
     reachable_window,
@@ -25,7 +23,7 @@ from qwalk1d import (
 )
 from qwalk1d.ensemble import check_run
 from oracle import ring_evolve
-from walks import final_state, stepped
+from walks import build_initial_state, distribution, final_state, stepped
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 

