@@ -32,7 +32,6 @@ from .ensemble import EnsembleResult, check_run, make_qubit_grid, run_ensemble, 
 from .evolution import EvolutionPlan
 
 __all__ = [
-    "ConfigError",
     "RunConfig",
     "PresetConfig",
     "parse_config",
@@ -101,10 +100,6 @@ PRESETS = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid or contradictory run configuration."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One concrete walk or ensemble, every field checked by ``parse_config``."""
@@ -170,44 +165,42 @@ _PARSER = _build_parser()  # parse_args leaves it unchanged, so every call share
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig | PresetConfig:
-    """Parse flags into a validated RunConfig or PresetConfig (raises ConfigError)."""
+    """Parse flags into a validated RunConfig or PresetConfig.
+
+    A bad configuration raises the ``ValueError`` of the rule it breaks:
+    a ``_FLAGS`` row's, first in table order, else the type that owns the value.
+    """
     ns = _PARSER.parse_args(argv)
     if ns.workers is not None:  # run_ensemble's rule, checked before a preset returns
-        try:
-            _integer(ns.workers, "workers", 1)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _integer(ns.workers, "workers", 1)
     given = {name: value for name in _FLAGS if (value := getattr(ns, name)) is not None}
 
     if ns.preset is not None:
         if given:
             flags = ", ".join(map(_option, given))
-            raise ConfigError(f"preset '{ns.preset}' fixes all physics fields; remove {flags}")
+            raise ValueError(f"preset '{ns.preset}' fixes all physics fields; remove {flags}")
         return PresetConfig(ns.preset, ns.output_dir)
 
     values = {}  # every flag's value: given, else its default; None where it does not apply
     for name, flag in _FLAGS.items():
         if _applies(flag, values):
             values[name] = given.get(name, flag.default)
+            if values[name] is None and flag.only is not None:  # a choice's flag with no default
+                raise ValueError(f"{_option(flag.only[0])} {flag.only[1]} requires {_option(name)}")
         elif name in given:
-            raise ConfigError(f"{_option(name)} applies only to {_option(flag.only[0])} {flag.only[1]}")
+            raise ValueError(f"{_option(name)} applies only to {_option(flag.only[0])} {flag.only[1]}")
         else:
             values[name] = None
-    for name, flag in _FLAGS.items():  # a choice's flag without a default must be given
-        if flag.only is not None and values[name] is None and _applies(flag, values):
-            raise ConfigError(f"{_option(flag.only[0])} {flag.only[1]} requires {_option(name)}")
 
+    # every value is checked by the type that owns it, before any compute
     steps, record_every = values["steps"], values["record_every"]
-    try:  # every value is checked by the type that owns it, before any compute
-        initial = InitialStateSpec(values["sigma0"])
-        coin = CoinSpec(values["defect_site"])
-        plan = EvolutionPlan(coin, steps, record_every)
-        _, fit_window = check_run(initial, plan, (values["fit_start"], values["fit_end"]))
-        qubit = QubitParams(values["alpha"], values["beta"]) if values["mode"] == "single" else None
-        if qubit is None:
-            make_qubit_grid(values["alpha_step"], values["beta_step"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    initial = InitialStateSpec(values["sigma0"])
+    coin = CoinSpec(values["defect_site"])
+    plan = EvolutionPlan(coin, steps, record_every)
+    _, fit_window = check_run(initial, plan, (values["fit_start"], values["fit_end"]))
+    qubit = QubitParams(values["alpha"], values["beta"]) if values["mode"] == "single" else None
+    if qubit is None:
+        make_qubit_grid(values["alpha_step"], values["beta_step"])
 
     return RunConfig(
         initial=initial,
@@ -326,7 +319,7 @@ def _write_manifest(config: RunConfig | PresetConfig, output_dir: Path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:  # a ConfigError is a ValueError, so a bad configuration exits here too
+    try:  # a bad configuration raises ValueError, so it exits here too
         config = parse_config(argv)
         _write_manifest(config, config.output_dir)
         sigma_summary = []  # fig3: sigma0, then the run's summary row

@@ -269,8 +269,6 @@ class WalkState:
     included), else complex128.  No run builds or returns one: runs step the
     arrays of :func:`_product_states` through ``evolution.recorded_steps``,
     which copies them into frames of its own and never writes its inputs.
-    The type stays public because ``perfbench/run.py`` reads the dtype of
-    :meth:`zero`.
     """
 
     window: LatticeWindow

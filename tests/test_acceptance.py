@@ -30,10 +30,9 @@ from qwalk1d import (
 )
 from qwalk1d.cli import emit_results, main, parse_config
 from qwalk1d.core import SQRT1_2
-from qwalk1d.ensemble import check_run
 from qwalk1d.observables import _position_moments
 from oracle import ring_evolve
-from walks import build_initial_state, distribution, entanglement_entropy, final_state, stepped
+from walks import build_initial_state, distribution, entanglement_entropy, final_state
 
 DATA_DIR = Path(__file__).parent / "data"
 STEPS = 3000
@@ -56,28 +55,24 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _run_start(qubit: QubitParams, init: InitialStateSpec, plan: EvolutionPlan) -> WalkState:
-    """The state a run starts from: ``qubit`` over ``init``, in the run's window."""
-    return build_initial_state(qubit, init, check_run(init, plan)[0])
+def _reference_walk(init: InitialStateSpec, coin: CoinSpec):
+    """The reference qubit's 3000-step run: its series, and its distribution at t=1000, 2000, 3000.
 
-
-def _reference_walk(init: InitialStateSpec, coin: CoinSpec, snapshots=(1000, 2000, 3000)):
-    plan = EvolutionPlan(coin, STEPS)
-    start = _run_start(REFERENCE_QUBIT, init, plan)
-    entropies: list[float] = []
-    norms: list[float] = []
-    dists: dict[int, object] = {}
-    walk = recorded_steps(start.up, start.down, plan, start.window)
-    for t, (up, down, _) in zip(plan.record_times().tolist(), walk):
-        s = WalkState(start.window, up, down)
-        d = distribution(s)
-        entropies.append(entanglement_entropy(s))
-        norms.append(d.total())
-        if t in snapshots:
-            dists[t] = d
-    return SimpleNamespace(
-        entropy=np.asarray(entropies), norm=np.asarray(norms), dists=dists
-    )
+    The entropy and norm series and the t=3000 distribution are
+    :func:`run_walk`'s.  The two earlier snapshots come from one
+    :func:`recorded_steps` pass over the run's window, recording every 1000 steps.
+    """
+    run = run_walk(REFERENCE_QUBIT, init, EvolutionPlan(coin, STEPS))
+    window = run.mean_distribution.window
+    start = build_initial_state(REFERENCE_QUBIT, init, window)
+    snapshots = EvolutionPlan(coin, 2000, record_every=1000)
+    walk = recorded_steps(start.up, start.down, snapshots, window)
+    next(walk)  # t = 0
+    dists = {
+        t: distribution(WalkState(window, up, down)) for t, (up, down, _) in zip((1000, 2000), walk)
+    }
+    dists[STEPS] = run.mean_distribution
+    return SimpleNamespace(entropy=run.mean_entropy, norm=run.norm, dists=dists)
 
 
 @pytest.fixture(scope="module")
@@ -217,12 +212,6 @@ def test_criterion3_far_peak_probabilities(reference_walks):
     _report("criterion 3 (far-peak probability)", ok, detail)
 
 
-def _final_hadamard_distribution(qubit: QubitParams, init: InitialStateSpec):
-    """Position distribution after a bare ``STEPS``-step Hadamard walk."""
-    plan = EvolutionPlan(COINS["hadamard"], STEPS)
-    return distribution(stepped(_run_start(qubit, init, plan), plan.coin, STEPS))
-
-
 @pytest.mark.slow
 def test_criterion3_distribution_symmetry(reference_walks):
     """Exact mirror symmetry of the Hadamard walk, at 1e-10 and t=3000.
@@ -244,12 +233,13 @@ def test_criterion3_distribution_symmetry(reference_walks):
     """
     bell = QubitParams(0.5 * math.pi, 0.5 * math.pi)
     partner = QubitParams(math.pi - REFERENCE_QUBIT.alpha, math.pi - REFERENCE_QUBIT.beta)
+    plan = EvolutionPlan(COINS["hadamard"], STEPS)
     centred = True
     bell_worst = mirror_worst = own_asym = 0.0
     for ilabel, init in INITIAL_STATES.items():
         reference = reference_walks[(ilabel, "hadamard")].dists[STEPS]
-        bell_dist = _final_hadamard_distribution(bell, init)
-        mirrored = _final_hadamard_distribution(partner, init)
+        bell_dist = run_walk(bell, init, plan).mean_distribution
+        mirrored = run_walk(partner, init, plan).mean_distribution
         # p[::-1] is P(-j) only on a window centred on the origin
         for dist in (reference, bell_dist, mirrored):
             centred = centred and dist.window.j_min == -dist.window.j_max

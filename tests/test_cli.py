@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -22,7 +23,6 @@ from qwalk1d import (
 )
 from qwalk1d.cli import (
     _FLAGS,
-    ConfigError,
     PresetConfig,
     RunConfig,
     _build_parser,
@@ -52,6 +52,30 @@ PHYSICS_FLAG_VALUES = [
     ("--fit-start", "10"),
     ("--fit-end", "90"),
 ]
+
+# each rejected command line, and the message of the rule it breaks: a _FLAGS
+# row's, the first failing one in table order, else the owning type's
+REJECTED_CONFIGS = {
+    "--steps 0": "steps must be an integer >= 1, got 0",
+    "--record-every 0": "record_every must be an integer >= 1, got 0",
+    "--initial gaussian": "--initial gaussian requires --sigma0",
+    "--initial gaussian --sigma0 -1": "Gaussian shape requires sigma0 > 0, got -1.0",
+    "--sigma0 2": "--sigma0 applies only to --initial gaussian",
+    "--coin defect": "--coin defect requires --defect-site",
+    "--defect-site 3": "--defect-site applies only to --coin defect",
+    "--alpha 9": "alpha must lie in [0, pi], got 9.0",
+    "--alpha-step 0.5": "--alpha-step applies only to --mode ensemble",
+    "--mode ensemble --alpha 1.0": "--alpha applies only to --mode single",
+    "--fit-start 200 --fit-end 100": "degenerate fit window [200, 100]",
+    "--fit-end 5000": "fit window [1000, 5000] outside recorded range [0.0, 3000.0]",
+    "--workers 0": "workers must be an integer >= 1, got 0",
+    "--preset fig1 --workers 0": "workers must be an integer >= 1, got 0",
+    "--preset fig1 --steps 100": "preset 'fig1' fixes all physics fields; remove --steps",
+    "--preset fig2 --coin hadamard": "preset 'fig2' fixes all physics fields; remove --coin",
+    # one pass over _FLAGS: the first failing row names the error, so
+    # sigma0's "requires" comes before alpha_step's "applies only to"
+    "--initial gaussian --alpha-step 0.5": "--initial gaussian requires --sigma0",
+}
 
 
 INITIAL_LABELS = ["local", "gaussian_sigma1", "gaussian_sigma10"]
@@ -170,34 +194,14 @@ class TestParseConfig:
         cfg = parse("--coin defect --defect-site -101")
         assert cfg.coin.defect_site == -101
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            "--steps 0",
-            "--record-every 0",
-            "--initial gaussian",  # sigma0 missing
-            "--initial gaussian --sigma0 -1",
-            "--sigma0 2",  # local takes no sigma0
-            "--coin defect",  # defect site missing
-            "--defect-site 3",  # hadamard takes no defect site
-            "--alpha 9",  # out of [0, pi]
-            "--alpha-step 0.5",  # single mode takes no grid steps
-            "--mode ensemble --alpha 1.0",
-            "--fit-start 200 --fit-end 100",
-            "--fit-end 5000",
-            "--workers 0",
-            "--preset fig1 --workers 0",
-            "--preset fig1 --steps 100",
-            "--preset fig2 --coin hadamard",
-        ],
-    )
+    @pytest.mark.parametrize("args", REJECTED_CONFIGS)
     def test_rejected_configs(self, args):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"^{re.escape(REJECTED_CONFIGS[args])}$"):
             parse(args)
 
     @pytest.mark.parametrize("flag, value", PHYSICS_FLAG_VALUES)
     def test_preset_rejects_every_physics_flag(self, flag, value):
-        with pytest.raises(ConfigError, match=f"remove {flag}$"):
+        with pytest.raises(ValueError, match=f"remove {flag}$"):
             parse(f"--preset fig1 {flag} {value}")
 
     def test_physics_flag_values_cover_the_parser(self):
@@ -218,7 +222,7 @@ class TestParseConfig:
         ],
     )
     def test_rule_messages_name_one_flag(self, args, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse(args)
 
     def test_help_lists_each_default_and_rule(self, capsys):
